@@ -37,13 +37,11 @@ from .metrics import MetricPair, evaluate, percentage_bend_correlation, rmse
 from .network import (
     AdamState,
     Checkpoint,
-    Gradients,
     MlpSpec,
     RegressorParams,
     adam_step,
     backward,
     forward_batch,
-    grad_check,
     init_params,
     load_checkpoint,
     save_checkpoint,

@@ -16,6 +16,11 @@ distances d_il between pseudo-label i and prediction l, sample i contributes
 -log(exp(-d_ii) / sum_l exp(-d_il)), which is zero exactly when sample i is
 the only plausible match for its own pseudo-label.  Setting alpha to zero
 reduces the method to plain supervised fine-tuning on the labeled rows.
+
+Both steps run at the same parameters, so a training step makes one forward
+pass over its batch, labeled rows first, and keeps the activations:
+selection, both loss terms and the backward pass read them.  A run report's
+``select_s`` therefore includes the step's forward pass.
 """
 
 from __future__ import annotations
@@ -173,12 +178,15 @@ def joint_log_scores(predictions, grid: BinGrid, prior, c: float = 0.5) -> np.nd
 def _select_bin_indices(predictions, grid: BinGrid, prior, c: float) -> np.ndarray:
     scores = joint_log_scores(predictions, grid, prior, c)
     f = np.asarray(predictions, dtype=np.float64)
-    best = scores.max(axis=1, keepdims=True)
-    dist = np.abs(grid.midpoints[None, :] - f[:, None])
-    # ties on the score fall back to the nearest midpoint; argmin then breaks
-    # remaining distance ties toward the lowest bin index
-    dist = np.where(scores == best, dist, np.inf)
-    return dist.argmin(axis=1)
+    at_best = scores == scores.max(axis=1, keepdims=True)
+    chosen = at_best.argmax(axis=1)
+    tied = np.flatnonzero(at_best.sum(axis=1) > 1)
+    if tied.size:
+        # ties on the score fall back to the nearest midpoint; argmin then breaks
+        # remaining distance ties toward the lowest bin index
+        dist = np.abs(grid.midpoints[None, :] - f[tied, None])
+        chosen[tied] = np.where(at_best[tied], dist, np.inf).argmin(axis=1)
+    return chosen
 
 
 def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float = 0.5) -> np.ndarray:
@@ -193,15 +201,23 @@ def _unsup_terms(f: np.ndarray, targets: np.ndarray, c: float):
     excess over the row minimum (nonnegative) plus a crowding term in
     [0, log n]; both are exactly zero for a singleton batch.
     """
-    dmat = (targets[:, None] - f[None, :]) ** 2 / (2.0 * c)
+    diff = targets[:, None] - f[None, :]
+    dmat = np.square(diff)
+    dmat /= 2.0 * c
     row_min = dmat.min(axis=1)
-    w = np.exp(-(dmat - row_min[:, None]))
+    # w holds exp(-(d_il - row min)), then the row softmax, then softmax * (f_l - t_i)
+    w = dmat - row_min[:, None]
+    np.negative(w, out=w)
+    np.exp(w, out=w)
     sums = w.sum(axis=1)
     quad = np.diagonal(dmat) - row_min
     crowding = np.log(sums)
-    softmax = w / sums[:, None]
-    resid = f[None, :] - targets[:, None]
-    d_loss_d_f = (np.diagonal(resid).copy() - (softmax * resid).sum(axis=0)) / c
+    w /= sums[:, None]
+    resid = np.negative(diff, out=diff)  # f_l - t_i
+    w *= resid
+    d_loss_d_f = np.diagonal(resid).copy()
+    d_loss_d_f -= w.sum(axis=0)
+    d_loss_d_f /= c
     return quad, crowding, d_loss_d_f
 
 
@@ -213,6 +229,7 @@ def craft_loss_and_grad(params: RegressorParams, x_labeled, y_labeled, x_unsup, 
     unsupervised term together with its frozen target (pseudo-label or true
     label); rows may appear in both batches.  With alpha zero, or an empty
     unsupervised batch, the computation reduces to the pure supervised path.
+    Either way it takes one forward and one backward pass over the stacked rows.
     """
     x_labeled = np.asarray(x_labeled, dtype=np.float64)
     x_unsup = np.asarray(x_unsup, dtype=np.float64)
@@ -220,36 +237,49 @@ def craft_loss_and_grad(params: RegressorParams, x_labeled, y_labeled, x_unsup, 
     n_unsup = x_unsup.shape[0]
     if n_sup == 0 and n_unsup == 0:
         raise ValueError("both batches are empty")
-    if n_sup:
-        y_labeled = np.asarray(y_labeled, dtype=np.float64)
-        residual = forward_batch(params, x_labeled) - y_labeled
-        supervised = float(residual @ residual)
-        upstream_sup = 2.0 * residual
-    else:
-        supervised = 0.0
-        upstream_sup = np.empty(0)
-    use_unsup = config.alpha > 0.0 and n_unsup > 0
-    if use_unsup:
+    y_labeled = np.asarray(y_labeled, dtype=np.float64) if n_sup else np.empty(0)
+    if config.alpha > 0.0 and n_unsup > 0:
         targets = np.asarray(unsup_targets, dtype=np.float64)
         if targets.shape != (n_unsup,):
             raise ValueError("unsup_targets must match the unsupervised batch")
-        f_unsup = forward_batch(params, x_unsup)
-        quad, crowding, d_f = _unsup_terms(f_unsup, targets, config.c)
+        x = np.vstack([x_labeled, x_unsup]) if n_sup else x_unsup
+    else:
+        targets, x = None, x_labeled
+    cache: list = []
+    forward_batch(params, x, cache)
+    return _loss_and_grad(params, x, cache, y_labeled, targets, config)
+
+
+def _loss_and_grad(params: RegressorParams, x, cache: list, y_sup, targets, config: CraftConfig):
+    """Loss and gradient over one stacked batch whose forward pass ``cache`` holds.
+
+    The supervised rows are the first ``y_sup.size`` rows of ``x``; the
+    unsupervised term, when ``targets`` is given, covers its last
+    ``targets.size`` rows.  Both terms' upstream gradients are added per row,
+    so a row in both terms is backpropagated once.
+    """
+    f = cache[-1][:, 0]
+    n_sup = y_sup.size
+    upstream = np.zeros(x.shape[0])
+    if n_sup:
+        residual = f[:n_sup] - y_sup
+        supervised = float(residual @ residual)
+        upstream[:n_sup] = 2.0 * residual
+    else:
+        supervised = 0.0
+    if targets is not None:
+        start = x.shape[0] - targets.size
+        quad, crowding, d_f = _unsup_terms(f[start:], targets, config.c)
         unsup_quadratic = float(quad.sum())
         unsup_contrastive = float(crowding.sum())
-        if n_sup:
-            x_all = np.vstack([x_labeled, x_unsup])
-            upstream = np.concatenate([upstream_sup, config.alpha * d_f])
-        else:
-            x_all, upstream = x_unsup, config.alpha * d_f
+        upstream[start:] += config.alpha * d_f
     else:
         unsup_quadratic = 0.0
         unsup_contrastive = 0.0
-        x_all, upstream = x_labeled, upstream_sup
     total = supervised + config.alpha * (unsup_quadratic + unsup_contrastive)
     if not math.isfinite(total):
         raise ValueError("non-finite training loss")
-    grads = backward(params, x_all, upstream)
+    grads = backward(params, x, upstream, cache)
     return LossBreakdown(supervised, unsup_quadratic, unsup_contrastive, total), grads
 
 
@@ -276,7 +306,12 @@ def batch_joint_log_density(params: RegressorParams, x, targets, prior, c: float
 @dataclass
 class RunReport:
     """Per-run record: configuration echo, per-epoch losses and timings,
-    selected pseudo-label counts per bin, and (once evaluated) test metrics."""
+    selected pseudo-label counts per bin, and (once evaluated) test metrics.
+
+    Of an epoch's timings, ``select_s`` covers each step's single forward
+    pass plus its pseudo-label selection, and ``step_s`` the loss, the
+    backward pass and the Adam update.
+    """
 
     method: str
     seed: int
@@ -311,7 +346,8 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
     unlabeled_idx = np.flatnonzero(~target.labeled)
     if not use_unsup and labeled_idx.size == 0:
         raise ValueError("supervised fine-tuning needs at least one labeled row")
-    if use_unsup and config.alpha > 0.0 and (config.grid is None or config.prior is None):
+    use_unsup = use_unsup and config.alpha > 0.0
+    if use_unsup and (config.grid is None or config.prior is None):
         raise ValueError("adaptation needs a bin grid and a label prior")
     params = source_params.copy()
     state = AdamState.init(params, learning_rate=config.learning_rate)
@@ -323,8 +359,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
     track_val = val is not None and config.model_selection == "best_val"
     best_val_rmse = math.inf
     best_params = None
-    empty_x = np.empty((0, target.d))
-    empty_y = np.empty(0)
+    true_for_labeled = config.pseudo_source == "true_labels_for_labeled"
 
     for epoch in range(config.epochs):
         epoch_start = time.perf_counter()
@@ -334,31 +369,31 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
         labeled_chunks = np.array_split(rng.permutation(labeled_idx), n_batches)
         unlabeled_chunks = np.array_split(rng.permutation(unlabeled_idx), n_batches)
         for chunk_l, chunk_u in zip(labeled_chunks, unlabeled_chunks):
-            do_unsup = use_unsup and config.alpha > 0.0 and (chunk_l.size + chunk_u.size) > 0
-            if chunk_l.size:
-                x_l, y_l = X[chunk_l], y[chunk_l]
-            else:
-                x_l, y_l = empty_x, empty_y
-            if do_unsup:
-                t0 = time.perf_counter()
+            if use_unsup:
+                # labeled rows first, so the supervised rows lead the stacked batch
                 members = np.concatenate([chunk_l, chunk_u])
-                x_u = X[members]
-                preds = forward_batch(params, x_u)
-                chosen = _select_bin_indices(preds, config.grid, config.prior, config.c)
-                targets = config.grid.midpoints[chosen]
-                if config.pseudo_source == "true_labels_for_labeled" and chunk_l.size:
-                    targets = targets.copy()
-                    targets[: chunk_l.size] = y_l
-                    np.add.at(hist, chosen[chunk_l.size:], 1)
-                else:
-                    np.add.at(hist, chosen, 1)
-                select_s += time.perf_counter() - t0
+                if members.size == 0:
+                    continue
             elif chunk_l.size == 0:
                 continue  # nothing contributes a gradient; keep paths aligned across methods
             else:
-                x_u, targets = empty_x, empty_y
+                members = chunk_l
             t0 = time.perf_counter()
-            breakdown, grads = craft_loss_and_grad(params, x_l, y_l, x_u, targets, config)
+            x = X[members]
+            cache: list = []
+            preds = forward_batch(params, x, cache)
+            targets = None
+            if use_unsup:
+                chosen = _select_bin_indices(preds, config.grid, config.prior, config.c)
+                targets = config.grid.midpoints[chosen]
+                if true_for_labeled and chunk_l.size:
+                    targets[: chunk_l.size] = y[chunk_l]
+                    np.add.at(hist, chosen[chunk_l.size:], 1)
+                else:
+                    np.add.at(hist, chosen, 1)
+            select_s += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            breakdown, grads = _loss_and_grad(params, x, cache, y[chunk_l], targets, config)
             params, state = adam_step(params, grads, state)
             step_s += time.perf_counter() - t0
             sums[0] += breakdown.supervised

@@ -295,10 +295,10 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
         report.pbcor = None
     else:
         labeled_scaled = train_scaled.labels[train_scaled.labeled]
-        if labeled_scaled.size:
+        if labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min():
             grid = make_bin_grid(cfg.bins, labels=labeled_scaled)
-        else:
-            grid = make_bin_grid(cfg.bins, lo=-1.0, hi=1.0)  # the scaler's own label range
+        else:  # no label range to span: use the scaler's own label range
+            grid = make_bin_grid(cfg.bins, lo=-1.0, hi=1.0)
         prior = None
         if cfg.method == "craft" and cfg.alpha > 0.0:
             if cfg.prior_source == "true_marginal":
@@ -526,27 +526,3 @@ def run_evaluate(cfg: ExperimentConfig) -> dict:
         "pbcor": None if math.isnan(pair.pbcor) else pair.pbcor,
         "files_opened": access,
     }
-
-
-def measure_phase_times(n_rows: int, bins: int, epochs: int = 5, batch_size: int = 64,
-                        d: int = 4, label_fraction: float = 0.05, seed: int = 0):
-    """Median per-epoch pseudo-label-selection and total wall time on a synthetic fit.
-
-    The first epoch is treated as warmup and excluded from the medians.
-    """
-    spec = default_scenario(seed=seed, d=d, n_source=50, n_target_train=n_rows,
-                            n_target_val=1, n_target_test=1)
-    _, train, _, _ = generate_synthetic(spec)
-    masked = stratified_label_mask(train, label_fraction, seed=seed)
-    scaler = fit_scaler(train)
-    scaled = apply_scaler(masked, scaler)
-    labeled = scaled.labels[scaled.labeled]
-    grid = make_bin_grid(bins, labels=labeled)
-    prior = UniformPrior(grid.lo, grid.hi)
-    net = MlpSpec((d, 16, 1))
-    config = CraftConfig(alpha=0.1, c=0.5, grid=grid, prior=prior, batch_size=batch_size,
-                         epochs=epochs, seed=seed, model_selection="final")
-    _, report = fit_craft(init_params(net, seed), scaled, config)
-    select = [row["select_s"] for row in report.epochs[1:]]
-    wall = [row["wall_s"] for row in report.epochs[1:]]
-    return float(np.median(select)), float(np.median(wall))

@@ -1,9 +1,14 @@
 """Dense feed-forward regressors with explicit backprop and Adam updates.
 
-Everything runs in double precision on plain numpy arrays.  Parameters are a
-list of (fan_in, fan_out) weight matrices plus bias vectors; the output layer
-is linear and one unit wide.  Checkpoints serialize to JSON with full float
-precision, so a save/load round trip is bitwise exact.
+Everything runs in double precision on plain numpy arrays.  The parameters
+live in one contiguous vector, layer by layer, each layer's (fan_in, fan_out)
+weight matrix followed by its bias vector; per-layer ``weights`` and
+``biases`` are views into it, and a gradient uses the same layout, so an
+optimizer step is a handful of whole-vector operations.  The output layer is
+linear and one unit wide.  A forward pass can keep its activations for the
+backward pass at the same parameters.  Checkpoints serialize to JSON (format
+version 1, unchanged by the flat layout: per-layer nested lists) with full
+float precision, so a save/load round trip is bitwise exact.
 """
 
 from __future__ import annotations
@@ -18,14 +23,12 @@ from .data import ScalerParams
 __all__ = [
     "MlpSpec",
     "RegressorParams",
-    "Gradients",
     "AdamState",
     "Checkpoint",
     "init_params",
     "forward_batch",
     "backward",
     "adam_step",
-    "grad_check",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -51,34 +54,56 @@ class MlpSpec:
             raise ValueError("output layer must have exactly one unit")
         if self.activation not in ("tanh", "relu"):
             raise ValueError(f"unsupported activation {self.activation!r}")
+        layout, start = [], 0
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            mid = start + fan_in * fan_out
+            layout.append((slice(start, mid), (fan_in, fan_out), slice(mid, mid + fan_out)))
+            start = mid + fan_out
+        # per layer: (weights slice, weights shape, biases slice) in the flat vector
+        object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "n_params", start)
 
     @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
 
-@dataclass
 class RegressorParams:
-    spec: MlpSpec
-    weights: list
-    biases: list
+    """Network parameters stored as one contiguous float64 vector.
+
+    ``weights[i]`` (fan_in, fan_out) and ``biases[i]`` (fan_out,) are views
+    into ``vector``, laid out layer by layer, weights before biases.  A
+    gradient is a ``RegressorParams`` too: same spec and layout, its vector
+    holding the partial derivatives.
+    """
+
+    def __init__(self, spec: MlpSpec, vector):
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape != (spec.n_params,):
+            raise ValueError(
+                f"expected a parameter vector of shape ({spec.n_params},), got {vector.shape}")
+        self.spec = spec
+        self.vector = vector
+        self.weights = [vector[w].reshape(shape) for w, shape, _ in spec._layout]
+        self.biases = [vector[b] for _, _, b in spec._layout]
+
+    @classmethod
+    def from_blocks(cls, spec: MlpSpec, weights, biases) -> "RegressorParams":
+        """Pack per-layer weight matrices and bias vectors into one vector."""
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if len(weights) != len(spec._layout) or len(biases) != len(spec._layout):
+            raise ValueError("layer count does not match its spec")
+        for (_, shape, _), w, b in zip(spec._layout, weights, biases):
+            if w.shape != shape or b.shape != shape[1:]:
+                raise ValueError(f"shape mismatch: expected {shape}, got {w.shape} / {b.shape}")
+        return cls(spec, np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb]))
 
     def copy(self) -> "RegressorParams":
-        return RegressorParams(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return RegressorParams(self.spec, self.vector.copy())
 
     def blocks(self):
-        """Yield (name, array) pairs over every parameter block."""
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            yield f"layer {i} weights", w
-            yield f"layer {i} biases", b
-
-
-@dataclass
-class Gradients:
-    weights: list
-    biases: list
-
-    def blocks(self):
+        """Yield (name, view) pairs over every parameter block."""
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             yield f"layer {i} weights", w
             yield f"layer {i} biases", b
@@ -87,17 +112,17 @@ class Gradients:
 def init_params(spec: MlpSpec, seed: int = 0) -> RegressorParams:
     """Seeded uniform(-s, s) weights with s = sqrt(6 / (fan_in + fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
+    params = RegressorParams(spec, np.zeros(spec.n_params))
+    for w in params.weights:
+        fan_in, fan_out = w.shape
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return RegressorParams(spec, weights, biases)
+        w[...] = rng.uniform(-s, s, size=(fan_in, fan_out))
+    return params
 
 
-def _forward_cached(params: RegressorParams, X: np.ndarray):
-    """Forward pass keeping post-activation values per layer for backprop."""
-    acts = [X]
+def _forward_cached(params: RegressorParams, X: np.ndarray, acts: list) -> list:
+    """Forward pass appending post-activation values per layer (input first) to ``acts``."""
+    acts.append(X)
     a = X
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -110,29 +135,46 @@ def _forward_cached(params: RegressorParams, X: np.ndarray):
     return acts
 
 
-def forward_batch(params: RegressorParams, X) -> np.ndarray:
-    """Predictions for every row of ``X``, shape (n,)."""
+def _check_rows(params: RegressorParams, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.spec.input_dim:
         raise ValueError(f"expected shape (n, {params.spec.input_dim}), got {X.shape}")
-    return _forward_cached(params, X)[-1][:, 0]
+    return X
 
 
-def backward(params: RegressorParams, X, upstream) -> Gradients:
-    """Exact gradient of sum_i upstream_i * f(x_i) over all parameters."""
-    X = np.asarray(X, dtype=np.float64)
+def forward_batch(params: RegressorParams, X, cache: list | None = None) -> np.ndarray:
+    """Predictions for every row of ``X``, shape (n,).
+
+    Pass an empty list as ``cache`` to keep the per-layer activations;
+    handing it to :func:`backward` at the same parameters and rows spares
+    the second forward pass.
+    """
+    X = _check_rows(params, X)
+    acts = _forward_cached(params, X, [] if cache is None else cache)
+    return acts[-1][:, 0]
+
+
+def backward(params: RegressorParams, X, upstream, cache: list | None = None) -> RegressorParams:
+    """Exact gradient of sum_i upstream_i * f(x_i) over all parameters.
+
+    ``cache`` is the activation list a :func:`forward_batch` call over the
+    same ``X`` filled; without it the forward pass runs again.
+    """
+    X = _check_rows(params, X)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.spec.input_dim:
-        raise ValueError(f"expected shape (n, {params.spec.input_dim}), got {X.shape}")
     if upstream.shape != (X.shape[0],):
         raise ValueError("upstream must be a vector with one entry per row")
-    acts = _forward_cached(params, X)
-    d_w = [None] * len(params.weights)
-    d_b = [None] * len(params.biases)
+    if cache is None:
+        acts = _forward_cached(params, X, [])
+    elif len(cache) != len(params.weights) + 1 or cache[0].shape != X.shape:
+        raise ValueError("cache does not hold a forward pass over X")
+    else:
+        acts = cache
+    grads = RegressorParams(params.spec, np.empty(params.spec.n_params))
     delta = upstream[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
-        d_w[i] = acts[i].T @ delta
-        d_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grads.weights[i])
+        delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
             da = delta @ params.weights[i].T
             hidden = acts[i]
@@ -140,17 +182,15 @@ def backward(params: RegressorParams, X, upstream) -> Gradients:
                 delta = da * (1.0 - hidden**2)
             else:
                 delta = da * (hidden > 0.0)
-    return Gradients(d_w, d_b)
+    return grads
 
 
 @dataclass
 class AdamState:
-    """Moment accumulators mirroring the parameter blocks, plus step counter."""
+    """First and second moment vectors in the parameter layout, plus step counter."""
 
-    m_w: list
-    v_w: list
-    m_b: list
-    v_b: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     learning_rate: float = 1e-4
     beta1: float = 0.9
@@ -161,10 +201,8 @@ class AdamState:
     def init(cls, params: RegressorParams, learning_rate: float = 1e-4, beta1: float = 0.9,
              beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
         return cls(
-            m_w=[np.zeros_like(w) for w in params.weights],
-            v_w=[np.zeros_like(w) for w in params.weights],
-            m_b=[np.zeros_like(b) for b in params.biases],
-            v_b=[np.zeros_like(b) for b in params.biases],
+            m=np.zeros_like(params.vector),
+            v=np.zeros_like(params.vector),
             learning_rate=learning_rate,
             beta1=beta1,
             beta2=beta2,
@@ -172,72 +210,18 @@ class AdamState:
         )
 
 
-def adam_step(params: RegressorParams, grads: Gradients, state: AdamState):
+def adam_step(params: RegressorParams, grads: RegressorParams, state: AdamState):
     """One adaptive-moment update; returns fresh (params, state) without mutating inputs."""
-    for name, g in grads.blocks():
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient in {name}")
+    g = grads.vector
+    if not np.isfinite(g).all():
+        name = next(name for name, block in grads.blocks() if not np.isfinite(block).all())
+        raise ValueError(f"non-finite gradient in {name}")
     t = state.t + 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
-
-    def update(theta, g, m, v):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * g**2
-        step = lr * (m_new / corr1) / (np.sqrt(v_new / corr2) + eps)
-        return theta - step, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for theta, g, m, v in zip(params.weights, grads.weights, state.m_w, state.v_w):
-        th, mn, vn = update(theta, g, m, v)
-        new_w.append(th)
-        new_mw.append(mn)
-        new_vw.append(vn)
-    new_b, new_mb, new_vb = [], [], []
-    for theta, g, m, v in zip(params.biases, grads.biases, state.m_b, state.v_b):
-        th, mn, vn = update(theta, g, m, v)
-        new_b.append(th)
-        new_mb.append(mn)
-        new_vb.append(vn)
-    new_params = RegressorParams(params.spec, new_w, new_b)
-    new_state = AdamState(new_mw, new_vw, new_mb, new_vb, t, lr, b1, b2, eps)
-    return new_params, new_state
-
-
-def grad_check(loss_fn, params: RegressorParams, h: float = 1e-5) -> float:
-    """Compare an analytic gradient against central differences, coordinate by coordinate.
-
-    ``loss_fn`` maps parameters to (scalar loss, Gradients).  Returns
-    max over coordinates of |g_analytic - g_fd| / max(1, |g_fd|).
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    _, analytic = loss_fn(params)
-    worst = 0.0
-    analytic_blocks = {name: g for name, g in analytic.blocks()}
-    for name, _ in params.blocks():
-        g_block = analytic_blocks[name]
-        it = np.nditer(g_block, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            plus = params.copy()
-            minus = params.copy()
-            _named_block(plus, name)[idx] += h
-            _named_block(minus, name)[idx] -= h
-            lp, _ = loss_fn(plus)
-            lm, _ = loss_fn(minus)
-            fd = (lp - lm) / (2.0 * h)
-            err = abs(g_block[idx] - fd) / max(1.0, abs(fd))
-            worst = max(worst, err)
-            it.iternext()
-    return worst
-
-
-def _named_block(params: RegressorParams, name: str) -> np.ndarray:
-    kind, i, which = name.split(" ")[0], int(name.split(" ")[1]), name.split(" ")[2]
-    del kind
-    return params.weights[i] if which == "weights" else params.biases[i]
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g**2
+    step = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return RegressorParams(params.spec, params.vector - step), AdamState(m, v, t, lr, b1, b2, eps)
 
 
 @dataclass(frozen=True)
@@ -267,13 +251,9 @@ def load_checkpoint(path) -> Checkpoint:
     spec = MlpSpec(tuple(payload["spec"]["layers"]), payload["spec"]["activation"])
     weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
     biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
-    expected = list(zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]))
-    if len(weights) != len(expected) or len(biases) != len(expected):
-        raise ValueError("checkpoint layer count does not match its spec")
-    for (fan_in, fan_out), w, b in zip(expected, weights, biases):
-        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise ValueError(
-                f"checkpoint shape mismatch: expected {(fan_in, fan_out)}, got {w.shape} / {b.shape}"
-            )
+    try:
+        params = RegressorParams.from_blocks(spec, weights, biases)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {exc}") from None
     scaler = ScalerParams.from_dict(payload["scaler"]) if payload.get("scaler") else None
-    return Checkpoint(RegressorParams(spec, weights, biases), scaler)
+    return Checkpoint(params, scaler)

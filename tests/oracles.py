@@ -1,7 +1,11 @@
 """Independent reference implementations used as test oracles."""
 
+import math
+
 import numpy as np
 
+from craft.engine import select_pseudo_labels
+from craft.network import RegressorParams, backward, forward_batch
 from craft.priors import prior_log_density
 
 
@@ -41,3 +45,91 @@ def brute_force_select(predictions, grid, prior, c):
                 best = b
         out.append(mids[best])
     return np.array(out)
+
+
+def grad_check(loss_fn, params, h=1e-5):
+    """Compare an analytic gradient against central differences, coordinate by coordinate.
+
+    ``loss_fn`` maps parameters to (scalar loss, gradient in the parameter
+    layout).  Returns max over coordinates of |g_analytic - g_fd| / max(1, |g_fd|).
+    """
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    _, analytic = loss_fn(params)
+    worst = 0.0
+    for k in range(params.vector.size):
+        plus = params.copy()
+        minus = params.copy()
+        plus.vector[k] += h
+        minus.vector[k] -= h
+        fd = (loss_fn(plus)[0] - loss_fn(minus)[0]) / (2.0 * h)
+        worst = max(worst, abs(analytic.vector[k] - fd) / max(1.0, abs(fd)))
+    return worst
+
+
+def _reference_adam(weights, biases, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Block-by-block Adam update on lists of arrays; ``moments`` maps block id to (m, v)."""
+    new_blocks = []
+    for kind, thetas, gs in (("w", weights, grads.weights), ("b", biases, grads.biases)):
+        updated = []
+        for i, (theta, g) in enumerate(zip(thetas, gs)):
+            m, v = moments.get((kind, i), (np.zeros_like(theta), np.zeros_like(theta)))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g**2
+            moments[(kind, i)] = (m, v)
+            updated.append(theta - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps))
+        new_blocks.append(updated)
+    return new_blocks
+
+
+def reference_fit(source_params, target, config, use_unsup=True):
+    """The unfused training loop: per step a selection forward, separate supervised and
+    unsupervised forwards, a backward pass that reruns the forward, a prior evaluated
+    per batch and Adam walked block by block.  ``config.model_selection`` must be
+    "final"; returns the parameters after each epoch."""
+    assert config.model_selection == "final"
+    X, y = target.features, target.labels
+    labeled_idx = np.flatnonzero(target.labeled)
+    unlabeled_idx = np.flatnonzero(~target.labeled)
+    use_unsup = use_unsup and config.alpha > 0.0
+    spec = source_params.spec
+    weights = [w.copy() for w in source_params.weights]
+    biases = [b.copy() for b in source_params.biases]
+    moments, t = {}, 0
+    rng = np.random.default_rng(config.seed)
+    n_batches = max(1, math.ceil(target.n / config.batch_size))
+    trajectory = []
+    for _ in range(config.epochs):
+        labeled_chunks = np.array_split(rng.permutation(labeled_idx), n_batches)
+        unlabeled_chunks = np.array_split(rng.permutation(unlabeled_idx), n_batches)
+        for chunk_l, chunk_u in zip(labeled_chunks, unlabeled_chunks):
+            members = np.concatenate([chunk_l, chunk_u])
+            if not (use_unsup and members.size) and chunk_l.size == 0:
+                continue
+            params = RegressorParams.from_blocks(spec, weights, biases)
+            x_l, y_l = X[chunk_l], y[chunk_l]
+            upstream, rows = [], []
+            if chunk_l.size:
+                residual = forward_batch(params, x_l) - y_l
+                upstream.append(2.0 * residual)
+                rows.append(x_l)
+            if use_unsup and members.size:
+                x_u = X[members]
+                targets = select_pseudo_labels(forward_batch(params, x_u), config.grid,
+                                               config.prior, config.c)
+                if config.pseudo_source == "true_labels_for_labeled":
+                    targets[: chunk_l.size] = y_l
+                f = forward_batch(params, x_u)
+                resid = f[None, :] - targets[:, None]
+                dmat = resid**2 / (2.0 * config.c)
+                w = np.exp(-(dmat - dmat.min(axis=1)[:, None]))
+                softmax = w / w.sum(axis=1)[:, None]
+                d_f = (np.diagonal(resid) - (softmax * resid).sum(axis=0)) / config.c
+                upstream.append(config.alpha * d_f)
+                rows.append(x_u)
+            grads = backward(params, np.vstack(rows), np.concatenate(upstream))
+            t += 1
+            weights, biases = _reference_adam(weights, biases, grads, moments, t,
+                                              config.learning_rate)
+        trajectory.append(RegressorParams.from_blocks(spec, weights, biases))
+    return trajectory

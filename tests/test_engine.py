@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_scores, brute_force_select
+from oracles import brute_force_scores, brute_force_select, grad_check, reference_fit
 
 from craft.data import Dataset, apply_scaler, fit_scaler, generate_synthetic, stratified_label_mask
 from craft.engine import (
@@ -24,7 +24,6 @@ from craft.network import (
     RegressorParams,
     backward,
     forward_batch,
-    grad_check,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -33,7 +32,7 @@ from craft.priors import HistogramPrior, UniformPrior, fit_histogram_prior
 
 
 def identity_net():
-    return RegressorParams(MlpSpec((1, 1)), [np.array([[1.0]])], [np.array([0.0])])
+    return RegressorParams.from_blocks(MlpSpec((1, 1)), [np.array([[1.0]])], [np.array([0.0])])
 
 
 def empty_batch(d=1):
@@ -384,6 +383,71 @@ class TestFitLoops:
         # only unlabeled members count toward the selection histogram
         n_unlabeled = int((~target.labeled).sum())
         assert sum(report.pseudo_label_hist) == 2 * n_unlabeled
+
+
+def max_gap(a, b):
+    return float(np.abs(a.vector - b.vector).max())
+
+
+class TestFusedStep:
+    """The one-forward training step against the unfused reference loop."""
+
+    @pytest.mark.parametrize("alpha,pseudo_source,frac", [
+        (0.1, "pseudo_for_all", 0.3),
+        (0.1, "true_labels_for_labeled", 0.3),
+        (0.0, "pseudo_for_all", 0.3),
+        (0.1, "pseudo_for_all", 1.0),  # no unlabeled rows in any batch
+        (0.1, "true_labels_for_labeled", 1.0),
+    ])
+    def test_fit_craft_tracks_unfused_reference(self, alpha, pseudo_source, frac):
+        target = small_target(seed=13, frac=frac)
+        params = init_params(MlpSpec((3, 8, 8, 1)), seed=14)
+        config = craft_config(target, alpha=alpha, epochs=3, seed=2, lr=1e-2,
+                              pseudo_source=pseudo_source)
+        fused = []
+        fit_craft(params, target, config, epoch_callback=lambda e, p: fused.append(p.copy()))
+        reference = reference_fit(params, target, config)
+        assert len(fused) == len(reference) == 3
+        for ours, ref in zip(fused, reference):
+            assert max_gap(ours, ref) <= 1e-12
+        assert max_gap(fused[-1], params) > 1e-3  # the fit moved
+
+    def test_fit_tl_tracks_unfused_reference(self):
+        target = small_target(seed=15)
+        params = init_params(MlpSpec((3, 8, 1)), seed=16)
+        config = craft_config(target, epochs=3, lr=1e-2)
+        fused = []
+        fit_tl(params, target, config, epoch_callback=lambda e, p: fused.append(p.copy()))
+        for ours, ref in zip(fused, reference_fit(params, target, config, use_unsup=False)):
+            assert max_gap(ours, ref) <= 1e-12
+
+    def test_prior_evaluated_once_per_step(self, monkeypatch):
+        import craft.engine
+
+        calls = []
+        steps = []
+        real_prior, real_adam = craft.engine.prior_log_density, craft.engine.adam_step
+
+        def counting_prior(prior, y):
+            calls.append(np.asarray(y).shape)
+            return real_prior(prior, y)
+
+        def counting_adam(params, grads, state):
+            steps.append(1)
+            return real_adam(params, grads, state)
+
+        monkeypatch.setattr(craft.engine, "prior_log_density", counting_prior)
+        monkeypatch.setattr(craft.engine, "adam_step", counting_adam)
+        target = small_target(seed=17)
+        params = init_params(MlpSpec((3, 6, 1)), seed=18)
+        config = craft_config(target, epochs=3)
+        fit_craft(params, target, config)
+        batches = math.ceil(target.n / config.batch_size)
+        assert len(steps) == config.epochs * batches
+        assert calls == [(config.grid.count,)] * len(steps)
+        calls.clear()
+        fit_tl(params, target, config)
+        assert calls == []
 
 
 class TestNaiveBaseline:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from craft.cli import main
-from craft.data import load_csv
+from craft.data import Dataset, load_csv
 from craft.harness import (
     ExperimentConfig,
     RUN_REPORT_SCHEMA,
+    adapt_in_memory,
     default_scenario,
     run_adapt,
     run_evaluate,
@@ -127,6 +128,29 @@ class TestAdapt:
         report = run_adapt(cfg)
         assert report["rmse"] > 0
         assert any(produced["prior"] in p for p in report["files_opened"])
+
+    @pytest.mark.parametrize("method,prior_form,labeled_rows", [
+        ("tl", "mixture", [4]),
+        ("tl", "mixture", [4, 9]),
+        ("craft", "uniform", [4]),
+        ("craft", "uniform", [4, 9]),
+    ])
+    def test_labels_without_a_range_fall_back_to_the_scaler_range(
+            self, tiny_workspace, tmp_path, method, prior_form, labeled_rows):
+        # one labeled row, or labeled rows sharing one label, span no grid
+        train = load_csv(tiny_workspace["paths"]["target_train"])
+        labels = train.labels.copy()
+        labels[labeled_rows] = labels[labeled_rows[0]]
+        labeled = np.zeros(train.n, dtype=bool)
+        labeled[labeled_rows] = True
+        partial = Dataset(train.features, labels, labeled)
+        cfg = adapt_config(tiny_workspace, tmp_path, method=method, prior_form=prior_form,
+                           label_fraction=1.0)
+        report = adapt_in_memory(load_checkpoint(tiny_workspace["checkpoint"]), partial,
+                                 load_csv(tiny_workspace["paths"]["target_val"]),
+                                 load_csv(tiny_workspace["paths"]["target_test"]), cfg)
+        assert math.isfinite(report["rmse"])
+        assert report["bins"] == cfg.bins
 
     def test_wrong_dimension_checkpoint_errors(self, tiny_workspace, tmp_path):
         spec = default_scenario(seed=2, d=5, n_source=30, n_target_train=30,

@@ -118,7 +118,7 @@ class TestEvaluate:
         scaled = apply_scaler(train, scaler)
         # fit y_scaled = w * x_scaled + b exactly (both are affine in x)
         w, b = np.polyfit(scaled.features[:, 0], scaled.labels, 1)
-        params = RegressorParams(MlpSpec((1, 1)), [np.array([[w]])], [np.array([b])])
+        params = RegressorParams.from_blocks(MlpSpec((1, 1)), [np.array([[w]])], [np.array([b])])
         return params, train, scaler
 
     def test_perfect_predictor(self):
@@ -133,7 +133,7 @@ class TestEvaluate:
         test = Dataset(X, rng.normal(size=20), np.ones(20, dtype=bool))
         scaler = ScalerParams(np.zeros(2), np.ones(2), -1.0, 1.0)
         spec = MlpSpec((2, 1))
-        params = RegressorParams(spec, [np.zeros((2, 1))], [np.array([0.25])])
+        params = RegressorParams.from_blocks(spec, [np.zeros((2, 1))], [np.array([0.25])])
         pair = evaluate(params, test, scaler)
         assert math.isnan(pair.pbcor)
         assert pair.rmse >= 0.0

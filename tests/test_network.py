@@ -2,17 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from oracles import grad_check
 
 from craft.data import ScalerParams
 from craft.network import (
     AdamState,
-    Gradients,
     MlpSpec,
     RegressorParams,
     adam_step,
     backward,
     forward_batch,
-    grad_check,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -21,7 +20,7 @@ from craft.network import (
 
 def scalar_linear(w=2.0, b=1.0):
     spec = MlpSpec((1, 1))
-    return RegressorParams(spec, [np.array([[w]])], [np.array([b])])
+    return RegressorParams.from_blocks(spec, [np.array([[w]])], [np.array([b])])
 
 
 class TestInit:
@@ -53,7 +52,8 @@ class TestInit:
 class TestForward:
     def test_zero_network_outputs_zero(self):
         spec = MlpSpec((2, 3, 1))
-        params = RegressorParams(spec, [np.zeros((2, 3)), np.zeros((3, 1))], [np.zeros(3), np.zeros(1)])
+        params = RegressorParams.from_blocks(spec, [np.zeros((2, 3)), np.zeros((3, 1))],
+                                             [np.zeros(3), np.zeros(1)])
         out = forward_batch(params, np.random.default_rng(0).normal(size=(5, 2)))
         assert (out == 0.0).all()
 
@@ -109,13 +109,11 @@ class TestBackward:
 
 
 def ones_gradient(params):
-    return Gradients([np.ones_like(w) for w in params.weights],
-                     [np.ones_like(b) for b in params.biases])
+    return RegressorParams(params.spec, np.ones_like(params.vector))
 
 
 def zero_gradient(params):
-    return Gradients([np.zeros_like(w) for w in params.weights],
-                     [np.zeros_like(b) for b in params.biases])
+    return RegressorParams(params.spec, np.zeros_like(params.vector))
 
 
 class TestAdam:
@@ -154,8 +152,9 @@ class TestAdam:
         params = init_params(MlpSpec((3, 4, 1)), seed=1)
         state = AdamState.init(params, learning_rate=0.0)
         rng = np.random.default_rng(0)
-        grads = Gradients([rng.normal(size=w.shape) for w in params.weights],
-                          [rng.normal(size=b.shape) for b in params.biases])
+        grads = RegressorParams.from_blocks(params.spec,
+                                            [rng.normal(size=w.shape) for w in params.weights],
+                                            [rng.normal(size=b.shape) for b in params.biases])
         new, _ = adam_step(params, grads, state)
         for w0, w1 in zip(params.weights, new.weights):
             np.testing.assert_array_equal(w0, w1)
