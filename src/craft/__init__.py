@@ -14,7 +14,6 @@ from .data import (
     fit_scaler,
     generate_synthetic,
     inject_marginal_bias,
-    invert_scaler,
     load_csv,
     stratified_label_mask,
     write_csv,

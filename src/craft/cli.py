@@ -1,9 +1,18 @@
 """Command-line front end.
 
-Subcommands: synth, train-source, adapt, evaluate, fit-prior, sweep.  Every
-command takes ``--config PATH`` (JSON, see ExperimentConfig) plus a few flag
-overrides; flags beat environment path overrides, which beat the file.  On
-failure the process exits nonzero with a one-line error JSON on stderr.
+Every subcommand takes ``--config PATH`` (JSON, see ExperimentConfig) plus
+the flag overrides it reads, and rejects any other flag:
+
+- ``synth``: ``--seed``, ``--out``
+- ``train-source``: ``--seed``, ``--out``, ``--epochs``
+- ``adapt`` and ``sweep``: ``--seed``, ``--out``, ``--epochs``, ``--method``,
+  ``--alpha``, ``--bins``, ``--label-fraction``, ``--prior``, ``--checkpoint``
+- ``evaluate``: ``--checkpoint``, ``--data`` (the CSV to score)
+- ``fit-prior``: ``--seed``, ``--out``, ``--data`` (the CSV whose labels it fits)
+
+Each flag sets the config field named by its ``dest``.  Flags beat
+environment path overrides, which beat the file.  On failure the process
+exits nonzero with a one-line error JSON on stderr.
 """
 
 from __future__ import annotations
@@ -23,13 +32,27 @@ from .harness import (
     run_train_source,
 )
 
+_FLAGS = {
+    "--seed": {"dest": "seed", "type": int},
+    "--out": {"dest": "out_dir", "help": "output directory"},
+    "--epochs": {"dest": "epochs", "type": int},
+    "--method": {"dest": "method", "choices": ["craft", "tl", "naive"]},
+    "--alpha": {"dest": "alpha", "type": float},
+    "--bins": {"dest": "bins", "type": int},
+    "--label-fraction": {"dest": "label_fraction", "type": float},
+    "--prior": {"dest": "prior_source", "help": "fit | file:PATH | true"},
+    "--checkpoint": {"dest": "source_checkpoint", "help": "source checkpoint path"},
+}
+_RUN_FLAGS = tuple(_FLAGS)
+
+# subcommand: (handler, flags it reads, config field its --data flag sets)
 _COMMANDS = {
-    "synth": run_synth,
-    "train-source": run_train_source,
-    "adapt": run_adapt,
-    "evaluate": run_evaluate,
-    "fit-prior": run_fit_prior,
-    "sweep": run_sweep,
+    "synth": (run_synth, ("--seed", "--out"), None),
+    "train-source": (run_train_source, ("--seed", "--out", "--epochs"), None),
+    "adapt": (run_adapt, _RUN_FLAGS, None),
+    "evaluate": (run_evaluate, ("--checkpoint",), "target_test"),
+    "fit-prior": (run_fit_prior, ("--seed", "--out"), "target_train"),
+    "sweep": (run_sweep, _RUN_FLAGS, None),
 }
 
 
@@ -37,19 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="craft",
                                      description="Source-free semi-supervised regression transfer")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags, data_field) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--method", choices=["craft", "tl", "naive"])
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--bins", type=int)
-        p.add_argument("--label-fraction", type=float, dest="label_fraction")
-        p.add_argument("--prior", help="fit | file:PATH | true")
-        p.add_argument("--checkpoint", help="source checkpoint path")
-        p.add_argument("--data", help="dataset CSV (evaluate/fit-prior input)")
-        p.add_argument("--epochs", type=int)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        if data_field:
+            p.add_argument("--data", dest=data_field, help="dataset CSV")
     return parser
 
 
@@ -66,28 +83,10 @@ def _parse_prior_flag(value: str) -> dict:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     cfg = cfg.with_env_overrides()
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out:
-        updates["out_dir"] = args.out
-    if args.method:
-        updates["method"] = args.method
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.bins is not None:
-        updates["bins"] = args.bins
-    if args.label_fraction is not None:
-        updates["label_fraction"] = args.label_fraction
-    if args.epochs is not None:
-        updates["epochs"] = args.epochs
-    if args.prior:
-        updates.update(_parse_prior_flag(args.prior))
-    if args.checkpoint:
-        updates["source_checkpoint"] = args.checkpoint
-    if args.data:
-        # evaluate scores this file; fit-prior reads labels from it
-        updates["target_test" if args.command == "evaluate" else "target_train"] = args.data
+    updates = {field: value for field, value in vars(args).items()
+               if field not in ("command", "config") and value is not None}
+    if "prior_source" in updates:
+        updates.update(_parse_prior_flag(updates["prior_source"]))
     return dataclasses.replace(cfg, **updates)
 
 
@@ -95,7 +94,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        result = _COMMANDS[args.command](cfg)
+        result = _COMMANDS[args.command][0](cfg)
     except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

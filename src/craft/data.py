@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "write_csv",
     "fit_scaler",
     "apply_scaler",
-    "invert_scaler",
     "stratified_label_mask",
     "inject_marginal_bias",
     "generate_synthetic",
@@ -218,12 +217,6 @@ def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
     return Dataset(feats, labels, ds.labeled, params)
 
 
-def invert_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
-    feats = ds.features * params.feature_std + params.feature_mean
-    labels = params.unscale_labels(ds.labels)
-    return Dataset(feats, labels, ds.labeled, None)
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -318,18 +311,8 @@ class GeneratorSpec:
             raise ValueError("noise_std must be nonnegative")
 
     def to_dict(self):
-        return {
-            "scenario": self.scenario,
-            "d": self.d,
-            "n_source": self.n_source,
-            "n_target_train": self.n_target_train,
-            "n_target_val": self.n_target_val,
-            "n_target_test": self.n_target_test,
-            "shift_mean": self.shift_mean.tolist(),
-            "shift_scale": self.shift_scale.tolist(),
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "shift_mean": self.shift_mean.tolist(),
+                "shift_scale": self.shift_scale.tolist()}
 
     @classmethod
     def from_dict(cls, d):

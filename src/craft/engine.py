@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "joint_log_scores",
     "select_pseudo_labels",
     "craft_loss_and_grad",
-    "batch_joint_log_density",
     "fit_craft",
     "fit_tl",
     "naive_baseline",
@@ -283,26 +282,6 @@ def _loss_and_grad(params: RegressorParams, x, cache: list, y_sup, targets, conf
     return LossBreakdown(supervised, unsup_quadratic, unsup_contrastive, total), grads
 
 
-def batch_joint_log_density(params: RegressorParams, x, targets, prior, c: float):
-    """Sum over rows of the full normalized joint log density at fixed targets.
-
-    Unlike the training loss, this keeps every parameter-free term (the prior
-    mass and the Gaussian normalizer), so maximizing it is equivalent to
-    minimizing the unsupervised loss; the exact gradient is returned alongside.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    f = forward_batch(params, x)
-    log_pdf = -0.5 * np.log(2.0 * np.pi * c) - (targets[:, None] - f[None, :]) ** 2 / (2.0 * c)
-    row_max = log_pdf.max(axis=1)
-    row_lse = row_max + np.log(np.exp(log_pdf - row_max[:, None]).sum(axis=1))
-    total = float(np.sum(np.diagonal(log_pdf) - row_lse + prior_log_density(prior, targets)))
-    softmax = np.exp(log_pdf - row_lse[:, None])
-    resid = f[None, :] - targets[:, None]
-    d_f = (-np.diagonal(resid) + (softmax * resid).sum(axis=0)) / c
-    return total, backward(params, x, d_f)
-
-
 @dataclass
 class RunReport:
     """Per-run record: configuration echo, per-epoch losses and timings,
@@ -325,28 +304,17 @@ class RunReport:
     pseudo_label_hist: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "c": self.c,
-            "bins": self.bins,
-            "label_fraction": self.label_fraction,
-            "rmse": self.rmse,
-            "pbcor": self.pbcor,
-            "epochs": self.epochs,
-            "pseudo_label_hist": self.pseudo_label_hist,
-        }
+        return asdict(self)
 
 
 def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, val: Dataset | None,
-         use_unsup: bool, method: str, epoch_callback=None):
+         method: str, epoch_callback=None):
     X, y = target.features, target.labels
     labeled_idx = np.flatnonzero(target.labeled)
     unlabeled_idx = np.flatnonzero(~target.labeled)
+    use_unsup = config.alpha > 0.0
     if not use_unsup and labeled_idx.size == 0:
         raise ValueError("supervised fine-tuning needs at least one labeled row")
-    use_unsup = use_unsup and config.alpha > 0.0
     if use_unsup and (config.grid is None or config.prior is None):
         raise ValueError("adaptation needs a bin grid and a label prior")
     params = source_params.copy()
@@ -369,15 +337,10 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
         labeled_chunks = np.array_split(rng.permutation(labeled_idx), n_batches)
         unlabeled_chunks = np.array_split(rng.permutation(unlabeled_idx), n_batches)
         for chunk_l, chunk_u in zip(labeled_chunks, unlabeled_chunks):
-            if use_unsup:
-                # labeled rows first, so the supervised rows lead the stacked batch
-                members = np.concatenate([chunk_l, chunk_u])
-                if members.size == 0:
-                    continue
-            elif chunk_l.size == 0:
-                continue  # nothing contributes a gradient; keep paths aligned across methods
-            else:
-                members = chunk_l
+            # labeled rows first, so the supervised rows lead the stacked batch
+            members = np.concatenate([chunk_l, chunk_u]) if use_unsup else chunk_l
+            if members.size == 0:
+                continue  # nothing contributes a gradient
             t0 = time.perf_counter()
             x = X[members]
             cache: list = []
@@ -429,17 +392,17 @@ def fit_craft(source_params: RegressorParams, target: Dataset, config: CraftConf
     participating rows (labeled ones included unless configured otherwise),
     then one optimizer step runs on the combined loss.  Works with any labeled
     fraction in [0, 1]; with zero labeled rows only the unsupervised term
-    drives the fit.  Deterministic given the config seed.
+    drives the fit.  At alpha zero it is supervised fine-tuning and needs at
+    least one labeled row.  Deterministic given the config seed.
     """
-    return _fit(source_params, target, config, val, use_unsup=True, method="craft",
-                epoch_callback=epoch_callback)
+    return _fit(source_params, target, config, val, "craft", epoch_callback)
 
 
 def fit_tl(source_params: RegressorParams, target: Dataset, config: CraftConfig,
            val: Dataset | None = None, epoch_callback=None):
-    """Supervised fine-tuning on the labeled rows only, same batching and optimizer."""
-    return _fit(source_params, target, config, val, use_unsup=False, method="tl",
-                epoch_callback=epoch_callback)
+    """Supervised fine-tuning on the labeled rows only: :func:`fit_craft` at alpha
+    zero, whatever alpha ``config`` carries, reported as method "tl"."""
+    return _fit(source_params, target, replace(config, alpha=0.0), val, "tl", epoch_callback)
 
 
 @dataclass(frozen=True)

@@ -232,7 +232,7 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
     val_scaled = apply_scaler(val_raw, scaler)
     spec = MlpSpec((source.d, *cfg.hidden_layers, 1), cfg.activation)
     params0 = init_params(spec, cfg.seed)
-    config = CraftConfig(alpha=0.0, c=cfg.c, batch_size=cfg.batch_size, epochs=cfg.epochs,
+    config = CraftConfig(c=cfg.c, batch_size=cfg.batch_size, epochs=cfg.epochs,
                          seed=cfg.seed, learning_rate=cfg.learning_rate,
                          model_selection="best_val")
     params, report = fit_tl(params0, train_scaled, config, val=val_scaled)
@@ -242,22 +242,15 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
     return params, scaler, report
 
 
-def _build_prior(cfg: ExperimentConfig, labels_scaled: np.ndarray, grid, seed: int,
-                 access_log=None):
-    if cfg.prior_source == "file":
-        if not cfg.prior_file:
-            raise ValueError("prior_source 'file' needs prior_file")
-        _note(access_log, cfg.prior_file)
-        with open(cfg.prior_file, encoding="utf-8") as fh:
-            return prior_from_dict(json.load(fh))
+def _fit_prior(cfg: ExperimentConfig, labels: np.ndarray, seed: int, lo: float, hi: float):
+    """The configured prior form fitted to ``labels``; a uniform prior spans [lo, hi]."""
     if cfg.prior_form == "uniform":
-        return UniformPrior(grid.lo, grid.hi)
-    if labels_scaled.size == 0:
+        return UniformPrior(lo, hi)
+    if labels.size == 0:
         raise ValueError("no labels available to fit the prior")
     if cfg.prior_form == "histogram":
-        return fit_histogram_prior(labels_scaled, cfg.prior_bins)
-    spec = MixtureSpec(cfg.prior_gaussians, cfg.prior_exponentials)
-    return MixturePrior(em_fit(labels_scaled, spec, seed))
+        return fit_histogram_prior(labels, cfg.prior_bins)
+    return MixturePrior(em_fit(labels, MixtureSpec(cfg.prior_gaussians, cfg.prior_exponentials), seed))
 
 
 def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset | None,
@@ -266,8 +259,9 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
     """One adaptation run against in-memory data; returns the report dict.
 
     The raw target train set must be fully labeled when a label-dropping
-    protocol (bias injection, stratified masking) is configured; the true
-    pre-distortion labels also feed the 'true_marginal' prior option.
+    protocol (bias injection, stratified masking) or the 'true_marginal'
+    prior option is configured; that prior is fitted to the true
+    pre-distortion labels.
     """
     if checkpoint.scaler is None:
         raise ValueError("checkpoint carries no scaler; retrain the source model")
@@ -301,20 +295,27 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
             grid = make_bin_grid(cfg.bins, lo=-1.0, hi=1.0)
         prior = None
         if cfg.method == "craft" and cfg.alpha > 0.0:
-            if cfg.prior_source == "true_marginal":
-                prior_labels = apply_scaler(train_raw, scaler).labels
-            else:
-                prior_labels = labeled_scaled
-            prior = _build_prior(cfg, prior_labels, grid, seed, access_log)
             if cfg.prior_source == "file":
+                if not cfg.prior_file:
+                    raise ValueError("prior_source 'file' needs prior_file")
+                _note(access_log, cfg.prior_file)
+                with open(cfg.prior_file, encoding="utf-8") as fh:
+                    prior = prior_from_dict(json.load(fh))
                 # file priors live in original label units; move them into model space
                 a = 2.0 / (scaler.label_hi - scaler.label_lo)
                 b = -2.0 * scaler.label_lo / (scaler.label_hi - scaler.label_lo) - 1.0
                 prior = affine_transform_prior(prior, a, b)
-        config = CraftConfig(alpha=cfg.alpha if cfg.method == "craft" else 0.0, c=cfg.c,
-                             grid=grid, prior=prior, batch_size=cfg.batch_size,
-                             epochs=cfg.epochs, seed=seed, learning_rate=cfg.learning_rate,
-                             pseudo_source=cfg.pseudo_source, model_selection=cfg.model_selection)
+            else:
+                prior_labels = labeled_scaled
+                if cfg.prior_source == "true_marginal":
+                    if not train_raw.labeled.all():
+                        raise ValueError("prior_source 'true_marginal' needs a fully labeled target_train")
+                    prior_labels = scaler.scale_labels(train_raw.labels)
+                prior = _fit_prior(cfg, prior_labels, seed, grid.lo, grid.hi)
+        config = CraftConfig(alpha=cfg.alpha, c=cfg.c, grid=grid, prior=prior,
+                             batch_size=cfg.batch_size, epochs=cfg.epochs, seed=seed,
+                             learning_rate=cfg.learning_rate, pseudo_source=cfg.pseudo_source,
+                             model_selection=cfg.model_selection)
         fit = fit_craft if cfg.method == "craft" else fit_tl
         params, report = fit(checkpoint.params, train_scaled, config, val=val_scaled)
         metrics = evaluate(params, test_raw, scaler)
@@ -486,18 +487,13 @@ def run_fit_prior(cfg: ExperimentConfig) -> dict:
     labels = ds.labels[ds.labeled]
     if labels.size == 0:
         raise ValueError("no labeled rows to fit a prior on")
-    if cfg.prior_form == "histogram":
-        prior = fit_histogram_prior(labels, cfg.prior_bins)
-    elif cfg.prior_form == "uniform":
-        prior = UniformPrior(float(labels.min()), float(labels.max()))
-    else:
-        prior = MixturePrior(em_fit(labels, MixtureSpec(cfg.prior_gaussians, cfg.prior_exponentials), cfg.seed))
+    lo, hi = float(labels.min()), float(labels.max())
+    prior = _fit_prior(cfg, labels, cfg.seed, lo, hi)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prior_path = out / "prior.json"
     with open(prior_path, "w", encoding="utf-8") as fh:
         json.dump(prior_to_dict(prior), fh, indent=2)
-    lo, hi = float(labels.min()), float(labels.max())
     pad = 0.1 * (hi - lo) if hi > lo else 1.0
     ys = np.linspace(lo - pad, hi + pad, 256)
     logd = prior_log_density(prior, ys)

@@ -81,7 +81,7 @@ def percentage_bend_correlation(x, y, bend: float = 0.2) -> float:
     return float((a @ b) / np.sqrt((a @ a) * (b @ b)))
 
 
-def evaluate(params: RegressorParams, test: Dataset, scaler: ScalerParams, bend: float = 0.2) -> MetricPair:
+def evaluate(params: RegressorParams, test: Dataset, scaler: ScalerParams) -> MetricPair:
     """Score a model on a fully labeled raw-unit test set.
 
     Features are scaled into model space, predictions are mapped back to
@@ -94,7 +94,7 @@ def evaluate(params: RegressorParams, test: Dataset, scaler: ScalerParams, bend:
     preds = scaler.unscale_labels(forward_batch(params, scaled_x))
     err = rmse(preds, test.labels)
     try:
-        corr = percentage_bend_correlation(preds, test.labels, bend)
+        corr = percentage_bend_correlation(preds, test.labels)
     except ValueError:
         corr = math.nan
     return MetricPair(err, corr)

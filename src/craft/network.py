@@ -185,6 +185,9 @@ def backward(params: RegressorParams, X, upstream, cache: list | None = None) ->
     return grads
 
 
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
+
+
 @dataclass
 class AdamState:
     """First and second moment vectors in the parameter layout, plus step counter."""
@@ -193,21 +196,10 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def init(cls, params: RegressorParams, learning_rate: float = 1e-4, beta1: float = 0.9,
-             beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(
-            m=np.zeros_like(params.vector),
-            v=np.zeros_like(params.vector),
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def init(cls, params: RegressorParams, learning_rate: float = 1e-4) -> "AdamState":
+        return cls(np.zeros_like(params.vector), np.zeros_like(params.vector), learning_rate=learning_rate)
 
 
 def adam_step(params: RegressorParams, grads: RegressorParams, state: AdamState):
@@ -217,11 +209,10 @@ def adam_step(params: RegressorParams, grads: RegressorParams, state: AdamState)
         name = next(name for name, block in grads.blocks() if not np.isfinite(block).all())
         raise ValueError(f"non-finite gradient in {name}")
     t = state.t + 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * g**2
-    step = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
-    return RegressorParams(params.spec, params.vector - step), AdamState(m, v, t, lr, b1, b2, eps)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * g
+    v = _BETA2 * state.v + (1.0 - _BETA2) * g**2
+    step = state.learning_rate * (m / (1.0 - _BETA1**t)) / (np.sqrt(v / (1.0 - _BETA2**t)) + _EPSILON)
+    return RegressorParams(params.spec, params.vector - step), AdamState(m, v, t, state.learning_rate)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,37 @@ import math
 
 import numpy as np
 
+from craft.data import Dataset
 from craft.engine import select_pseudo_labels
 from craft.network import RegressorParams, backward, forward_batch
 from craft.priors import prior_log_density
+
+
+def invert_scaler(ds, params):
+    """Map a scaled dataset back to original feature and label units."""
+    feats = ds.features * params.feature_std + params.feature_mean
+    labels = params.unscale_labels(ds.labels)
+    return Dataset(feats, labels, ds.labeled, None)
+
+
+def batch_joint_log_density(params, x, targets, prior, c):
+    """Sum over rows of the full normalized joint log density at fixed targets.
+
+    Unlike the training loss, this keeps every parameter-free term (the prior
+    mass and the Gaussian normalizer), so maximizing it is equivalent to
+    minimizing the unsupervised loss; the exact gradient is returned alongside.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    f = forward_batch(params, x)
+    log_pdf = -0.5 * np.log(2.0 * np.pi * c) - (targets[:, None] - f[None, :]) ** 2 / (2.0 * c)
+    row_max = log_pdf.max(axis=1)
+    row_lse = row_max + np.log(np.exp(log_pdf - row_max[:, None]).sum(axis=1))
+    total = float(np.sum(np.diagonal(log_pdf) - row_lse + prior_log_density(prior, targets)))
+    softmax = np.exp(log_pdf - row_lse[:, None])
+    resid = f[None, :] - targets[:, None]
+    d_f = (-np.diagonal(resid) + (softmax * resid).sum(axis=0)) / c
+    return total, backward(params, x, d_f)
 
 
 def brute_force_scores(predictions, grid, prior, c):
@@ -82,16 +110,17 @@ def _reference_adam(weights, biases, grads, moments, t, lr, b1=0.9, b2=0.999, ep
     return new_blocks
 
 
-def reference_fit(source_params, target, config, use_unsup=True):
+def reference_fit(source_params, target, config):
     """The unfused training loop: per step a selection forward, separate supervised and
     unsupervised forwards, a backward pass that reruns the forward, a prior evaluated
     per batch and Adam walked block by block.  ``config.model_selection`` must be
-    "final"; returns the parameters after each epoch."""
+    "final"; at ``config.alpha`` zero this is supervised fine-tuning.  Returns the
+    parameters after each epoch."""
     assert config.model_selection == "final"
     X, y = target.features, target.labels
     labeled_idx = np.flatnonzero(target.labeled)
     unlabeled_idx = np.flatnonzero(~target.labeled)
-    use_unsup = use_unsup and config.alpha > 0.0
+    use_unsup = config.alpha > 0.0
     spec = source_params.spec
     weights = [w.copy() for w in source_params.weights]
     biases = [b.copy() for b in source_params.biases]

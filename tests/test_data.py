@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import invert_scaler
 
 from craft.data import (
     Dataset,
@@ -13,7 +14,6 @@ from craft.data import (
     generate_synthetic,
     ground_truth,
     inject_marginal_bias,
-    invert_scaler,
     load_csv,
     stratified_label_mask,
     write_csv,

@@ -1,14 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import brute_force_scores, brute_force_select, grad_check, reference_fit
+from oracles import (
+    batch_joint_log_density,
+    brute_force_scores,
+    brute_force_select,
+    grad_check,
+    reference_fit,
+)
 
 from craft.data import Dataset, apply_scaler, fit_scaler, generate_synthetic, stratified_label_mask
 from craft.engine import (
     BinGrid,
     CraftConfig,
-    batch_joint_log_density,
     craft_loss_and_grad,
     fit_craft,
     fit_tl,
@@ -341,6 +347,24 @@ class TestFitLoops:
         with pytest.raises(ValueError, match="labeled"):
             fit_tl(params, ds, CraftConfig(alpha=0.0, epochs=1))
 
+    def test_craft_at_alpha_zero_requires_labeled_rows_like_tl(self):
+        ds = Dataset(np.ones((4, 1)), np.full(4, np.nan), np.zeros(4, dtype=bool))
+        params = init_params(MlpSpec((1, 1)), 0)
+        config = CraftConfig(alpha=0.0, epochs=1)
+        with pytest.raises(ValueError) as tl_error:
+            fit_tl(params, ds, config)
+        with pytest.raises(ValueError) as craft_error:
+            fit_craft(params, ds, config)
+        assert str(craft_error.value) == str(tl_error.value)
+
+    def test_tl_report_echoes_the_alpha_it_trained_at(self):
+        target = small_target()
+        params = init_params(MlpSpec((3, 8, 1)), seed=1)
+        _, report = fit_tl(params, target, craft_config(target, alpha=0.3, epochs=2))
+        assert report.method == "tl"
+        assert report.alpha == 0.0
+        assert all(row["unsup_contrastive"] == 0.0 for row in report.epochs)
+
     def test_craft_handles_fully_labeled_batches(self):
         # no unlabeled rows: the unsupervised term runs on the labeled batch
         rng = np.random.default_rng(9)
@@ -418,7 +442,7 @@ class TestFusedStep:
         config = craft_config(target, epochs=3, lr=1e-2)
         fused = []
         fit_tl(params, target, config, epoch_callback=lambda e, p: fused.append(p.copy()))
-        for ours, ref in zip(fused, reference_fit(params, target, config, use_unsup=False)):
+        for ours, ref in zip(fused, reference_fit(params, target, replace(config, alpha=0.0))):
             assert max_gap(ours, ref) <= 1e-12
 
     def test_prior_evaluated_once_per_step(self, monkeypatch):

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import dataclasses
 import json
@@ -7,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from craft.cli import main
+from craft.cli import build_parser, config_from_args, main
 from craft.data import Dataset, load_csv
 from craft.harness import (
     ExperimentConfig,
@@ -21,7 +22,7 @@ from craft.harness import (
     run_synth,
 )
 from craft.network import load_checkpoint
-from craft.priors import mixture_log_density, prior_from_dict
+from craft.priors import prior_from_dict, prior_log_density
 
 
 def strip_timing(report: dict) -> dict:
@@ -152,6 +153,19 @@ class TestAdapt:
         assert math.isfinite(report["rmse"])
         assert report["bins"] == cfg.bins
 
+    @pytest.mark.parametrize("prior_form", ["mixture", "histogram"])
+    def test_true_marginal_prior_needs_a_fully_labeled_target_train(
+            self, tiny_workspace, tmp_path, prior_form):
+        train = load_csv(tiny_workspace["paths"]["target_train"])
+        labeled = np.ones(train.n, dtype=bool)
+        labeled[::3] = False
+        partial = Dataset(train.features, np.where(labeled, train.labels, np.nan), labeled)
+        cfg = adapt_config(tiny_workspace, tmp_path, method="craft", prior_form=prior_form,
+                           prior_source="true_marginal", label_fraction=1.0)
+        with pytest.raises(ValueError, match="prior_source.*target_train"):
+            adapt_in_memory(load_checkpoint(tiny_workspace["checkpoint"]), partial, None,
+                            load_csv(tiny_workspace["paths"]["target_test"]), cfg)
+
     def test_wrong_dimension_checkpoint_errors(self, tiny_workspace, tmp_path):
         spec = default_scenario(seed=2, d=5, n_source=30, n_target_train=30,
                                 n_target_val=10, n_target_test=10)
@@ -194,9 +208,10 @@ class TestSweep:
 
 
 class TestFitPrior:
-    def test_density_curve_matches_log_density(self, tiny_workspace, tmp_path):
+    @pytest.mark.parametrize("prior_form", ["mixture", "histogram", "uniform"])
+    def test_density_curve_matches_log_density(self, tiny_workspace, tmp_path, prior_form):
         cfg = ExperimentConfig(target_train=tiny_workspace["paths"]["target_train"],
-                               out_dir=str(tmp_path), prior_form="mixture",
+                               out_dir=str(tmp_path), prior_form=prior_form,
                                prior_gaussians=2, prior_exponentials=1, seed=4)
         produced = run_fit_prior(cfg)
         prior = prior_from_dict(json.loads((tmp_path / "prior.json").read_text()))
@@ -204,8 +219,12 @@ class TestFitPrior:
         assert len(rows) == 256
         for line in rows[::17]:
             y, logd, dens = (float(v) for v in line.split(","))
-            assert abs(mixture_log_density(prior.params, y) - logd) < 1e-12
+            expected = prior_log_density(prior, y)
+            assert logd == expected or abs(expected - logd) < 1e-12  # equal when both are -inf
             assert abs(math.exp(logd) - dens) < 1e-12
+        if prior_form == "uniform":
+            labels = load_csv(tiny_workspace["paths"]["target_train"]).labels
+            assert (prior.lo, prior.hi) == (labels.min(), labels.max())
 
 
 class TestEvaluateCommand:
@@ -277,3 +296,33 @@ class TestCli:
         assert main(["synth", "--config", str(cfg_path)]) != 0
         err = json.loads(capsys.readouterr().err)
         assert "not_a_knob" in err["message"]
+
+    @pytest.mark.parametrize("argv", [["synth", "--alpha", "1"], ["train-source", "--data", "x.csv"]],
+                             ids=["synth-alpha", "train-source-data"])
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("command,field,other", [("evaluate", "target_test", "target_train"),
+                                                     ("fit-prior", "target_train", "target_test")])
+    def test_data_flag_sets_the_commands_input(self, command, field, other, monkeypatch):
+        monkeypatch.delenv("CRAFT_TARGET_TRAIN", raising=False)
+        monkeypatch.delenv("CRAFT_TARGET_TEST", raising=False)
+        cfg = config_from_args(build_parser().parse_args([command, "--data", "d.csv"]))
+        assert getattr(cfg, field) == "d.csv"
+        assert getattr(cfg, other) is None
+
+    def test_bad_prior_value_exits_1_with_error_json(self, capsys):
+        assert main(["adapt", "--prior", "bogus"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--prior" in err["message"]
+
+    def test_every_flag_sets_a_config_field(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                if action.dest not in ("help", "config"):
+                    assert action.dest in fields, (command, action.option_strings)
