@@ -47,13 +47,11 @@ from .network import (
 )
 from .priors import (
     HistogramPrior,
-    MixtureParams,
     MixturePrior,
     MixtureSpec,
     UniformPrior,
     em_fit,
     fit_histogram_prior,
-    mixture_log_density,
     prior_log_density,
 )
 

@@ -10,7 +10,9 @@ a seed, so splits and masks are reproducible byte for byte.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -21,6 +23,7 @@ __all__ = [
     "GeneratorSpec",
     "load_csv",
     "write_csv",
+    "write_json",
     "fit_scaler",
     "apply_scaler",
     "stratified_label_mask",
@@ -88,7 +91,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     labeled: np.ndarray
-    meta: ScalerParams | None = None
 
     def __post_init__(self):
         feats = _frozen_array(self.features)
@@ -121,7 +123,7 @@ class Dataset:
 
     def subset(self, rows) -> "Dataset":
         rows = np.asarray(rows)
-        return Dataset(self.features[rows], self.labels[rows], self.labeled[rows], self.meta)
+        return Dataset(self.features[rows], self.labels[rows], self.labeled[rows])
 
 
 def _parse_cell(path, lineno, name, cell):
@@ -196,6 +198,24 @@ def write_csv(ds: Dataset, path) -> None:
             writer.writerow(row)
 
 
+def write_json(path, payload, indent: int | None = None) -> None:
+    """Write ``payload`` as JSON so that ``path`` is never seen half-written.
+
+    The text goes to a temporary file beside ``path``, which then replaces it
+    in one ``os.replace``; if writing fails, the temporary file is removed and
+    any earlier ``path`` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=indent)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def fit_scaler(train: Dataset) -> ScalerParams:
     """Fit scaling statistics: feature moments on all rows, label range on labeled rows."""
     std = train.features.std(axis=0)
@@ -214,7 +234,7 @@ def fit_scaler(train: Dataset) -> ScalerParams:
 def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
     feats = (ds.features - params.feature_mean) / params.feature_std
     labels = params.scale_labels(ds.labels)
-    return Dataset(feats, labels, ds.labeled, params)
+    return Dataset(feats, labels, ds.labeled)
 
 
 def _round_half_up(x: float) -> int:

@@ -20,7 +20,11 @@ reduces the method to plain supervised fine-tuning on the labeled rows.
 Both steps run at the same parameters, so a training step makes one forward
 pass over its batch, labeled rows first, and keeps the activations:
 selection, both loss terms and the backward pass read them.  A run report's
-``select_s`` therefore includes the step's forward pass.
+``select_s`` therefore includes the step's forward pass.  Each stage of a
+step is one public function, called by the training loop itself:
+``forward_batch``, :func:`select_pseudo_labels` (winning bin indices),
+:func:`craft_loss_and_grad` (both loss terms and the backward pass) and
+``adam_step``.
 """
 
 from __future__ import annotations
@@ -174,7 +178,9 @@ def joint_log_scores(predictions, grid: BinGrid, prior, c: float = 0.5) -> np.nd
     return (neg_d.T - batch_lse[None, :]) + logp[None, :]
 
 
-def _select_bin_indices(predictions, grid: BinGrid, prior, c: float) -> np.ndarray:
+def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float = 0.5) -> np.ndarray:
+    """Index of the highest-scoring bin per sample (see :func:`joint_log_scores`);
+    ``grid.midpoints`` at these indices are the pseudo-labels."""
     scores = joint_log_scores(predictions, grid, prior, c)
     f = np.asarray(predictions, dtype=np.float64)
     at_best = scores == scores.max(axis=1, keepdims=True)
@@ -186,11 +192,6 @@ def _select_bin_indices(predictions, grid: BinGrid, prior, c: float) -> np.ndarr
         dist = np.abs(grid.midpoints[None, :] - f[tied, None])
         chosen[tied] = np.where(at_best[tied], dist, np.inf).argmin(axis=1)
     return chosen
-
-
-def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float = 0.5) -> np.ndarray:
-    """Midpoint of the highest-scoring bin per sample (see :func:`joint_log_scores`)."""
-    return grid.midpoints[_select_bin_indices(predictions, grid, prior, c)]
 
 
 def _unsup_terms(f: np.ndarray, targets: np.ndarray, c: float):
@@ -220,46 +221,34 @@ def _unsup_terms(f: np.ndarray, targets: np.ndarray, c: float):
     return quad, crowding, d_loss_d_f
 
 
-def craft_loss_and_grad(params: RegressorParams, x_labeled, y_labeled, x_unsup, unsup_targets,
-                        config: CraftConfig):
-    """Combined loss and its exact parameter gradient at fixed unsupervised targets.
-
-    ``x_unsup``/``unsup_targets`` hold every row participating in the
-    unsupervised term together with its frozen target (pseudo-label or true
-    label); rows may appear in both batches.  With alpha zero, or an empty
-    unsupervised batch, the computation reduces to the pure supervised path.
-    Either way it takes one forward and one backward pass over the stacked rows.
-    """
-    x_labeled = np.asarray(x_labeled, dtype=np.float64)
-    x_unsup = np.asarray(x_unsup, dtype=np.float64)
-    n_sup = x_labeled.shape[0]
-    n_unsup = x_unsup.shape[0]
-    if n_sup == 0 and n_unsup == 0:
-        raise ValueError("both batches are empty")
-    y_labeled = np.asarray(y_labeled, dtype=np.float64) if n_sup else np.empty(0)
-    if config.alpha > 0.0 and n_unsup > 0:
-        targets = np.asarray(unsup_targets, dtype=np.float64)
-        if targets.shape != (n_unsup,):
-            raise ValueError("unsup_targets must match the unsupervised batch")
-        x = np.vstack([x_labeled, x_unsup]) if n_sup else x_unsup
-    else:
-        targets, x = None, x_labeled
-    cache: list = []
-    forward_batch(params, x, cache)
-    return _loss_and_grad(params, x, cache, y_labeled, targets, config)
-
-
-def _loss_and_grad(params: RegressorParams, x, cache: list, y_sup, targets, config: CraftConfig):
-    """Loss and gradient over one stacked batch whose forward pass ``cache`` holds.
+def craft_loss_and_grad(params: RegressorParams, x, y_sup, targets, config: CraftConfig,
+                        cache: list | None = None):
+    """Combined loss and its exact parameter gradient over one batch, at fixed targets.
 
     The supervised rows are the first ``y_sup.size`` rows of ``x``; the
     unsupervised term, when ``targets`` is given, covers its last
-    ``targets.size`` rows.  Both terms' upstream gradients are added per row,
-    so a row in both terms is backpropagated once.
+    ``targets.size`` rows with those frozen targets (pseudo-labels or true
+    labels), so a row may sit in both terms.  Both terms' upstream gradients
+    are added per row, and a row in both is backpropagated once.  ``cache`` is
+    the activation list a :func:`forward_batch` call over ``x`` filled;
+    without it the forward pass runs here.
     """
+    x = np.asarray(x, dtype=np.float64)
+    y_sup = np.asarray(y_sup, dtype=np.float64)
+    n, n_sup = x.shape[0], y_sup.size
+    if n == 0:
+        raise ValueError("the batch is empty")
+    if n_sup > n:
+        raise ValueError(f"y_sup has {n_sup} labels for a batch of {n} rows")
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.size > n:
+            raise ValueError(f"targets has {targets.size} entries for a batch of {n} rows")
+    if cache is None:
+        cache = []
+        forward_batch(params, x, cache)
     f = cache[-1][:, 0]
-    n_sup = y_sup.size
-    upstream = np.zeros(x.shape[0])
+    upstream = np.zeros(n)
     if n_sup:
         residual = f[:n_sup] - y_sup
         supervised = float(residual @ residual)
@@ -267,7 +256,7 @@ def _loss_and_grad(params: RegressorParams, x, cache: list, y_sup, targets, conf
     else:
         supervised = 0.0
     if targets is not None:
-        start = x.shape[0] - targets.size
+        start = n - targets.size
         quad, crowding, d_f = _unsup_terms(f[start:], targets, config.c)
         unsup_quadratic = float(quad.sum())
         unsup_contrastive = float(crowding.sum())
@@ -347,7 +336,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
             preds = forward_batch(params, x, cache)
             targets = None
             if use_unsup:
-                chosen = _select_bin_indices(preds, config.grid, config.prior, config.c)
+                chosen = select_pseudo_labels(preds, config.grid, config.prior, config.c)
                 targets = config.grid.midpoints[chosen]
                 if true_for_labeled and chunk_l.size:
                     targets[: chunk_l.size] = y[chunk_l]
@@ -356,7 +345,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
                     np.add.at(hist, chosen, 1)
             select_s += time.perf_counter() - t0
             t0 = time.perf_counter()
-            breakdown, grads = _loss_and_grad(params, x, cache, y[chunk_l], targets, config)
+            breakdown, grads = craft_loss_and_grad(params, x, y[chunk_l], targets, config, cache)
             params, state = adam_step(params, grads, state)
             step_s += time.perf_counter() - t0
             sums[0] += breakdown.supervised

@@ -29,12 +29,12 @@ from .data import (
     load_csv,
     stratified_label_mask,
     write_csv,
+    write_json,
 )
 from .engine import CraftConfig, RunReport, fit_craft, fit_tl, make_bin_grid, naive_baseline
 from .metrics import evaluate, rmse
 from .network import Checkpoint, MlpSpec, init_params, load_checkpoint, save_checkpoint
 from .priors import (
-    MixturePrior,
     MixtureSpec,
     UniformPrior,
     affine_transform_prior,
@@ -243,14 +243,15 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
 
 
 def _fit_prior(cfg: ExperimentConfig, labels: np.ndarray, seed: int, lo: float, hi: float):
-    """The configured prior form fitted to ``labels``; a uniform prior spans [lo, hi]."""
+    """The configured prior form fitted to ``labels``; a uniform prior spans [lo, hi],
+    or [lo - 0.5, hi + 0.5] when the two coincide."""
     if cfg.prior_form == "uniform":
-        return UniformPrior(lo, hi)
+        return UniformPrior(lo, hi) if lo < hi else UniformPrior(lo - 0.5, hi + 0.5)
     if labels.size == 0:
         raise ValueError("no labels available to fit the prior")
     if cfg.prior_form == "histogram":
         return fit_histogram_prior(labels, cfg.prior_bins)
-    return MixturePrior(em_fit(labels, MixtureSpec(cfg.prior_gaussians, cfg.prior_exponentials), seed))
+    return em_fit(labels, MixtureSpec(cfg.prior_gaussians, cfg.prior_exponentials), seed)
 
 
 def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset | None,
@@ -346,8 +347,7 @@ def run_synth(cfg: ExperimentConfig) -> dict:
         write_csv(ds, path)
         paths[name] = str(path)
     sidecar = out / "scenario.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2)
+    write_json(sidecar, spec.to_dict(), indent=2)
     paths["scenario"] = str(sidecar)
     return paths
 
@@ -368,8 +368,7 @@ def run_train_source(cfg: ExperimentConfig) -> dict:
     report_dict = report.to_dict()
     report_dict["files_opened"] = access
     report_path = out / "source_report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report_dict, fh, indent=2)
+    write_json(report_path, report_dict, indent=2)
     return {"checkpoint": str(ckpt_path), "report": str(report_path), "val_rmse": report.rmse}
 
 
@@ -395,8 +394,7 @@ def run_adapt(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"report_{cfg.method}_seed{cfg.seed}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+    write_json(path, report, indent=2)
     report["report_path"] = str(path)
     return report
 
@@ -462,8 +460,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
         aggregates = aggregate_sweep_rows(rows)
         jsonl.write(json.dumps({"aggregates": aggregates}) + "\n")
     report = {"rows": rows, "aggregates": aggregates}
-    with open(out / "sweep_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+    write_json(out / "sweep_report.json", report, indent=2)
     _write_rows_csv(out / "runs.csv", rows)
     return report
 
@@ -492,8 +489,7 @@ def run_fit_prior(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prior_path = out / "prior.json"
-    with open(prior_path, "w", encoding="utf-8") as fh:
-        json.dump(prior_to_dict(prior), fh, indent=2)
+    write_json(prior_path, prior_to_dict(prior), indent=2)
     pad = 0.1 * (hi - lo) if hi > lo else 1.0
     ys = np.linspace(lo - pad, hi + pad, 256)
     logd = prior_log_density(prior, ys)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScalerParams
+from .data import ScalerParams, write_json
 
 __all__ = [
     "MlpSpec",
@@ -229,8 +229,7 @@ def save_checkpoint(path, params: RegressorParams, scaler: ScalerParams | None =
         "biases": [b.tolist() for b in params.biases],
         "scaler": scaler.to_dict() if scaler is not None else None,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_json(path, payload)
 
 
 def load_checkpoint(path) -> Checkpoint:

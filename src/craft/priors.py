@@ -15,12 +15,10 @@ import numpy as np
 
 __all__ = [
     "MixtureSpec",
-    "MixtureParams",
     "UniformPrior",
     "HistogramPrior",
     "MixturePrior",
     "em_fit",
-    "mixture_log_density",
     "prior_log_density",
     "fit_histogram_prior",
     "affine_transform_prior",
@@ -63,8 +61,8 @@ def _frozen(values):
 
 
 @dataclass(frozen=True)
-class MixtureParams:
-    """Fitted mixture: component weights, Gaussian (mean, variance) pairs,
+class MixturePrior:
+    """Mixture density: component weights, Gaussian (mean, variance) pairs,
     exponential rates, and the offset applied before evaluation.
 
     ``loglik_path`` records the per-iteration log-likelihood of the fit; it is
@@ -96,25 +94,6 @@ class MixtureParams:
         if np.any(self.rates <= 0):
             raise ValueError("exponential rates must be positive")
 
-    def to_dict(self):
-        return {
-            "weights": self.weights.tolist(),
-            "gaussians": [[m, v] for m, v in zip(self.means.tolist(), self.variances.tolist())],
-            "exponentials": self.rates.tolist(),
-            "offset": self.offset,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        gaussians = d.get("gaussians", [])
-        return cls(
-            weights=d["weights"],
-            means=[g[0] for g in gaussians],
-            variances=[g[1] for g in gaussians],
-            rates=d.get("exponentials", []),
-            offset=d.get("offset", 0.0),
-        )
-
 
 def _component_log_pdfs(means, variances, rates, z):
     """Per-component log densities at the shifted points ``z``, stacked (k, m)."""
@@ -136,7 +115,7 @@ def _logsumexp_rows(a):
     return np.where(np.isfinite(m), out, -np.inf)
 
 
-def em_fit(labels, spec: MixtureSpec, seed: int = 0) -> MixtureParams:
+def em_fit(labels, spec: MixtureSpec, seed: int = 0) -> MixturePrior:
     """Fit the Gaussian/exponential mixture to 1-d samples by EM.
 
     The E-step assigns responsibilities proportional to weighted component
@@ -205,23 +184,7 @@ def em_fit(labels, spec: MixtureSpec, seed: int = 0) -> MixtureParams:
             if mass[r] <= 1e-12:
                 continue
             rates[j] = float(mass[r] / (resp[r] @ z))
-    return MixtureParams(weights, means, variances, rates, offset, loglik_path=tuple(path))
-
-
-def mixture_log_density(params: MixtureParams, y):
-    """Log density of the mixture at ``y`` (scalar or vector), via log-sum-exp.
-
-    Exponential components carry no mass below the offset-shifted origin, so a
-    pure-exponential mixture returns -inf there.
-    """
-    y_arr = np.asarray(y, dtype=np.float64)
-    scalar = y_arr.ndim == 0
-    z = np.atleast_1d(y_arr) + params.offset
-    comp = _component_log_pdfs(params.means, params.variances, params.rates, z)
-    with np.errstate(divide="ignore"):
-        weighted = np.log(params.weights)[:, None] + comp
-    out = _logsumexp_rows(weighted)
-    return float(out[0]) if scalar else out
+    return MixturePrior(weights, means, variances, rates, offset, loglik_path=tuple(path))
 
 
 @dataclass(frozen=True)
@@ -263,14 +226,6 @@ class HistogramPrior:
         object.__setattr__(self, "probs", probs)
 
 
-@dataclass(frozen=True)
-class MixturePrior:
-    params: MixtureParams
-
-
-LabelPrior = UniformPrior | HistogramPrior | MixturePrior
-
-
 def prior_log_density(prior, y):
     """Log density of a label prior at ``y`` (scalar or vector); -inf off support."""
     y_arr = np.asarray(y, dtype=np.float64)
@@ -290,7 +245,10 @@ def prior_log_density(prior, y):
             dens = np.log(prior.probs[safe] / widths[safe])
         out = np.where(inside, dens, -np.inf)
     elif isinstance(prior, MixturePrior):
-        out = mixture_log_density(prior.params, yv)
+        # exponential components carry no mass below the offset-shifted origin
+        comp = _component_log_pdfs(prior.means, prior.variances, prior.rates, yv + prior.offset)
+        with np.errstate(divide="ignore"):
+            out = _logsumexp_rows(np.log(prior.weights)[:, None] + comp)
     else:
         raise TypeError(f"unknown prior type {type(prior).__name__}")
     return float(out[0]) if scalar else out
@@ -329,17 +287,14 @@ def affine_transform_prior(prior, scale: float, shift: float):
     if isinstance(prior, HistogramPrior):
         return HistogramPrior(scale * prior.edges + shift, prior.probs)
     if isinstance(prior, MixturePrior):
-        p = prior.params
         # the shifted variable x = y + offset maps to x' = scale * x when the
         # new offset is scale * offset - shift
         return MixturePrior(
-            MixtureParams(
-                weights=p.weights,
-                means=scale * p.means,
-                variances=scale**2 * p.variances,
-                rates=p.rates / scale,
-                offset=scale * p.offset - shift,
-            )
+            weights=prior.weights,
+            means=scale * prior.means,
+            variances=scale**2 * prior.variances,
+            rates=prior.rates / scale,
+            offset=scale * prior.offset - shift,
         )
     raise TypeError(f"unknown prior type {type(prior).__name__}")
 
@@ -350,7 +305,13 @@ def prior_to_dict(prior) -> dict:
     if isinstance(prior, HistogramPrior):
         return {"kind": "histogram", "edges": prior.edges.tolist(), "probs": prior.probs.tolist()}
     if isinstance(prior, MixturePrior):
-        return {"kind": "mixture", **prior.params.to_dict()}
+        return {
+            "kind": "mixture",
+            "weights": prior.weights.tolist(),
+            "gaussians": [[m, v] for m, v in zip(prior.means.tolist(), prior.variances.tolist())],
+            "exponentials": prior.rates.tolist(),
+            "offset": prior.offset,
+        }
     raise TypeError(f"unknown prior type {type(prior).__name__}")
 
 
@@ -361,5 +322,12 @@ def prior_from_dict(d: dict):
     if kind == "histogram":
         return HistogramPrior(d["edges"], d["probs"])
     if kind == "mixture":
-        return MixturePrior(MixtureParams.from_dict(d))
+        gaussians = d.get("gaussians", [])
+        return MixturePrior(
+            weights=d["weights"],
+            means=[g[0] for g in gaussians],
+            variances=[g[1] for g in gaussians],
+            rates=d.get("exponentials", []),
+            offset=d.get("offset", 0.0),
+        )
     raise ValueError(f"unknown prior kind {kind!r}")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from craft.data import Dataset
-from craft.engine import select_pseudo_labels
+from craft.engine import craft_loss_and_grad, select_pseudo_labels
 from craft.network import RegressorParams, backward, forward_batch
 from craft.priors import prior_log_density
 
@@ -14,7 +14,7 @@ def invert_scaler(ds, params):
     """Map a scaled dataset back to original feature and label units."""
     feats = ds.features * params.feature_std + params.feature_mean
     labels = params.unscale_labels(ds.labels)
-    return Dataset(feats, labels, ds.labeled, None)
+    return Dataset(feats, labels, ds.labeled)
 
 
 def batch_joint_log_density(params, x, targets, prior, c):
@@ -35,6 +35,15 @@ def batch_joint_log_density(params, x, targets, prior, c):
     resid = f[None, :] - targets[:, None]
     d_f = (-np.diagonal(resid) + (softmax * resid).sum(axis=0)) / c
     return total, backward(params, x, d_f)
+
+
+def stacked_loss_and_grad(params, x_labeled, y_labeled, x_unsup, unsup_targets, config):
+    """``craft_loss_and_grad`` over the labeled rows stacked above the unsupervised
+    rows; the unsupervised rows and their targets join only at positive alpha."""
+    if config.alpha > 0.0 and len(x_unsup):
+        return craft_loss_and_grad(params, np.vstack([x_labeled, x_unsup]), y_labeled,
+                                   unsup_targets, config)
+    return craft_loss_and_grad(params, x_labeled, y_labeled, None, config)
 
 
 def brute_force_scores(predictions, grid, prior, c):
@@ -144,8 +153,9 @@ def reference_fit(source_params, target, config):
                 rows.append(x_l)
             if use_unsup and members.size:
                 x_u = X[members]
-                targets = select_pseudo_labels(forward_batch(params, x_u), config.grid,
-                                               config.prior, config.c)
+                chosen = select_pseudo_labels(forward_batch(params, x_u), config.grid,
+                                              config.prior, config.c)
+                targets = config.grid.midpoints[chosen]
                 if config.pseudo_source == "true_labels_for_labeled":
                     targets[: chunk_l.size] = y_l
                 f = forward_batch(params, x_u)

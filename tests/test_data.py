@@ -17,6 +17,7 @@ from craft.data import (
     load_csv,
     stratified_label_mask,
     write_csv,
+    write_json,
 )
 
 
@@ -256,3 +257,21 @@ class TestGenerator:
             GeneratorSpec("bad", 2, 10, 10, 10, 10, 0.0, -1.0, 0.1, 0)
         with pytest.raises(ValueError):
             GeneratorSpec("bad", 2, 10, 10, 10, 10, 0.0, 1.0, -0.1, 0)
+
+
+class TestWriteJson:
+    def test_writes_the_payload(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"a": [1, 2]}, indent=2)
+        assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ]\n}'
+
+    def test_unserializable_payload_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 1, "b": object()})  # fails after writing '{"a": 1, "b": '
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("old")
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 1, "b": object()})
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

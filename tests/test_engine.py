@@ -9,6 +9,7 @@ from oracles import (
     brute_force_select,
     grad_check,
     reference_fit,
+    stacked_loss_and_grad,
 )
 
 from craft.data import Dataset, apply_scaler, fit_scaler, generate_synthetic, stratified_label_mask
@@ -154,19 +155,19 @@ class TestSelectPseudoLabels:
     def test_two_sample_mutual_repulsion(self):
         grid = make_bin_grid(3, lo=-1.5, hi=1.5)
         prior = UniformPrior(-1.5, 1.5)
-        chosen = select_pseudo_labels(np.array([-0.9, 0.9]), grid, prior, c=0.5)
+        chosen = grid.midpoints[select_pseudo_labels(np.array([-0.9, 0.9]), grid, prior, c=0.5)]
         np.testing.assert_allclose(chosen, [-1.0, 1.0])
 
     def test_equal_predictions_follow_peaked_prior(self):
         grid = make_bin_grid(5, lo=-1.0, hi=1.0)
         prior = HistogramPrior(np.linspace(-1.0, 1.0, 6), [0.025, 0.025, 0.9, 0.025, 0.025])
-        chosen = select_pseudo_labels(np.full(4, 0.31), grid, prior, c=0.5)
+        chosen = grid.midpoints[select_pseudo_labels(np.full(4, 0.31), grid, prior, c=0.5)]
         np.testing.assert_allclose(chosen, 0.0)
 
     def test_singleton_uniform_ties_resolve_to_nearest_midpoint(self):
         grid = make_bin_grid(10, lo=-1.0, hi=1.0)
         prior = UniformPrior(-1.0, 1.0)
-        chosen = select_pseudo_labels(np.array([0.33]), grid, prior, c=0.5)
+        chosen = grid.midpoints[select_pseudo_labels(np.array([0.33]), grid, prior, c=0.5)]
         dists = np.abs(grid.midpoints - 0.33)
         assert chosen[0] == grid.midpoints[dists.argmin()]
 
@@ -178,8 +179,14 @@ class TestSelectPseudoLabels:
             grid = make_bin_grid(bins, lo=-2.5, hi=2.5)
             prior = UniformPrior(-3.0, 3.0)
             preds = rng.normal(size=n)
-            ours = select_pseudo_labels(preds, grid, prior, c=0.5)
+            ours = grid.midpoints[select_pseudo_labels(preds, grid, prior, c=0.5)]
             np.testing.assert_array_equal(ours, brute_force_select(preds, grid, prior, 0.5))
+
+    def test_returns_bin_indices(self):
+        grid = make_bin_grid(4, lo=0.0, hi=4.0)
+        chosen = select_pseudo_labels(np.array([0.2, 3.9]), grid, UniformPrior(0.0, 4.0), 0.5)
+        assert chosen.dtype.kind == "i"
+        assert chosen.tolist() == [0, 3]
 
     def test_positive_rescaling_of_prior_weights_is_invariant(self):
         rng = np.random.default_rng(6)
@@ -201,7 +208,7 @@ class TestCraftLoss:
         rng = np.random.default_rng(1)
         x_l, y_l = rng.normal(size=(5, 2)), rng.normal(size=5)
         x_u = rng.normal(size=(4, 2))
-        breakdown, grads = craft_loss_and_grad(params, x_l, y_l, x_u, np.zeros(4), self.config(alpha=0.0))
+        breakdown, grads = stacked_loss_and_grad(params, x_l, y_l, x_u, np.zeros(4), self.config(alpha=0.0))
         residual = forward_batch(params, x_l) - y_l
         assert breakdown.total == breakdown.supervised == float(residual @ residual)
         assert breakdown.unsup_quadratic == 0.0 and breakdown.unsup_contrastive == 0.0
@@ -212,8 +219,8 @@ class TestCraftLoss:
     def test_singleton_unsupervised_batch_is_exactly_zero(self):
         params = init_params(MlpSpec((1, 4, 1)), seed=2)
         x_l, y_l = empty_batch()
-        breakdown, grads = craft_loss_and_grad(params, x_l, y_l, np.array([[0.7]]), np.array([0.4]),
-                                               self.config(alpha=1.0))
+        breakdown, grads = stacked_loss_and_grad(params, x_l, y_l, np.array([[0.7]]), np.array([0.4]),
+                                                 self.config(alpha=1.0))
         assert breakdown.total == 0.0
         assert breakdown.unsup_quadratic == 0.0 and breakdown.unsup_contrastive == 0.0
         for _, g in grads.blocks():
@@ -224,7 +231,7 @@ class TestCraftLoss:
         x_l, y_l = empty_batch()
         x_u = np.array([[-1.0], [1.0]])
         targets = np.array([-1.0, 1.0])
-        breakdown, _ = craft_loss_and_grad(params, x_l, y_l, x_u, targets, self.config(alpha=1.0))
+        breakdown, _ = stacked_loss_and_grad(params, x_l, y_l, x_u, targets, self.config(alpha=1.0))
         per_sample = math.log(1.0 + math.exp(-4.0))
         assert abs(per_sample - 0.0181499) < 1e-7
         assert abs(breakdown.total - 2.0 * per_sample) < 1e-12
@@ -240,7 +247,7 @@ class TestCraftLoss:
             x_u = rng.normal(size=(n_u, 3))
             targets = rng.normal(size=n_u)
             alpha = float(rng.uniform(0.01, 1.5))
-            bd, _ = craft_loss_and_grad(params, x_l, y_l, x_u, targets, self.config(alpha=alpha))
+            bd, _ = stacked_loss_and_grad(params, x_l, y_l, x_u, targets, self.config(alpha=alpha))
             assert bd.supervised >= 0.0
             assert bd.unsup_quadratic >= 0.0
             assert 0.0 <= bd.unsup_contrastive <= n_u * math.log(n_u) + 1e-12
@@ -253,11 +260,11 @@ class TestCraftLoss:
         x_u = rng.normal(size=(7, 2))
         grid = make_bin_grid(30, lo=-1.5, hi=1.5)
         prior = UniformPrior(-1.5, 1.5)
-        targets = select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)
+        targets = grid.midpoints[select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)]
         config = self.config(alpha=0.1)
 
         def loss_fn(p):
-            bd, grads = craft_loss_and_grad(p, x_l, y_l, x_u, targets, config)
+            bd, grads = stacked_loss_and_grad(p, x_l, y_l, x_u, targets, config)
             return bd.total, grads
 
         assert grad_check(loss_fn, params, h=1e-5) < 1e-4
@@ -266,7 +273,7 @@ class TestCraftLoss:
         params = identity_net()
         x_u = np.array([[900.0], [-900.0], [0.0]])
         targets = np.array([-100.0, 100.0, 0.0])
-        bd, grads = craft_loss_and_grad(params, *empty_batch(), x_u, targets, self.config(alpha=1.0))
+        bd, grads = stacked_loss_and_grad(params, *empty_batch(), x_u, targets, self.config(alpha=1.0))
         assert math.isfinite(bd.total)
         assert bd.unsup_quadratic <= 2.0 * 1e6 + 10.0
         for _, g in grads.blocks():
@@ -275,7 +282,27 @@ class TestCraftLoss:
     def test_both_batches_empty_errors(self):
         params = identity_net()
         with pytest.raises(ValueError, match="empty"):
-            craft_loss_and_grad(params, *empty_batch(), *empty_batch(), self.config())
+            craft_loss_and_grad(params, *empty_batch(), None, self.config())
+
+    @pytest.mark.parametrize("name,y_sup,targets", [
+        ("y_sup", np.zeros(3), None),
+        ("targets", np.zeros(1), np.zeros(3)),
+    ])
+    def test_more_labels_than_rows_errors(self, name, y_sup, targets):
+        x = np.array([[0.1], [0.2]])
+        with pytest.raises(ValueError, match=name):
+            craft_loss_and_grad(identity_net(), x, y_sup, targets, self.config())
+
+    def test_cached_forward_pass_gives_the_same_result(self):
+        rng = np.random.default_rng(12)
+        params = init_params(MlpSpec((2, 5, 1)), seed=12)
+        x, y_sup, targets = rng.normal(size=(7, 2)), rng.normal(size=3), rng.normal(size=6)
+        cache: list = []
+        forward_batch(params, x, cache)
+        bd_a, g_a = craft_loss_and_grad(params, x, y_sup, targets, self.config(alpha=0.4), cache)
+        bd_b, g_b = craft_loss_and_grad(params, x, y_sup, targets, self.config(alpha=0.4))
+        assert bd_a == bd_b
+        np.testing.assert_array_equal(g_a.vector, g_b.vector)
 
     def test_unsupervised_gradient_is_map_gradient(self):
         rng = np.random.default_rng(7)
@@ -284,10 +311,10 @@ class TestCraftLoss:
         for trial in range(5):
             params = init_params(MlpSpec((2, 6, 1)), seed=trial)
             x_u = rng.normal(size=(6, 2))
-            targets = select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)
+            targets = grid.midpoints[select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)]
             alpha = 0.37
-            _, unsup = craft_loss_and_grad(params, *empty_batch(2), x_u, targets,
-                                           CraftConfig(alpha=alpha, c=0.5, epochs=1))
+            _, unsup = stacked_loss_and_grad(params, *empty_batch(2), x_u, targets,
+                                             CraftConfig(alpha=alpha, c=0.5, epochs=1))
             _, joint = batch_joint_log_density(params, x_u, targets, prior, 0.5)
             for (_, g1), (_, g2) in zip(unsup.blocks(), joint.blocks()):
                 err = np.abs(g1 - (-alpha) * g2) / np.maximum(1.0, np.abs(alpha * g2))
@@ -472,6 +499,34 @@ class TestFusedStep:
         calls.clear()
         fit_tl(params, target, config)
         assert calls == []
+
+    def test_loss_evaluated_once_per_step(self, monkeypatch):
+        import craft.engine
+
+        calls = []
+        steps = []
+        real_loss, real_adam = craft.engine.craft_loss_and_grad, craft.engine.adam_step
+
+        def counting_loss(*args, **kwargs):
+            calls.append(1)
+            return real_loss(*args, **kwargs)
+
+        def counting_adam(params, grads, state):
+            steps.append(1)
+            return real_adam(params, grads, state)
+
+        monkeypatch.setattr(craft.engine, "craft_loss_and_grad", counting_loss)
+        monkeypatch.setattr(craft.engine, "adam_step", counting_adam)
+        target = small_target(seed=19)
+        params = init_params(MlpSpec((3, 6, 1)), seed=20)
+        config = craft_config(target, epochs=3)
+        batches = math.ceil(target.n / config.batch_size)
+        for fit in (fit_craft, fit_tl):
+            calls.clear()
+            steps.clear()
+            fit(params, target, config)
+            assert len(steps) == config.epochs * batches
+            assert len(calls) == len(steps)
 
 
 class TestNaiveBaseline:

@@ -226,6 +226,28 @@ class TestFitPrior:
             labels = load_csv(tiny_workspace["paths"]["target_train"]).labels
             assert (prior.lo, prior.hi) == (labels.min(), labels.max())
 
+    @pytest.mark.parametrize("prior_form", ["uniform", "histogram"])
+    def test_labels_sharing_one_value_get_a_unit_width_span(self, tmp_path, prior_form):
+        data = tmp_path / "labels.csv"
+        data.write_text("f0,y,labeled\n0.1,2.0,1\n0.2,2.0,1\n0.3,,0\n")
+        run_fit_prior(ExperimentConfig(target_train=str(data), out_dir=str(tmp_path / "out"),
+                                       prior_form=prior_form))
+        prior = prior_from_dict(json.loads((tmp_path / "out" / "prior.json").read_text()))
+        assert prior_log_density(prior, np.array([1.5, 2.0, 2.5])).tolist() == [0.0, 0.0, 0.0]
+        assert prior_log_density(prior, 1.49) == prior_log_density(prior, 2.51) == -np.inf
+
+    def test_failed_write_leaves_no_partial_file(self, tiny_workspace, tmp_path, monkeypatch):
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{"kind": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        cfg = ExperimentConfig(target_train=tiny_workspace["paths"]["target_train"],
+                               out_dir=str(tmp_path))
+        with pytest.raises(OSError, match="disk full"):
+            run_fit_prior(cfg)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEvaluateCommand:
     def test_scores_checkpoint(self, tiny_workspace):

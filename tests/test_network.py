@@ -199,6 +199,22 @@ class TestCheckpoint:
         save_checkpoint(p2, ckpt.params, ckpt.scaler)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        import json
+        path = tmp_path / "c.json"
+        save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=3))
+        before = path.read_bytes()
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{"version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=4))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_loaded_params_bitwise_equal(self, tmp_path):
         params = init_params(MlpSpec((2, 4, 1)), seed=3)
         path = tmp_path / "c.json"

@@ -6,14 +6,12 @@ import pytest
 
 from craft.priors import (
     HistogramPrior,
-    MixtureParams,
     MixturePrior,
     MixtureSpec,
     UniformPrior,
     affine_transform_prior,
     em_fit,
     fit_histogram_prior,
-    mixture_log_density,
     prior_from_dict,
     prior_log_density,
     prior_to_dict,
@@ -99,27 +97,27 @@ class TestEmFit:
 
 class TestMixtureLogDensity:
     def test_single_gaussian_at_mean(self):
-        params = MixtureParams([1.0], [0.0], [1.0], [], 0.0)
+        prior = MixturePrior([1.0], [0.0], [1.0], [], 0.0)
         expected = -0.5 * math.log(2 * math.pi)
-        assert abs(mixture_log_density(params, 0.0) - expected) < 1e-12
+        assert abs(prior_log_density(prior, 0.0) - expected) < 1e-12
 
     def test_exponential_below_support_is_minus_inf(self):
-        params = MixtureParams([1.0], [], [], [1.0], 0.0)
-        assert mixture_log_density(params, -0.5) == -np.inf
-        assert mixture_log_density(params, 0.0) == 0.0  # log(1 * e^0)
+        prior = MixturePrior([1.0], [], [], [1.0], 0.0)
+        assert prior_log_density(prior, -0.5) == -np.inf
+        assert prior_log_density(prior, 0.0) == 0.0  # log(1 * e^0)
 
     def test_density_normalizes_by_quadrature(self):
         rng = np.random.default_rng(11)
         x = np.concatenate([rng.normal(4, 1, 400), rng.exponential(1.0, 300)])
-        params = em_fit(x, MixtureSpec(1, 1), seed=2)
+        prior = em_fit(x, MixtureSpec(1, 1), seed=2)
         grid = np.linspace(-20.0, 60.0, 200001)
-        dens = np.exp(mixture_log_density(params, grid))
+        dens = np.exp(prior_log_density(prior, grid))
         assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-3
 
     def test_offset_shifts_evaluation(self):
-        base = MixtureParams([1.0], [1.0], [0.5], [], 0.0)
-        shifted = MixtureParams([1.0], [1.0], [0.5], [], 2.0)
-        assert abs(mixture_log_density(shifted, -1.0) - mixture_log_density(base, 1.0)) < 1e-15
+        base = MixturePrior([1.0], [1.0], [0.5], [], 0.0)
+        shifted = MixturePrior([1.0], [1.0], [0.5], [], 2.0)
+        assert abs(prior_log_density(shifted, -1.0) - prior_log_density(base, 1.0)) < 1e-15
 
 
 class TestPriorLogDensity:
@@ -135,11 +133,16 @@ class TestPriorLogDensity:
         assert prior_log_density(prior, 2.0) == prior_log_density(prior, 1.5)  # right edge owns last bin
         assert prior_log_density(prior, 2.1) == -np.inf
 
-    def test_mixture_delegates_exactly(self):
-        params = MixtureParams([0.6, 0.4], [0.0], [1.0], [2.0], 1.0)
-        prior = MixturePrior(params)
+    def test_mixture_matches_weighted_component_sum(self):
+        prior = MixturePrior([0.6, 0.4], [0.0], [1.0], [2.0], 1.0)
         ys = np.linspace(-3, 3, 17)
-        np.testing.assert_array_equal(prior_log_density(prior, ys), mixture_log_density(params, ys))
+        for y in ys:
+            z = y + 1.0
+            dens = 0.6 * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            dens += 0.4 * 2.0 * math.exp(-2.0 * z) if z >= 0.0 else 0.0
+            assert abs(prior_log_density(prior, y) - math.log(dens)) < 1e-12
+        np.testing.assert_array_equal(prior_log_density(prior, ys),
+                                      [prior_log_density(prior, y) for y in ys])
 
     def test_zero_probability_bin_is_minus_inf(self):
         prior = HistogramPrior([0.0, 1.0, 2.0], [1.0, 0.0])
@@ -182,12 +185,12 @@ class TestHistogramFit:
 
 class TestSerialization:
     def test_mixture_schema_keys(self):
-        params = MixtureParams([0.6, 0.4], [1.0], [2.0], [0.5], 0.25)
-        d = params.to_dict()
-        assert set(d) == {"weights", "gaussians", "exponentials", "offset"}
+        params = MixturePrior([0.6, 0.4], [1.0], [2.0], [0.5], 0.25)
+        d = prior_to_dict(params)
+        assert list(d) == ["kind", "weights", "gaussians", "exponentials", "offset"]
         assert d["gaussians"] == [[1.0, 2.0]]
         assert d["exponentials"] == [0.5]
-        back = MixtureParams.from_dict(json.loads(json.dumps(d)))
+        back = prior_from_dict(json.loads(json.dumps(d)))
         np.testing.assert_array_equal(back.weights, params.weights)
         np.testing.assert_array_equal(back.means, params.means)
         np.testing.assert_array_equal(back.variances, params.variances)
@@ -198,7 +201,7 @@ class TestSerialization:
         priors = [
             UniformPrior(-2.0, 3.0),
             HistogramPrior([0.0, 1.0, 2.5], [0.25, 0.75]),
-            MixturePrior(MixtureParams([1.0], [0.0], [1.0], [], 0.0)),
+            MixturePrior([1.0], [0.0], [1.0], [], 0.0),
         ]
         ys = np.linspace(-2.5, 3.5, 31)
         for prior in priors:
@@ -214,7 +217,7 @@ class TestAffineTransform:
         priors = [
             fit_histogram_prior(x, 8),
             UniformPrior(float(x.min()), float(x.max())),
-            MixturePrior(em_fit(x, MixtureSpec(1, 1), seed=1)),
+            em_fit(x, MixtureSpec(1, 1), seed=1),
         ]
         a, b = 2.5, -1.75
         ys = np.linspace(x.min() + 1e-6, x.max() - 1e-6, 50)
