@@ -4,7 +4,9 @@ A dataset bundles a feature matrix, a label vector, and a per-row labeled
 mask.  Labels are only meaningful where the mask is set; unlabeled slots hold
 NaN after loading (an empty CSV cell is the only file encoding of a missing
 label).  Every randomized operation here is a pure function of its inputs and
-a seed, so splits and masks are reproducible byte for byte.
+a seed, so splits and masks are reproducible byte for byte.  The frozen
+value types that hold arrays compare and hash by identity (``eq=False``):
+field-by-field ``==`` is ambiguous on arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "GeneratorSpec",
     "load_csv",
     "write_csv",
+    "write_file",
     "write_json",
     "fit_scaler",
     "apply_scaler",
@@ -39,7 +42,7 @@ def _frozen_array(values, dtype=np.float64):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalerParams:
     """Affine feature/label scaling fitted on a training set.
 
@@ -84,7 +87,7 @@ class ScalerParams:
         return cls(d["feature_mean"], d["feature_std"], d["label_lo"], d["label_hi"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable feature matrix with a (possibly partial) label vector."""
 
@@ -186,34 +189,41 @@ def write_csv(ds: Dataset, path) -> None:
     labeled.
     """
     include_mask = not bool(ds.labeled.all())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [f"f{j}" for j in range(ds.d)] + ["y"] + (["labeled"] if include_mask else [])
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row.append(repr(float(ds.labels[i])) if ds.labeled[i] else "")
-            if include_mask:
-                row.append("1" if ds.labeled[i] else "0")
-            writer.writerow(row)
+    rows = [[f"f{j}" for j in range(ds.d)] + ["y"] + (["labeled"] if include_mask else [])]
+    for i in range(ds.n):
+        row = [repr(float(v)) for v in ds.features[i]]
+        row.append(repr(float(ds.labels[i])) if ds.labeled[i] else "")
+        if include_mask:
+            row.append("1" if ds.labeled[i] else "0")
+        rows.append(row)
+    write_file(path, lambda fh: csv.writer(fh).writerows(rows))
 
 
-def write_json(path, payload, indent: int | None = None) -> None:
-    """Write ``payload`` as JSON so that ``path`` is never seen half-written.
+def write_file(path, fill) -> None:
+    """Write ``path`` so that it is never seen half-written: the package's only
+    way to write a file.
 
-    The text goes to a temporary file beside ``path``, which then replaces it
-    in one ``os.replace``; if writing fails, the temporary file is removed and
-    any earlier ``path`` is left as it was.
+    The parent directory is created if missing.  ``fill(fh)`` writes a text
+    file (UTF-8, ``newline=""``) beside ``path``, which then replaces ``path``
+    in one ``os.replace``; if anything fails, the temporary file is removed
+    and any earlier ``path`` is left as it was.
     """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=indent)
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fill(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload, indent: int | None = None) -> None:
+    """Write ``payload`` as JSON through :func:`write_file`."""
+    write_file(path, lambda fh: json.dump(payload, fh, indent=indent))
 
 
 def fit_scaler(train: Dataset) -> ScalerParams:
@@ -300,7 +310,7 @@ def inject_marginal_bias(
     return ds.subset(np.flatnonzero(keep))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """Synthetic covariate-shift scenario: one response surface, two domains."""
 

@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
+from .metrics import rmse
 from .network import AdamState, RegressorParams, adam_step, backward, forward_batch
 from .priors import prior_log_density
 
@@ -360,7 +361,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
             "step_s": step_s,
         })
         if track_val:
-            val_rmse = float(np.sqrt(np.mean((forward_batch(params, val.features) - val.labels) ** 2)))
+            val_rmse = rmse(forward_batch(params, val.features), val.labels)
             if val_rmse < best_val_rmse:
                 best_val_rmse = val_rmse
                 best_params = params.copy()

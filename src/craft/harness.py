@@ -29,6 +29,7 @@ from .data import (
     load_csv,
     stratified_label_mask,
     write_csv,
+    write_file,
     write_json,
 )
 from .engine import CraftConfig, RunReport, fit_craft, fit_tl, make_bin_grid, naive_baseline
@@ -238,7 +239,7 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
     params, report = fit_tl(params0, train_scaled, config, val=val_scaled)
     metrics = evaluate(params, val_raw, scaler)
     report.rmse = metrics.rmse
-    report.pbcor = None if math.isnan(metrics.pbcor) else metrics.pbcor
+    report.pbcor = metrics.pbcor
     return params, scaler, report
 
 
@@ -321,7 +322,7 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
         params, report = fit(checkpoint.params, train_scaled, config, val=val_scaled)
         metrics = evaluate(params, test_raw, scaler)
         report.rmse = metrics.rmse
-        report.pbcor = None if math.isnan(metrics.pbcor) else metrics.pbcor
+        report.pbcor = metrics.pbcor
     report.label_fraction = cfg.label_fraction
     out = report.to_dict()
     if access_log is not None:
@@ -338,7 +339,6 @@ def run_synth(cfg: ExperimentConfig) -> dict:
     sidecar JSON with the generator settings."""
     spec = cfg.scenario or default_scenario(seed=cfg.seed)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     source, train, val, test = generate_synthetic(spec)
     paths = {}
     for name, ds in [("source", source), ("target_train", train),
@@ -362,7 +362,6 @@ def run_train_source(cfg: ExperimentConfig) -> dict:
         raise ValueError("train-source needs source_train or a scenario")
     params, scaler, report = train_source_in_memory(source, cfg)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / "source_checkpoint.json"
     save_checkpoint(ckpt_path, params, scaler)
     report_dict = report.to_dict()
@@ -392,7 +391,6 @@ def run_adapt(cfg: ExperimentConfig) -> dict:
     checkpoint, train, val, test = _load_adapt_inputs(cfg, access)
     report = adapt_in_memory(checkpoint, train, val, test, cfg, access_log=access)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"report_{cfg.method}_seed{cfg.seed}.json"
     write_json(path, report, indent=2)
     report["report_path"] = str(path)
@@ -430,48 +428,41 @@ def aggregate_sweep_rows(rows) -> list:
 def run_sweep(cfg: ExperimentConfig) -> dict:
     """Cartesian sweep over (methods x fractions x alphas x bins x seeds).
 
-    Rows append to ``runs.jsonl`` as they finish (a failed cell becomes an
-    error row and the sweep continues); aggregates land last, plus a combined
+    ``runs.jsonl`` is rewritten whole after every cell (a failed cell becomes
+    an error row and the sweep continues), so an interrupted sweep leaves the
+    finished rows intact; the aggregates line lands last, plus a combined
     ``sweep_report.json`` and a delimited ``runs.csv``.
     """
     access: list = []
     checkpoint, train, val, test = _load_adapt_inputs(cfg, access)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     methods = cfg.methods or [cfg.method]
     fractions = cfg.label_fractions or [cfg.label_fraction]
     alphas = cfg.alphas or [cfg.alpha]
     bin_counts = cfg.bin_counts or [cfg.bins]
     seeds = cfg.seeds or [cfg.seed]
-    rows = []
-    jsonl_path = out / "runs.jsonl"
-    with open(jsonl_path, "w", encoding="utf-8") as jsonl:
-        for method, fraction, alpha, bins, seed in product(methods, fractions, alphas, bin_counts, seeds):
-            try:
-                cell = dataclasses.replace(cfg, method=method, label_fraction=fraction,
-                                           alpha=alpha, bins=bins, seed=seed)
-                row = adapt_in_memory(checkpoint, train, val, test, cell, seed=seed)
-            except Exception as exc:  # record the failure, keep sweeping
-                row = {"method": method, "seed": seed, "alpha": alpha, "bins": bins,
-                       "label_fraction": fraction, "error": f"{type(exc).__name__}: {exc}"}
-            rows.append(row)
-            jsonl.write(json.dumps(row) + "\n")
-            jsonl.flush()
-        aggregates = aggregate_sweep_rows(rows)
-        jsonl.write(json.dumps({"aggregates": aggregates}) + "\n")
+    rows, lines = [], []
+    for method, fraction, alpha, bins, seed in product(methods, fractions, alphas, bin_counts, seeds):
+        try:
+            cell = dataclasses.replace(cfg, method=method, label_fraction=fraction,
+                                       alpha=alpha, bins=bins, seed=seed)
+            row = adapt_in_memory(checkpoint, train, val, test, cell, seed=seed)
+        except Exception as exc:  # record the failure, keep sweeping
+            row = {"method": method, "seed": seed, "alpha": alpha, "bins": bins,
+                   "label_fraction": fraction, "error": f"{type(exc).__name__}: {exc}"}
+        rows.append(row)
+        lines.append(json.dumps(row) + "\n")
+        write_file(out / "runs.jsonl", lambda fh: fh.writelines(lines))
+    aggregates = aggregate_sweep_rows(rows)
+    lines.append(json.dumps({"aggregates": aggregates}) + "\n")
+    write_file(out / "runs.jsonl", lambda fh: fh.writelines(lines))
     report = {"rows": rows, "aggregates": aggregates}
     write_json(out / "sweep_report.json", report, indent=2)
-    _write_rows_csv(out / "runs.csv", rows)
-    return report
-
-
-def _write_rows_csv(path, rows) -> None:
     columns = ["method", "seed", "alpha", "c", "bins", "label_fraction", "rmse", "pbcor", "error"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if row.get(col) is None else row.get(col) for col in columns])
+    table = [columns] + [["" if row.get(col) is None else row.get(col) for col in columns]
+                         for row in rows]
+    write_file(out / "runs.csv", lambda fh: csv.writer(fh).writerows(table))
+    return report
 
 
 def run_fit_prior(cfg: ExperimentConfig) -> dict:
@@ -487,18 +478,15 @@ def run_fit_prior(cfg: ExperimentConfig) -> dict:
     lo, hi = float(labels.min()), float(labels.max())
     prior = _fit_prior(cfg, labels, cfg.seed, lo, hi)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     prior_path = out / "prior.json"
     write_json(prior_path, prior_to_dict(prior), indent=2)
     pad = 0.1 * (hi - lo) if hi > lo else 1.0
     ys = np.linspace(lo - pad, hi + pad, 256)
     logd = prior_log_density(prior, ys)
+    curve = [["y", "log_density", "density"]] + [
+        [repr(float(yv)), repr(float(ld)), repr(float(np.exp(ld)))] for yv, ld in zip(ys, logd)]
     curve_path = out / "prior_density.csv"
-    with open(curve_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "log_density", "density"])
-        for yv, ld in zip(ys, logd):
-            writer.writerow([repr(float(yv)), repr(float(ld)), repr(float(np.exp(ld)))])
+    write_file(curve_path, lambda fh: csv.writer(fh).writerows(curve))
     return {"prior": str(prior_path), "density_curve": str(curve_path)}
 
 
@@ -515,6 +503,6 @@ def run_evaluate(cfg: ExperimentConfig) -> dict:
     pair = evaluate(checkpoint.params, test, checkpoint.scaler)
     return {
         "rmse": pair.rmse,
-        "pbcor": None if math.isnan(pair.pbcor) else pair.pbcor,
+        "pbcor": pair.pbcor,
         "files_opened": access,
     }

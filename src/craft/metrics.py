@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, ScalerParams
+from .data import Dataset, ScalerParams, apply_scaler
 from .network import RegressorParams, forward_batch
 
 __all__ = ["MetricPair", "rmse", "percentage_bend_correlation", "evaluate"]
@@ -23,12 +23,12 @@ __all__ = ["MetricPair", "rmse", "percentage_bend_correlation", "evaluate"]
 class MetricPair:
     """RMSE in label units plus the robust correlation.
 
-    ``pbcor`` is NaN when the correlation is undefined (degenerate spread on
+    ``pbcor`` is None when the correlation is undefined (degenerate spread on
     either side, e.g. a constant predictor).
     """
 
     rmse: float
-    pbcor: float
+    pbcor: float | None
 
 
 def rmse(pred, truth) -> float:
@@ -86,15 +86,14 @@ def evaluate(params: RegressorParams, test: Dataset, scaler: ScalerParams) -> Me
 
     Features are scaled into model space, predictions are mapped back to
     original label units, and both metrics are computed there.  A degenerate
-    prediction spread yields pbcor = NaN rather than an error.
+    prediction spread yields pbcor = None rather than an error.
     """
     if not test.labeled.all():
         raise ValueError("evaluation needs a fully labeled dataset")
-    scaled_x = (test.features - scaler.feature_mean) / scaler.feature_std
-    preds = scaler.unscale_labels(forward_batch(params, scaled_x))
+    preds = scaler.unscale_labels(forward_batch(params, apply_scaler(test, scaler).features))
     err = rmse(preds, test.labels)
     try:
         corr = percentage_bend_correlation(preds, test.labels)
     except ValueError:
-        corr = math.nan
+        corr = None
     return MetricPair(err, corr)

@@ -4,6 +4,7 @@ Three prior forms are supported: a uniform density over a range, a histogram
 density, and a mixture of Gaussians and exponentials fitted by EM.  The
 mixture acts on data shifted by a constant offset so exponential components
 see strictly positive values; the offset is part of the fitted parameters.
+The array-holding priors compare and hash by identity, as in :mod:`craft.data`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .data import _frozen_array
 
 __all__ = [
     "MixtureSpec",
@@ -54,19 +57,13 @@ class MixtureSpec:
             raise ValueError("var_floor must be positive")
 
 
-def _frozen(values):
-    arr = np.array(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixturePrior:
     """Mixture density: component weights, Gaussian (mean, variance) pairs,
     exponential rates, and the offset applied before evaluation.
 
     ``loglik_path`` records the per-iteration log-likelihood of the fit; it is
-    diagnostic only and excluded from serialization and equality.
+    diagnostic only and excluded from serialization.
     """
 
     weights: np.ndarray
@@ -74,13 +71,13 @@ class MixturePrior:
     variances: np.ndarray
     rates: np.ndarray
     offset: float
-    loglik_path: tuple = field(default=(), compare=False, repr=False)
+    loglik_path: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen(self.weights))
-        object.__setattr__(self, "means", _frozen(self.means))
-        object.__setattr__(self, "variances", _frozen(self.variances))
-        object.__setattr__(self, "rates", _frozen(self.rates))
+        object.__setattr__(self, "weights", _frozen_array(self.weights))
+        object.__setattr__(self, "means", _frozen_array(self.means))
+        object.__setattr__(self, "variances", _frozen_array(self.variances))
+        object.__setattr__(self, "rates", _frozen_array(self.rates))
         object.__setattr__(self, "offset", float(self.offset))
         k = self.means.size + self.rates.size
         if self.weights.shape != (k,):
@@ -197,7 +194,7 @@ class UniformPrior:
             raise ValueError("uniform prior needs lo < hi")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistogramPrior:
     """Piecewise-constant density on contiguous bins.
 
@@ -209,7 +206,7 @@ class HistogramPrior:
     probs: np.ndarray
 
     def __post_init__(self):
-        edges = _frozen(self.edges)
+        edges = _frozen_array(self.edges)
         probs = np.array(self.probs, dtype=np.float64)
         if edges.ndim != 1 or edges.size != probs.size + 1:
             raise ValueError("need len(edges) == len(probs) + 1")

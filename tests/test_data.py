@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from oracles import invert_scaler
 from craft.data import (
     Dataset,
     GeneratorSpec,
+    ScalerParams,
     apply_scaler,
     fit_scaler,
     generate_synthetic,
@@ -17,8 +19,11 @@ from craft.data import (
     load_csv,
     stratified_label_mask,
     write_csv,
+    write_file,
     write_json,
 )
+from craft.harness import default_scenario
+from craft.priors import HistogramPrior, MixturePrior
 
 
 def make_dataset(n=10, d=3, seed=0, labeled=None):
@@ -275,3 +280,41 @@ class TestWriteJson:
             write_json(path, {"a": 1, "b": object()})
         assert path.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+class TestWriteFile:
+    def test_creates_missing_parent_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.csv"
+        write_file(path, lambda fh: csv.writer(fh).writerow(["x", "y"]))
+        assert path.read_bytes() == b"x,y\r\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
+
+    def test_failed_fill_leaves_no_file_and_keeps_an_earlier_one(self, tmp_path):
+        path = tmp_path / "rows.csv"
+
+        def half_a_row(fh):
+            fh.write("1.0,2.")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_file(path, half_a_row)
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("f0,y\n1.0,2.0\n")
+        with pytest.raises(OSError, match="disk full"):
+            write_file(path, half_a_row)
+        assert path.read_text() == "f0,y\n1.0,2.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ScalerParams(np.zeros(2), np.ones(2), -1.0, 1.0),
+    lambda: Dataset(np.ones((2, 2)), np.ones(2), np.ones(2, dtype=bool)),
+    lambda: default_scenario(seed=1),
+    lambda: MixturePrior([0.5, 0.5], [0.0], [1.0], [1.0], 0.0),
+    lambda: HistogramPrior([0, 1, 2], [1, 1]),
+], ids=["ScalerParams", "Dataset", "GeneratorSpec", "MixturePrior", "HistogramPrior"])
+def test_array_holding_values_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2

@@ -20,8 +20,9 @@ from craft.harness import (
     run_fit_prior,
     run_sweep,
     run_synth,
+    run_train_source,
 )
-from craft.network import load_checkpoint
+from craft.network import RegressorParams, backward, load_checkpoint
 from craft.priors import prior_from_dict, prior_log_density
 
 
@@ -205,6 +206,91 @@ class TestSweep:
         good = [r for r in report["rows"] if "error" not in r]
         assert len(errors) == 1 and len(good) == 1
         assert "ValueError" in errors[0]["error"]
+
+
+class TestWholeFileWrites:
+    def test_every_write_goes_to_a_temp_file(self, tmp_path, monkeypatch):
+        writes = []
+        real_open = builtins.open
+
+        def spy(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                writes.append(str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        spec = default_scenario(seed=2, d=2, n_source=60, n_target_train=40,
+                                n_target_val=10, n_target_test=10)
+        paths = run_synth(ExperimentConfig(scenario=spec, out_dir=str(tmp_path / "data")))
+        trained = run_train_source(ExperimentConfig(source_train=paths["source"], epochs=2,
+                                                    out_dir=str(tmp_path / "source")))
+        prior = run_fit_prior(ExperimentConfig(target_train=paths["target_train"],
+                                               out_dir=str(tmp_path / "prior")))
+        cfg = ExperimentConfig(source_checkpoint=trained["checkpoint"],
+                               target_train=paths["target_train"], target_val=paths["target_val"],
+                               target_test=paths["target_test"], out_dir=str(tmp_path / "adapt"),
+                               epochs=2, bins=20, label_fraction=0.5,
+                               prior_source="file", prior_file=prior["prior"])
+        run_adapt(cfg)
+        run_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep"),
+                                      methods=["craft", "tl", "naive"], bin_counts=[2, 20]))
+        # 13 files, runs.jsonl among them written once per sweep cell (6) and once more
+        assert len(writes) == 19 and all(path.endswith(".tmp") for path in writes)
+        files = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert files == {
+            "data/source.csv", "data/target_train.csv", "data/target_val.csv",
+            "data/target_test.csv", "data/scenario.json",
+            "source/source_checkpoint.json", "source/source_report.json",
+            "prior/prior.json", "prior/prior_density.csv",
+            "adapt/report_craft_seed0.json",
+            "sweep/runs.jsonl", "sweep/runs.csv", "sweep/sweep_report.json",
+        }
+
+    def test_interrupted_sweep_keeps_the_finished_row_whole(self, tiny_workspace, tmp_path,
+                                                            monkeypatch):
+        finished = []
+
+        def adapt_then_interrupt(*args, **kwargs):
+            if finished:
+                raise KeyboardInterrupt
+            finished.append(adapt_in_memory(*args, **kwargs))
+            return finished[-1]
+
+        monkeypatch.setattr("craft.harness.adapt_in_memory", adapt_then_interrupt)
+        cfg = dataclasses.replace(adapt_config(tiny_workspace, tmp_path, epochs=2),
+                                  methods=["tl"], seeds=[0, 1])
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(cfg)
+        out = tmp_path / "out"
+        assert (out / "runs.jsonl").read_text() == json.dumps(finished[0]) + "\n"
+        assert [p.name for p in out.iterdir()] == ["runs.jsonl"]
+
+
+class TestNonFiniteGradient:
+    @pytest.fixture(autouse=True)
+    def nan_gradients(self, monkeypatch):
+        def nan_backward(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            return RegressorParams(grads.spec, np.full_like(grads.vector, np.nan))
+
+        monkeypatch.setattr("craft.engine.backward", nan_backward)
+
+    def test_adapt_names_the_block_and_writes_no_report(self, tiny_workspace, tmp_path):
+        with pytest.raises(ValueError, match="non-finite gradient in layer 0 weights"):
+            run_adapt(adapt_config(tiny_workspace, tmp_path, epochs=2))
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_records_an_error_row_and_writes_its_files(self, tiny_workspace, tmp_path):
+        cfg = dataclasses.replace(adapt_config(tiny_workspace, tmp_path, epochs=2),
+                                  methods=["craft", "naive"])
+        report = run_sweep(cfg)
+        craft_row, naive_row = report["rows"]
+        assert craft_row["error"] == "ValueError: non-finite gradient in layer 0 weights"
+        assert "error" not in naive_row  # the naive baseline takes no gradient step
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["runs.csv", "runs.jsonl", "sweep_report.json"]
+        assert len((out / "runs.jsonl").read_text().splitlines()) == 3
+        assert len((out / "runs.csv").read_text().splitlines()) == 3
 
 
 class TestFitPrior:

@@ -135,7 +135,7 @@ class TestEvaluate:
         spec = MlpSpec((2, 1))
         params = RegressorParams.from_blocks(spec, [np.zeros((2, 1))], [np.array([0.25])])
         pair = evaluate(params, test, scaler)
-        assert math.isnan(pair.pbcor)
+        assert pair.pbcor is None
         assert pair.rmse >= 0.0
 
     def test_batched_equals_whole_set(self):
