@@ -10,15 +10,16 @@ the flag overrides it reads, and rejects any other flag:
 - ``evaluate``: ``--checkpoint``, ``--data`` (the CSV to score)
 - ``fit-prior``: ``--seed``, ``--out``, ``--data`` (the CSV whose labels it fits)
 
-Each flag sets the config field named by its ``dest``.  Flags beat
-environment path overrides, which beat the file.  On failure the process
-exits nonzero with a one-line error JSON on stderr.
+Each flag sets the config field named by its ``dest``, and flags beat the
+file: the two are merged before the config is built and checked, so a flag
+can replace a bad file value, and a bad method, label fraction or fit
+setting fails before any work starts.  On failure the process exits nonzero
+with a one-line error JSON on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -81,13 +82,15 @@ def _parse_prior_flag(value: str) -> dict:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    cfg = cfg.with_env_overrides()
+    raw = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            raw = json.load(fh)
     updates = {field: value for field, value in vars(args).items()
                if field not in ("command", "config") and value is not None}
     if "prior_source" in updates:
         updates.update(_parse_prior_flag(updates["prior_source"]))
-    return dataclasses.replace(cfg, **updates)
+    return ExperimentConfig.from_dict({**raw, **updates})
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,9 @@
 """Experiment harness: configuration, source training, adaptation runs, sweeps.
 
 Adaptation is source-free by contract: a run reads the source checkpoint and
-target files, never source data.  Every file a command opens for reading is
-recorded and echoed in the run report so the contract is auditable.
+target files, never source data.  The train-source, adapt and evaluate
+commands record every file they open for reading and echo the list as
+``files_opened`` so the contract is auditable; sweep rows and fit-prior do not.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -60,17 +60,6 @@ __all__ = [
     "run_evaluate",
 ]
 
-# environment variables that may override path-valued config fields
-ENV_PATH_OVERRIDES = {
-    "CRAFT_SOURCE_CHECKPOINT": "source_checkpoint",
-    "CRAFT_SOURCE_TRAIN": "source_train",
-    "CRAFT_TARGET_TRAIN": "target_train",
-    "CRAFT_TARGET_VAL": "target_val",
-    "CRAFT_TARGET_TEST": "target_test",
-    "CRAFT_PRIOR_FILE": "prior_file",
-    "CRAFT_OUT_DIR": "out_dir",
-}
-
 RUN_REPORT_SCHEMA = {
     "type": "object",
     "required": ["method", "seed", "alpha", "c", "bins", "label_fraction",
@@ -107,7 +96,13 @@ RUN_REPORT_SCHEMA = {
 
 @dataclass
 class ExperimentConfig:
-    """One JSON-loadable bag of knobs for every command; unused fields are ignored."""
+    """One JSON-loadable bag of knobs for every command; unused fields are ignored.
+
+    The method, label fraction and fit settings, sweep axes included, are
+    checked when the config is built, the fit settings by the same
+    :class:`CraftConfig` rules a fit applies.  A bin count is checked only
+    when its grid is built, as its floor depends on where the grid comes from.
+    """
 
     # data: either a generator scenario or CSV paths
     scenario: GeneratorSpec | None = None
@@ -152,14 +147,18 @@ class ExperimentConfig:
     methods: list | None = None
 
     def __post_init__(self):
-        if self.method not in ("craft", "tl", "naive"):
-            raise ValueError(f"unknown method {self.method!r}")
+        for method in [self.method, *(self.methods or [])]:
+            if method not in ("craft", "tl", "naive"):
+                raise ValueError(f"unknown method {method!r}")
         if self.prior_source not in ("fit_labeled", "true_marginal", "file"):
             raise ValueError(f"unknown prior_source {self.prior_source!r}")
         if self.prior_form not in ("mixture", "histogram", "uniform"):
             raise ValueError(f"unknown prior_form {self.prior_form!r}")
-        if not 0.0 < self.label_fraction <= 1.0:
-            raise ValueError("label_fraction must lie in (0, 1]")
+        for fraction in [self.label_fraction, *(self.label_fractions or [])]:
+            if not 0.0 < fraction <= 1.0:
+                raise ValueError("label_fraction must lie in (0, 1]")
+        for alpha in [self.alpha, *(self.alphas or [])]:
+            _craft_config(self, alpha=alpha)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -174,18 +173,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
-    def with_env_overrides(self) -> "ExperimentConfig":
-        updates = {}
-        for env, name in ENV_PATH_OVERRIDES.items():
-            value = os.environ.get(env)
-            if value:
-                updates[name] = value
-        return dataclasses.replace(self, **updates) if updates else self
+def _craft_config(cfg: ExperimentConfig, **overrides) -> CraftConfig:
+    """The engine settings ``cfg`` carries, with ``overrides`` on top."""
+    return CraftConfig(**{"alpha": cfg.alpha, "c": cfg.c, "batch_size": cfg.batch_size,
+                          "epochs": cfg.epochs, "seed": cfg.seed,
+                          "learning_rate": cfg.learning_rate, "pseudo_source": cfg.pseudo_source,
+                          "model_selection": cfg.model_selection, **overrides})
 
 
 def default_scenario(seed: int = 7, **overrides) -> GeneratorSpec:
@@ -233,9 +227,7 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
     val_scaled = apply_scaler(val_raw, scaler)
     spec = MlpSpec((source.d, *cfg.hidden_layers, 1), cfg.activation)
     params0 = init_params(spec, cfg.seed)
-    config = CraftConfig(c=cfg.c, batch_size=cfg.batch_size, epochs=cfg.epochs,
-                         seed=cfg.seed, learning_rate=cfg.learning_rate,
-                         model_selection="best_val")
+    config = _craft_config(cfg, model_selection="best_val")
     params, report = fit_tl(params0, train_scaled, config, val=val_scaled)
     metrics = evaluate(params, val_raw, scaler)
     report.rmse = metrics.rmse
@@ -314,10 +306,7 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
                         raise ValueError("prior_source 'true_marginal' needs a fully labeled target_train")
                     prior_labels = scaler.scale_labels(train_raw.labels)
                 prior = _fit_prior(cfg, prior_labels, seed, grid.lo, grid.hi)
-        config = CraftConfig(alpha=cfg.alpha, c=cfg.c, grid=grid, prior=prior,
-                             batch_size=cfg.batch_size, epochs=cfg.epochs, seed=seed,
-                             learning_rate=cfg.learning_rate, pseudo_source=cfg.pseudo_source,
-                             model_selection=cfg.model_selection)
+        config = _craft_config(cfg, grid=grid, prior=prior, seed=seed)
         fit = fit_craft if cfg.method == "craft" else fit_tl
         params, report = fit(checkpoint.params, train_scaled, config, val=val_scaled)
         metrics = evaluate(params, test_raw, scaler)
@@ -371,7 +360,7 @@ def run_train_source(cfg: ExperimentConfig) -> dict:
     return {"checkpoint": str(ckpt_path), "report": str(report_path), "val_rmse": report.rmse}
 
 
-def _load_adapt_inputs(cfg: ExperimentConfig, access: list):
+def _load_adapt_inputs(cfg: ExperimentConfig, access: list | None):
     if not cfg.source_checkpoint:
         raise ValueError("adapt needs a source_checkpoint path")
     if not cfg.target_train or not cfg.target_test:
@@ -428,19 +417,22 @@ def aggregate_sweep_rows(rows) -> list:
 def run_sweep(cfg: ExperimentConfig) -> dict:
     """Cartesian sweep over (methods x fractions x alphas x bins x seeds).
 
+    The sweep files an earlier sweep left in ``out_dir`` are removed first.
     ``runs.jsonl`` is rewritten whole after every cell (a failed cell becomes
     an error row and the sweep continues), so an interrupted sweep leaves the
-    finished rows intact; the aggregates line lands last, plus a combined
-    ``sweep_report.json`` and a delimited ``runs.csv``.
+    finished rows intact and nothing of an earlier sweep; the aggregates line
+    lands last, plus a combined ``sweep_report.json`` and a delimited
+    ``runs.csv``.
     """
-    access: list = []
-    checkpoint, train, val, test = _load_adapt_inputs(cfg, access)
+    checkpoint, train, val, test = _load_adapt_inputs(cfg, None)
     out = Path(cfg.out_dir)
     methods = cfg.methods or [cfg.method]
     fractions = cfg.label_fractions or [cfg.label_fraction]
     alphas = cfg.alphas or [cfg.alpha]
     bin_counts = cfg.bin_counts or [cfg.bins]
     seeds = cfg.seeds or [cfg.seed]
+    for name in ("runs.jsonl", "sweep_report.json", "runs.csv"):
+        (out / name).unlink(missing_ok=True)
     rows, lines = [], []
     for method, fraction, alpha, bins, seed in product(methods, fractions, alphas, bin_counts, seeds):
         try:
@@ -470,8 +462,7 @@ def run_fit_prior(cfg: ExperimentConfig) -> dict:
     and write the serialized prior plus a density curve CSV."""
     if not cfg.target_train:
         raise ValueError("fit-prior needs a labels CSV via target_train")
-    access: list = []
-    ds = _tracked_load_csv(cfg.target_train, access)
+    ds = load_csv(cfg.target_train)
     labels = ds.labels[ds.labeled]
     if labels.size == 0:
         raise ValueError("no labeled rows to fit a prior on")

@@ -53,6 +53,24 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"alpha": -1}, "alpha"),
+    ({"c": 0}, "c"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"epochs": -1}, "epochs"),
+    ({"pseudo_source": "x"}, "pseudo_source"),
+    ({"model_selection": "x"}, "model_selection"),
+    ({"method": "naive", "alpha": -1}, "alpha"),
+    ({"alphas": [0.1, -1]}, "alpha"),
+    ({"label_fractions": [0.5, 0.0]}, "label_fraction"),
+    ({"methods": ["tl", "x"]}, "method"),
+], ids=["alpha", "c", "batch_size", "epochs", "pseudo_source", "model_selection", "naive-alpha",
+        "alphas", "label_fractions", "methods"])
+def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        ExperimentConfig(**overrides)
+
+
 class TestSynthCommand:
     def test_writes_splits_and_sidecar(self, tmp_path):
         spec = default_scenario(seed=1, d=2, n_source=20, n_target_train=15,
@@ -248,6 +266,9 @@ class TestWholeFileWrites:
 
     def test_interrupted_sweep_keeps_the_finished_row_whole(self, tiny_workspace, tmp_path,
                                                             monkeypatch):
+        cfg = dataclasses.replace(adapt_config(tiny_workspace, tmp_path, epochs=2),
+                                  methods=["tl"], seeds=[0, 1, 2])
+        run_sweep(cfg)  # an earlier, finished sweep into the same directory
         finished = []
 
         def adapt_then_interrupt(*args, **kwargs):
@@ -257,10 +278,8 @@ class TestWholeFileWrites:
             return finished[-1]
 
         monkeypatch.setattr("craft.harness.adapt_in_memory", adapt_then_interrupt)
-        cfg = dataclasses.replace(adapt_config(tiny_workspace, tmp_path, epochs=2),
-                                  methods=["tl"], seeds=[0, 1])
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(cfg)
+            run_sweep(dataclasses.replace(cfg, seeds=[0, 1]))
         out = tmp_path / "out"
         assert (out / "runs.jsonl").read_text() == json.dumps(finished[0]) + "\n"
         assert [p.name for p in out.iterdir()] == ["runs.jsonl"]
@@ -388,16 +407,6 @@ class TestCli:
         assert code == 0
         assert "rmse" in json.loads(capsys.readouterr().out)
 
-    def test_env_path_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CRAFT_OUT_DIR", str(tmp_path / "env_out"))
-        spec = default_scenario(seed=1, d=2, n_source=8, n_target_train=8,
-                                n_target_val=4, n_target_test=4)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"scenario": spec.to_dict()}))
-        assert main(["synth", "--config", str(cfg_path)]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "env_out" / "source.csv").exists()
-
     def test_unknown_config_key_errors(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"not_a_knob": 1}))
@@ -414,12 +423,24 @@ class TestCli:
 
     @pytest.mark.parametrize("command,field,other", [("evaluate", "target_test", "target_train"),
                                                      ("fit-prior", "target_train", "target_test")])
-    def test_data_flag_sets_the_commands_input(self, command, field, other, monkeypatch):
-        monkeypatch.delenv("CRAFT_TARGET_TRAIN", raising=False)
-        monkeypatch.delenv("CRAFT_TARGET_TEST", raising=False)
+    def test_data_flag_sets_the_commands_input(self, command, field, other):
         cfg = config_from_args(build_parser().parse_args([command, "--data", "d.csv"]))
         assert getattr(cfg, field) == "d.csv"
         assert getattr(cfg, other) is None
+
+    def test_flag_replaces_a_bad_file_value(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alpha": -1, "epochs": 3}))
+        args = build_parser().parse_args(["adapt", "--config", str(cfg_path), "--alpha", "0.2"])
+        cfg = config_from_args(args)
+        assert (cfg.alpha, cfg.epochs) == (0.2, 3)
+
+    def test_bad_fit_setting_fails_before_the_sweep_starts(self, tmp_path, capsys):
+        assert main(["sweep", "--alpha", "-1", "--out", str(tmp_path / "s")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "alpha" in err["message"]
+        assert not (tmp_path / "s").exists()
 
     def test_bad_prior_value_exits_1_with_error_json(self, capsys):
         assert main(["adapt", "--prior", "bogus"]) == 1
