@@ -20,7 +20,6 @@ from .data import (
 )
 from .engine import (
     BinGrid,
-    ConstantPredictor,
     CraftConfig,
     LossBreakdown,
     RunReport,

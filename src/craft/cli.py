@@ -13,7 +13,10 @@ the flag overrides it reads, and rejects any other flag:
 Each flag sets the config field named by its ``dest``, and flags beat the
 file: the two are merged before the config is built and checked, so a flag
 can replace a bad file value, and a bad method, label fraction or fit
-setting fails before any work starts.  On failure the process exits nonzero
+setting fails before any work starts.  A flag for a swept field also drops
+the file's axis for it: ``--method`` drops ``methods``, ``--label-fraction``
+``label_fractions``, ``--alpha`` ``alphas``, ``--bins`` ``bin_counts`` and
+``--seed`` ``seeds``.  On failure the process exits nonzero
 with a one-line error JSON on stderr.
 """
 
@@ -45,6 +48,8 @@ _FLAGS = {
     "--checkpoint": {"dest": "source_checkpoint", "help": "source checkpoint path"},
 }
 _RUN_FLAGS = tuple(_FLAGS)
+_AXES = {"method": "methods", "label_fraction": "label_fractions", "alpha": "alphas",
+         "bins": "bin_counts", "seed": "seeds"}
 
 # subcommand: (handler, flags it reads, config field its --data flag sets)
 _COMMANDS = {
@@ -90,6 +95,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                if field not in ("command", "config") and value is not None}
     if "prior_source" in updates:
         updates.update(_parse_prior_flag(updates["prior_source"]))
+    for field in updates.keys() & _AXES.keys():
+        raw.pop(_AXES[field], None)
     return ExperimentConfig.from_dict({**raw, **updates})
 
 

@@ -82,10 +82,6 @@ class ScalerParams:
             "label_hi": self.label_hi,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["feature_mean"], d["feature_std"], d["label_lo"], d["label_hi"])
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -326,11 +322,13 @@ class GeneratorSpec:
     seed: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("feature dimension must be at least 1")
-        for name in ("n_source", "n_target_train", "n_target_val", "n_target_test"):
-            if getattr(self, name) < 1:
+        for name in ("d", "n_source", "n_target_train", "n_target_val", "n_target_test", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
                 raise ValueError(f"{name} must be at least 1")
+        object.__setattr__(self, "noise_std", float(self.noise_std))
         mean = np.broadcast_to(np.asarray(self.shift_mean, dtype=np.float64), (self.d,))
         scale = np.broadcast_to(np.asarray(self.shift_scale, dtype=np.float64), (self.d,))
         object.__setattr__(self, "shift_mean", _frozen_array(mean))
@@ -343,21 +341,6 @@ class GeneratorSpec:
     def to_dict(self):
         return {**asdict(self), "shift_mean": self.shift_mean.tolist(),
                 "shift_scale": self.shift_scale.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            scenario=d["scenario"],
-            d=int(d["d"]),
-            n_source=int(d["n_source"]),
-            n_target_train=int(d["n_target_train"]),
-            n_target_val=int(d["n_target_val"]),
-            n_target_test=int(d["n_target_test"]),
-            shift_mean=d["shift_mean"],
-            shift_scale=d["shift_scale"],
-            noise_std=float(d["noise_std"]),
-            seed=int(d["seed"]),
-        )
 
 
 def ground_truth(X: np.ndarray) -> np.ndarray:

@@ -45,7 +45,6 @@ __all__ = [
     "CraftConfig",
     "LossBreakdown",
     "RunReport",
-    "ConstantPredictor",
     "make_bin_grid",
     "joint_log_scores",
     "select_pseudo_labels",
@@ -85,29 +84,24 @@ class BinGrid:
         return self._midpoints
 
 
-def make_bin_grid(count: int, labels=None, lo: float | None = None, hi: float | None = None) -> BinGrid:
-    """Build a grid from an explicit range, or from labels with a one-bin margin.
+def make_bin_grid(count: int, labels) -> BinGrid:
+    """Build a grid over ``labels`` with a one-bin margin on each side; a grid
+    over an explicit range is ``BinGrid(lo, hi, count)``.
 
-    Label-built grids solve the margin self-consistently: with width
-    w = (max - min) / (count - 2) the grid spans exactly [min - w, max + w],
-    so every label falls strictly inside and the margin is one bin wide.
+    The margin is solved self-consistently: with width w = (max - min) /
+    (count - 2) the grid spans exactly [min - w, max + w], so every label
+    falls strictly inside and the margin is one bin wide.
     """
-    if labels is not None:
-        if lo is not None or hi is not None:
-            raise ValueError("pass either labels or an explicit range, not both")
-        x = np.asarray(labels, dtype=np.float64)
-        if x.size == 0 or not np.isfinite(x).all():
-            raise ValueError("labels must be nonempty and finite")
-        if count < 3:
-            raise ValueError("label-built grids need at least 3 bins")
-        span = float(x.max() - x.min())
-        if span == 0.0:
-            raise ValueError("label range is zero; pass an explicit range instead")
-        w = span / (count - 2)
-        return BinGrid(float(x.min()) - w, float(x.max()) + w, count)
-    if lo is None or hi is None:
-        raise ValueError("need labels or both lo and hi")
-    return BinGrid(lo, hi, count)
+    x = np.asarray(labels, dtype=np.float64)
+    if x.size == 0 or not np.isfinite(x).all():
+        raise ValueError("labels must be nonempty and finite")
+    if count < 3:
+        raise ValueError("label-built grids need at least 3 bins")
+    span = float(x.max() - x.min())
+    if span == 0.0:
+        raise ValueError("label range is zero; build a BinGrid over an explicit range instead")
+    w = span / (count - 2)
+    return BinGrid(float(x.min()) - w, float(x.max()) + w, count)
 
 
 @dataclass
@@ -133,10 +127,13 @@ class CraftConfig:
     model_selection: str = "best_val"
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        # written so that NaN fails too
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must be finite and positive")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
@@ -298,7 +295,7 @@ class RunReport:
 
 
 def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, val: Dataset | None,
-         method: str, epoch_callback=None):
+         method: str):
     X, y = target.features, target.labels
     labeled_idx = np.flatnonzero(target.labeled)
     unlabeled_idx = np.flatnonzero(~target.labeled)
@@ -311,7 +308,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
     state = AdamState.init(params, learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n_batches = max(1, math.ceil(target.n / config.batch_size))
-    bins = config.grid.count if config.grid is not None else None
+    bins = config.grid.count if use_unsup else None
     hist = np.zeros(bins or 0, dtype=np.int64)
     epoch_rows = []
     track_val = val is not None and config.model_selection == "best_val"
@@ -319,7 +316,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
     best_params = None
     true_for_labeled = config.pseudo_source == "true_labels_for_labeled"
 
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         epoch_start = time.perf_counter()
         select_s = 0.0
         step_s = 0.0
@@ -365,8 +362,6 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
             if val_rmse < best_val_rmse:
                 best_val_rmse = val_rmse
                 best_params = params.copy()
-        if epoch_callback is not None:
-            epoch_callback(epoch, params)
     if track_val and best_params is not None:
         params = best_params
     report = RunReport(method=method, seed=config.seed, alpha=config.alpha, c=config.c,
@@ -375,7 +370,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
 
 
 def fit_craft(source_params: RegressorParams, target: Dataset, config: CraftConfig,
-              val: Dataset | None = None, epoch_callback=None):
+              val: Dataset | None = None):
     """Adapt pretrained parameters on a partially labeled target set.
 
     Per batch: pseudo-labels are selected at the current parameters for all
@@ -385,27 +380,19 @@ def fit_craft(source_params: RegressorParams, target: Dataset, config: CraftConf
     drives the fit.  At alpha zero it is supervised fine-tuning and needs at
     least one labeled row.  Deterministic given the config seed.
     """
-    return _fit(source_params, target, config, val, "craft", epoch_callback)
+    return _fit(source_params, target, config, val, "craft")
 
 
 def fit_tl(source_params: RegressorParams, target: Dataset, config: CraftConfig,
-           val: Dataset | None = None, epoch_callback=None):
+           val: Dataset | None = None):
     """Supervised fine-tuning on the labeled rows only: :func:`fit_craft` at alpha
     zero, whatever alpha ``config`` carries, reported as method "tl"."""
-    return _fit(source_params, target, replace(config, alpha=0.0), val, "tl", epoch_callback)
+    return _fit(source_params, target, replace(config, alpha=0.0), val, "tl")
 
 
-@dataclass(frozen=True)
-class ConstantPredictor:
-    value: float
-
-    def predict(self, X) -> np.ndarray:
-        return np.full(np.asarray(X).shape[0], self.value)
-
-
-def naive_baseline(train_labels) -> ConstantPredictor:
-    """Constant predictor emitting the mean training label."""
+def naive_baseline(train_labels) -> float:
+    """The mean training label, which the naive baseline predicts for every row."""
     labels = np.asarray(train_labels, dtype=np.float64)
     if labels.size < 1:
         raise ValueError("need at least one labeled row")
-    return ConstantPredictor(float(labels.mean()))
+    return float(labels.mean())

@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -32,7 +31,7 @@ from .data import (
     write_file,
     write_json,
 )
-from .engine import CraftConfig, RunReport, fit_craft, fit_tl, make_bin_grid, naive_baseline
+from .engine import BinGrid, CraftConfig, RunReport, fit_craft, fit_tl, make_bin_grid, naive_baseline
 from .metrics import evaluate, rmse
 from .network import Checkpoint, MlpSpec, init_params, load_checkpoint, save_checkpoint
 from .priors import (
@@ -164,7 +163,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
         if isinstance(raw.get("scenario"), dict):
-            raw["scenario"] = GeneratorSpec.from_dict(raw["scenario"])
+            raw["scenario"] = GeneratorSpec(**raw["scenario"])
         if "hidden_layers" in raw:
             raw["hidden_layers"] = tuple(raw["hidden_layers"])
         known = {f.name for f in dataclasses.fields(cls)}
@@ -276,19 +275,17 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
 
     report: RunReport
     if cfg.method == "naive":
-        labeled_raw = work.labels[work.labeled]
-        predictor = naive_baseline(labeled_raw)
+        mean = naive_baseline(work.labels[work.labeled])
         report = RunReport(method="naive", seed=seed, alpha=0.0, c=cfg.c, bins=None)
-        report.rmse = rmse(predictor.predict(test_raw.features), test_raw.labels)
-        report.pbcor = None
+        report.rmse = rmse(np.full(test_raw.n, mean), test_raw.labels)
     else:
-        labeled_scaled = train_scaled.labels[train_scaled.labeled]
-        if labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min():
-            grid = make_bin_grid(cfg.bins, labels=labeled_scaled)
-        else:  # no label range to span: use the scaler's own label range
-            grid = make_bin_grid(cfg.bins, lo=-1.0, hi=1.0)
-        prior = None
+        grid = prior = None
         if cfg.method == "craft" and cfg.alpha > 0.0:
+            labeled_scaled = train_scaled.labels[train_scaled.labeled]
+            if labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min():
+                grid = make_bin_grid(cfg.bins, labeled_scaled)
+            else:  # no label range to span: use the scaler's own label range
+                grid = BinGrid(-1.0, 1.0, cfg.bins)
             if cfg.prior_source == "file":
                 if not cfg.prior_file:
                     raise ValueError("prior_source 'file' needs prior_file")
@@ -415,7 +412,11 @@ def aggregate_sweep_rows(rows) -> list:
 
 
 def run_sweep(cfg: ExperimentConfig) -> dict:
-    """Cartesian sweep over (methods x fractions x alphas x bins x seeds).
+    """Sweep over (methods x fractions x alphas x bins x seeds), each distinct fit once.
+
+    Tl, naive and craft at alpha zero read neither alpha nor the bin count,
+    so their cells run once per (fraction, seed), with alpha 0.0 and bins
+    None; the cells keep the order of the product.
 
     The sweep files an earlier sweep left in ``out_dir`` are removed first.
     ``runs.jsonl`` is rewritten whole after every cell (a failed cell becomes
@@ -433,8 +434,10 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     seeds = cfg.seeds or [cfg.seed]
     for name in ("runs.jsonl", "sweep_report.json", "runs.csv"):
         (out / name).unlink(missing_ok=True)
+    cells = dict.fromkeys((m, f, a, b, s) if m == "craft" and a > 0.0 else (m, f, 0.0, None, s)
+                          for m, f, a, b, s in product(methods, fractions, alphas, bin_counts, seeds))
     rows, lines = [], []
-    for method, fraction, alpha, bins, seed in product(methods, fractions, alphas, bin_counts, seeds):
+    for method, fraction, alpha, bins, seed in cells:
         try:
             cell = dataclasses.replace(cfg, method=method, label_fraction=fraction,
                                        alpha=alpha, bins=bins, seed=seed)

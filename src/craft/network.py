@@ -245,5 +245,5 @@ def load_checkpoint(path) -> Checkpoint:
         params = RegressorParams.from_blocks(spec, weights, biases)
     except ValueError as exc:
         raise ValueError(f"checkpoint {exc}") from None
-    scaler = ScalerParams.from_dict(payload["scaler"]) if payload.get("scaler") else None
+    scaler = ScalerParams(**payload["scaler"]) if payload.get("scaler") else None
     return Checkpoint(params, scaler)

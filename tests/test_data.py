@@ -263,6 +263,15 @@ class TestGenerator:
         with pytest.raises(ValueError):
             GeneratorSpec("bad", 2, 10, 10, 10, 10, 0.0, 1.0, -0.1, 0)
 
+    @pytest.mark.parametrize("field,value", [("d", 2.5), ("n_source", 10.0), ("n_target_test", "10"),
+                                             ("seed", 1.5), ("n_target_val", True)])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        values = dict(scenario="bad", d=2, n_source=10, n_target_train=10, n_target_val=10,
+                      n_target_test=10, shift_mean=0.0, shift_scale=1.0, noise_std=0.1, seed=0)
+        values[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+            GeneratorSpec(**values)
+
 
 class TestWriteJson:
     def test_writes_the_payload(self, tmp_path):

@@ -48,13 +48,13 @@ def empty_batch(d=1):
 
 class TestBinGrid:
     def test_explicit_partition(self):
-        grid = make_bin_grid(5, lo=0.0, hi=10.0)
+        grid = BinGrid(0.0, 10.0, 5)
         np.testing.assert_allclose(grid.midpoints, [1.0, 3.0, 5.0, 7.0, 9.0])
         assert grid.width == 2.0
 
     def test_label_built_margin_is_one_bin_width(self):
         labels = np.array([-1.0, 0.2, 1.0])
-        grid = make_bin_grid(200, labels=labels)
+        grid = make_bin_grid(200, labels)
         w = grid.width
         assert abs(grid.lo - (-1.0 - w)) < 1e-12
         assert abs(grid.hi - (1.0 + w)) < 1e-12
@@ -64,29 +64,29 @@ class TestBinGrid:
     def test_every_label_falls_inside_a_bin(self):
         rng = np.random.default_rng(0)
         labels = rng.normal(size=100)
-        grid = make_bin_grid(50, labels=labels)
+        grid = make_bin_grid(50, labels)
         assert grid.lo < labels.min() and labels.max() < grid.hi
         idx = np.floor((labels - grid.lo) / grid.width).astype(int)
         assert (idx >= 0).all() and (idx < grid.count).all()
 
     def test_midpoints_strictly_increasing_equal_spacing(self):
-        grid = make_bin_grid(7, lo=-2.0, hi=3.0)
+        grid = BinGrid(-2.0, 3.0, 7)
         gaps = np.diff(grid.midpoints)
         assert (gaps > 0).all()
         np.testing.assert_allclose(gaps, grid.width, rtol=1e-12)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            make_bin_grid(5, lo=1.0, hi=1.0)
+            BinGrid(1.0, 1.0, 5)
         with pytest.raises(ValueError):
             BinGrid(0.0, 1.0, 1)
         with pytest.raises(ValueError):
-            make_bin_grid(2, labels=np.array([0.0, 1.0]))
+            make_bin_grid(2, np.array([0.0, 1.0]))
 
 
 class TestJointLogScores:
     def test_singleton_batch_row_equals_prior_exactly(self):
-        grid = make_bin_grid(9, lo=-1.0, hi=1.0)
+        grid = BinGrid(-1.0, 1.0, 9)
         prior = UniformPrior(-1.0, 1.0)
         scores = joint_log_scores(np.array([0.37]), grid, prior, c=0.5)
         expected = math.log(0.5)
@@ -94,7 +94,7 @@ class TestJointLogScores:
 
     def test_two_sample_frozen_values(self):
         # brute-force over bins with c=0.5, f=[-0.9, 0.9], candidates {-1, 0, 1}
-        grid = make_bin_grid(3, lo=-1.5, hi=1.5)
+        grid = BinGrid(-1.5, 1.5, 3)
         prior = UniformPrior(-1.5, 1.5)
         lp = math.log(1.0 / 3.0)
         scores = joint_log_scores(np.array([-0.9, 0.9]), grid, prior, c=0.5)
@@ -111,7 +111,7 @@ class TestJointLogScores:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
-        grid = make_bin_grid(17, lo=-2.0, hi=2.0)
+        grid = BinGrid(-2.0, 2.0, 17)
         prior = fit_histogram_prior(rng.normal(size=200), 6)
         preds = rng.normal(size=12)
         ours = joint_log_scores(preds, grid, prior, c=0.5)
@@ -120,7 +120,7 @@ class TestJointLogScores:
     def test_constant_prior_shift_preserves_argmax(self):
         rng = np.random.default_rng(2)
         preds = rng.normal(size=10)
-        grid = make_bin_grid(21, lo=-1.0, hi=1.0)
+        grid = BinGrid(-1.0, 1.0, 21)
         narrow = UniformPrior(-1.0, 1.0)
         wide = UniformPrior(-5.0, 5.0)  # differs by a constant on the grid
         a = joint_log_scores(preds, grid, narrow, 0.5)
@@ -131,7 +131,7 @@ class TestJointLogScores:
     def test_row_softmax_is_a_distribution(self):
         rng = np.random.default_rng(3)
         preds = rng.normal(size=8)
-        grid = make_bin_grid(30, lo=-3.0, hi=3.0)
+        grid = BinGrid(-3.0, 3.0, 30)
         prior = fit_histogram_prior(rng.normal(size=100), 5)
         scores = joint_log_scores(preds, grid, prior, 0.5)
         shifted = scores - scores.max(axis=1, keepdims=True)
@@ -143,7 +143,7 @@ class TestJointLogScores:
         # stripping the prior, each candidate's normalized batch masses total 1
         rng = np.random.default_rng(4)
         preds = rng.normal(size=15)
-        grid = make_bin_grid(11, lo=-2.0, hi=2.0)
+        grid = BinGrid(-2.0, 2.0, 11)
         prior = UniformPrior(-2.0, 2.0)
         scores = joint_log_scores(preds, grid, prior, 0.5)
         logp = math.log(1.0 / 4.0)
@@ -153,19 +153,19 @@ class TestJointLogScores:
 
 class TestSelectPseudoLabels:
     def test_two_sample_mutual_repulsion(self):
-        grid = make_bin_grid(3, lo=-1.5, hi=1.5)
+        grid = BinGrid(-1.5, 1.5, 3)
         prior = UniformPrior(-1.5, 1.5)
         chosen = grid.midpoints[select_pseudo_labels(np.array([-0.9, 0.9]), grid, prior, c=0.5)]
         np.testing.assert_allclose(chosen, [-1.0, 1.0])
 
     def test_equal_predictions_follow_peaked_prior(self):
-        grid = make_bin_grid(5, lo=-1.0, hi=1.0)
+        grid = BinGrid(-1.0, 1.0, 5)
         prior = HistogramPrior(np.linspace(-1.0, 1.0, 6), [0.025, 0.025, 0.9, 0.025, 0.025])
         chosen = grid.midpoints[select_pseudo_labels(np.full(4, 0.31), grid, prior, c=0.5)]
         np.testing.assert_allclose(chosen, 0.0)
 
     def test_singleton_uniform_ties_resolve_to_nearest_midpoint(self):
-        grid = make_bin_grid(10, lo=-1.0, hi=1.0)
+        grid = BinGrid(-1.0, 1.0, 10)
         prior = UniformPrior(-1.0, 1.0)
         chosen = grid.midpoints[select_pseudo_labels(np.array([0.33]), grid, prior, c=0.5)]
         dists = np.abs(grid.midpoints - 0.33)
@@ -176,14 +176,14 @@ class TestSelectPseudoLabels:
         for trial in range(10):
             n = int(rng.integers(1, 32))
             bins = int(rng.integers(2, 80))
-            grid = make_bin_grid(bins, lo=-2.5, hi=2.5)
+            grid = BinGrid(-2.5, 2.5, bins)
             prior = UniformPrior(-3.0, 3.0)
             preds = rng.normal(size=n)
             ours = grid.midpoints[select_pseudo_labels(preds, grid, prior, c=0.5)]
             np.testing.assert_array_equal(ours, brute_force_select(preds, grid, prior, 0.5))
 
     def test_returns_bin_indices(self):
-        grid = make_bin_grid(4, lo=0.0, hi=4.0)
+        grid = BinGrid(0.0, 4.0, 4)
         chosen = select_pseudo_labels(np.array([0.2, 3.9]), grid, UniformPrior(0.0, 4.0), 0.5)
         assert chosen.dtype.kind == "i"
         assert chosen.tolist() == [0, 3]
@@ -191,7 +191,7 @@ class TestSelectPseudoLabels:
     def test_positive_rescaling_of_prior_weights_is_invariant(self):
         rng = np.random.default_rng(6)
         preds = rng.normal(size=9)
-        grid = make_bin_grid(15, lo=-2.0, hi=2.0)
+        grid = BinGrid(-2.0, 2.0, 15)
         edges = np.linspace(-2.0, 2.0, 8)
         weights = rng.random(7) + 0.05
         a = select_pseudo_labels(preds, grid, HistogramPrior(edges, weights), 0.5)
@@ -258,7 +258,7 @@ class TestCraftLoss:
         params = init_params(MlpSpec((2, 8, 1)), seed=4)
         x_l, y_l = rng.normal(size=(5, 2)), rng.normal(size=5)
         x_u = rng.normal(size=(7, 2))
-        grid = make_bin_grid(30, lo=-1.5, hi=1.5)
+        grid = BinGrid(-1.5, 1.5, 30)
         prior = UniformPrior(-1.5, 1.5)
         targets = grid.midpoints[select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)]
         config = self.config(alpha=0.1)
@@ -306,7 +306,7 @@ class TestCraftLoss:
 
     def test_unsupervised_gradient_is_map_gradient(self):
         rng = np.random.default_rng(7)
-        grid = make_bin_grid(25, lo=-2.0, hi=2.0)
+        grid = BinGrid(-2.0, 2.0, 25)
         prior = fit_histogram_prior(rng.normal(size=300), 7)
         for trial in range(5):
             params = init_params(MlpSpec((2, 6, 1)), seed=trial)
@@ -331,10 +331,20 @@ def small_target(n=120, d=3, frac=0.3, seed=0):
 
 def craft_config(target, alpha=0.1, epochs=3, seed=0, lr=1e-3, **kw):
     labeled = target.labels[target.labeled]
-    grid = make_bin_grid(40, labels=labeled)
+    grid = make_bin_grid(40, labeled)
     prior = UniformPrior(grid.lo, grid.hi)
     return CraftConfig(alpha=alpha, c=0.5, grid=grid, prior=prior, batch_size=32,
                        epochs=epochs, seed=seed, learning_rate=lr, model_selection="final", **kw)
+
+
+def trajectory(fit, params, target, config):
+    """Parameters after each epoch of a fit under ``config``.
+
+    A fit of k epochs with final-epoch selection ends where epoch k of a
+    longer fit does: it draws the same RNG stream and Adam state.
+    """
+    return [fit(params, target, replace(config, epochs=k, model_selection="final"))[0]
+            for k in range(1, config.epochs + 1)]
 
 
 class TestFitLoops:
@@ -342,9 +352,8 @@ class TestFitLoops:
         target = small_target()
         params = init_params(MlpSpec((3, 8, 1)), seed=1)
         config = craft_config(target, alpha=0.0, epochs=5)
-        traj_craft, traj_tl = [], []
-        fit_craft(params, target, config, epoch_callback=lambda e, p: traj_craft.append(p.copy()))
-        fit_tl(params, target, config, epoch_callback=lambda e, p: traj_tl.append(p.copy()))
+        traj_craft = trajectory(fit_craft, params, target, config)
+        traj_tl = trajectory(fit_tl, params, target, config)
         assert len(traj_craft) == len(traj_tl) == 5
         for pc, pt in zip(traj_craft, traj_tl):
             for (_, a), (_, b) in zip(pc.blocks(), pt.blocks()):
@@ -391,6 +400,8 @@ class TestFitLoops:
         assert report.method == "tl"
         assert report.alpha == 0.0
         assert all(row["unsup_contrastive"] == 0.0 for row in report.epochs)
+        # the grid in the config goes unread, so the report names no bins
+        assert report.bins is None and report.pseudo_label_hist == []
 
     def test_craft_handles_fully_labeled_batches(self):
         # no unlabeled rows: the unsupervised term runs on the labeled batch
@@ -455,8 +466,7 @@ class TestFusedStep:
         params = init_params(MlpSpec((3, 8, 8, 1)), seed=14)
         config = craft_config(target, alpha=alpha, epochs=3, seed=2, lr=1e-2,
                               pseudo_source=pseudo_source)
-        fused = []
-        fit_craft(params, target, config, epoch_callback=lambda e, p: fused.append(p.copy()))
+        fused = trajectory(fit_craft, params, target, config)
         reference = reference_fit(params, target, config)
         assert len(fused) == len(reference) == 3
         for ours, ref in zip(fused, reference):
@@ -467,8 +477,7 @@ class TestFusedStep:
         target = small_target(seed=15)
         params = init_params(MlpSpec((3, 8, 1)), seed=16)
         config = craft_config(target, epochs=3, lr=1e-2)
-        fused = []
-        fit_tl(params, target, config, epoch_callback=lambda e, p: fused.append(p.copy()))
+        fused = trajectory(fit_tl, params, target, config)
         for ours, ref in zip(fused, reference_fit(params, target, replace(config, alpha=0.0))):
             assert max_gap(ours, ref) <= 1e-12
 
@@ -531,19 +540,16 @@ class TestFusedStep:
 
 class TestNaiveBaseline:
     def test_constant_labels(self):
-        predictor = naive_baseline([2.0, 2.0, 2.0])
-        np.testing.assert_array_equal(predictor.predict(np.zeros((4, 3))), 2.0)
+        assert naive_baseline([2.0, 2.0, 2.0]) == 2.0
 
     def test_hand_rmse(self):
-        predictor = naive_baseline([1.0, 2.0, 3.0])
-        value = rmse(predictor.predict(np.zeros((3, 1))), [1.0, 2.0, 3.0])
+        value = rmse(np.full(3, naive_baseline([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
         assert abs(value - math.sqrt(2.0 / 3.0)) < 1e-12
 
     def test_rmse_equals_test_std_when_means_match(self):
         rng = np.random.default_rng(10)
         y = rng.normal(size=100)
-        predictor = naive_baseline(y)
-        value = rmse(predictor.predict(np.zeros((100, 1))), y)
+        value = rmse(np.full(100, naive_baseline(y)), y)
         assert abs(value - y.std()) < 1e-12
 
     def test_empty_errors(self):

@@ -64,8 +64,13 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     ({"alphas": [0.1, -1]}, "alpha"),
     ({"label_fractions": [0.5, 0.0]}, "label_fraction"),
     ({"methods": ["tl", "x"]}, "method"),
+    ({"learning_rate": -1.0}, "learning_rate"),
+    ({"learning_rate": math.nan}, "learning_rate"),
+    ({"alpha": math.nan}, "alpha"),
+    ({"c": math.nan}, "c"),
 ], ids=["alpha", "c", "batch_size", "epochs", "pseudo_source", "model_selection", "naive-alpha",
-        "alphas", "label_fractions", "methods"])
+        "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
+        "c-nan"])
 def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         ExperimentConfig(**overrides)
@@ -170,7 +175,7 @@ class TestAdapt:
                                  load_csv(tiny_workspace["paths"]["target_val"]),
                                  load_csv(tiny_workspace["paths"]["target_test"]), cfg)
         assert math.isfinite(report["rmse"])
-        assert report["bins"] == cfg.bins
+        assert report["bins"] == (cfg.bins if method == "craft" else None)
 
     @pytest.mark.parametrize("prior_form", ["mixture", "histogram"])
     def test_true_marginal_prior_needs_a_fully_labeled_target_train(
@@ -225,6 +230,22 @@ class TestSweep:
         assert len(errors) == 1 and len(good) == 1
         assert "ValueError" in errors[0]["error"]
 
+    def test_tl_ignores_a_bin_count_it_never_reads(self, tiny_workspace, tmp_path):
+        cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=2)
+        report = run_sweep(dataclasses.replace(cfg, methods=["tl"], seeds=[0], bin_counts=[2, 40]))
+        [row] = report["rows"]
+        assert "error" not in row
+        assert (row["bins"], row["pseudo_label_hist"]) == (None, [])
+
+    def test_each_distinct_fit_runs_once(self, tiny_workspace, tmp_path):
+        cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=2)
+        report = run_sweep(dataclasses.replace(cfg, methods=["craft", "tl", "naive"],
+                                               alphas=[0.1, 1.0], seeds=[0]))
+        cells = [(r["method"], r["alpha"], r["bins"]) for r in report["rows"]]
+        assert cells == [("craft", 0.1, 60), ("craft", 1.0, 60), ("tl", 0.0, None),
+                         ("naive", 0.0, None)]
+        assert [a["n_runs"] for a in report["aggregates"]] == [1, 1, 1, 1]
+
 
 class TestWholeFileWrites:
     def test_every_write_goes_to_a_temp_file(self, tmp_path, monkeypatch):
@@ -252,8 +273,9 @@ class TestWholeFileWrites:
         run_adapt(cfg)
         run_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep"),
                                       methods=["craft", "tl", "naive"], bin_counts=[2, 20]))
-        # 13 files, runs.jsonl among them written once per sweep cell (6) and once more
-        assert len(writes) == 19 and all(path.endswith(".tmp") for path in writes)
+        # 13 files, runs.jsonl among them written once per sweep cell (4: craft at each
+        # bin count, tl and naive once) and once more
+        assert len(writes) == 17 and all(path.endswith(".tmp") for path in writes)
         files = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
         assert files == {
             "data/source.csv", "data/target_train.csv", "data/target_val.csv",
@@ -407,6 +429,19 @@ class TestCli:
         assert code == 0
         assert "rmse" in json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("change,named", [({"n_source": 12.5}, "n_source"),
+                                              ({"seed": "1"}, "seed"),
+                                              ({"not_a_knob": 1}, "not_a_knob")],
+                             ids=["float-count", "string-seed", "unknown-key"])
+    def test_bad_scenario_file_exits_1_naming_the_key(self, tmp_path, capsys, change, named):
+        scenario = default_scenario(seed=1, d=2, n_source=12, n_target_train=12,
+                                    n_target_val=4, n_target_test=4).to_dict()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": {**scenario, **change}}))
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 1
+        assert named in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "d").exists()
+
     def test_unknown_config_key_errors(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"not_a_knob": 1}))
@@ -434,6 +469,18 @@ class TestCli:
         args = build_parser().parse_args(["adapt", "--config", str(cfg_path), "--alpha", "0.2"])
         cfg = config_from_args(args)
         assert (cfg.alpha, cfg.epochs) == (0.2, 3)
+
+    def test_flag_replaces_the_files_axis(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alphas": [0.1, 1.0], "methods": ["craft", "tl"],
+                                        "seeds": [0, 1], "bin_counts": [20, 40],
+                                        "label_fractions": [0.1, 0.2]}))
+        args = build_parser().parse_args(["sweep", "--config", str(cfg_path), "--alpha", "0.5",
+                                          "--method", "naive", "--seed", "3"])
+        cfg = config_from_args(args)
+        assert (cfg.alpha, cfg.method, cfg.seed) == (0.5, "naive", 3)
+        assert (cfg.alphas, cfg.methods, cfg.seeds) == (None, None, None)
+        assert (cfg.bin_counts, cfg.label_fractions) == ([20, 40], [0.1, 0.2])
 
     def test_bad_fit_setting_fails_before_the_sweep_starts(self, tmp_path, capsys):
         assert main(["sweep", "--alpha", "-1", "--out", str(tmp_path / "s")]) == 1
