@@ -48,7 +48,6 @@ from .priors import (
     HistogramPrior,
     MixturePrior,
     MixtureSpec,
-    UniformPrior,
     em_fit,
     fit_histogram_prior,
     prior_log_density,

@@ -97,7 +97,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         updates.update(_parse_prior_flag(updates["prior_source"]))
     for field in updates.keys() & _AXES.keys():
         raw.pop(_AXES[field], None)
-    return ExperimentConfig.from_dict({**raw, **updates})
+    return ExperimentConfig(**{**raw, **updates})
 
 
 def main(argv=None) -> int:

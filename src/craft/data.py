@@ -306,6 +306,15 @@ def inject_marginal_bias(
     return ds.subset(np.flatnonzero(keep))
 
 
+def _check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Reject a count setting that is not an integer (a bool is not one) or
+    lies below ``minimum``, naming the setting."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """Synthetic covariate-shift scenario: one response surface, two domains."""
@@ -322,12 +331,9 @@ class GeneratorSpec:
     seed: int
 
     def __post_init__(self):
-        for name in ("d", "n_source", "n_target_train", "n_target_val", "n_target_test", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1 and name != "seed":
-                raise ValueError(f"{name} must be at least 1")
+        for name in ("d", "n_source", "n_target_train", "n_target_val", "n_target_test"):
+            _check_integer(name, getattr(self, name), minimum=1)
+        _check_integer("seed", self.seed)
         object.__setattr__(self, "noise_std", float(self.noise_std))
         mean = np.broadcast_to(np.asarray(self.shift_mean, dtype=np.float64), (self.d,))
         scale = np.broadcast_to(np.asarray(self.shift_scale, dtype=np.float64), (self.d,))

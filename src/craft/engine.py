@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_integer
 from .metrics import rmse
 from .network import AdamState, RegressorParams, adam_step, backward, forward_batch
 from .priors import prior_log_density
@@ -134,10 +134,9 @@ class CraftConfig:
             raise ValueError("c must be finite and positive")
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        _check_integer("batch_size", self.batch_size, minimum=1)
+        _check_integer("epochs", self.epochs, minimum=0)
+        _check_integer("seed", self.seed)
         if self.pseudo_source not in ("pseudo_for_all", "true_labels_for_labeled"):
             raise ValueError(f"unknown pseudo_source {self.pseudo_source!r}")
         if self.model_selection not in ("best_val", "final"):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 from .data import (
     Dataset,
     GeneratorSpec,
+    _check_integer,
     apply_scaler,
     fit_scaler,
     generate_synthetic,
@@ -36,7 +36,6 @@ from .metrics import evaluate, rmse
 from .network import Checkpoint, MlpSpec, init_params, load_checkpoint, save_checkpoint
 from .priors import (
     MixtureSpec,
-    UniformPrior,
     affine_transform_prior,
     em_fit,
     fit_histogram_prior,
@@ -97,10 +96,16 @@ RUN_REPORT_SCHEMA = {
 class ExperimentConfig:
     """One JSON-loadable bag of knobs for every command; unused fields are ignored.
 
-    The method, label fraction and fit settings, sweep axes included, are
-    checked when the config is built, the fit settings by the same
-    :class:`CraftConfig` rules a fit applies.  A bin count is checked only
-    when its grid is built, as its floor depends on where the grid comes from.
+    Build it as ``ExperimentConfig(**d)`` from a JSON dict: an unknown key
+    raises ``TypeError`` naming it, and a ``scenario`` dict becomes a
+    :class:`GeneratorSpec`.  Every setting that would fail each run or sweep
+    cell that reads it is checked when the config is built, naming the field:
+    the method, label fraction and fit settings, sweep axes included (the fit
+    settings by the same :class:`CraftConfig` rules a fit applies); the count
+    settings, which must be integers; a prior file for the 'file' prior
+    source; and the prior's strata, bins and component counts.  A bin count's
+    floor is checked only when its grid is built, as it depends on where the
+    grid comes from.
     """
 
     # data: either a generator scenario or CSV paths
@@ -146,6 +151,8 @@ class ExperimentConfig:
     methods: list | None = None
 
     def __post_init__(self):
+        if isinstance(self.scenario, dict):
+            self.scenario = GeneratorSpec(**self.scenario)
         for method in [self.method, *(self.methods or [])]:
             if method not in ("craft", "tl", "naive"):
                 raise ValueError(f"unknown method {method!r}")
@@ -158,19 +165,19 @@ class ExperimentConfig:
                 raise ValueError("label_fraction must lie in (0, 1]")
         for alpha in [self.alpha, *(self.alphas or [])]:
             _craft_config(self, alpha=alpha)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        if isinstance(raw.get("scenario"), dict):
-            raw["scenario"] = GeneratorSpec(**raw["scenario"])
-        if "hidden_layers" in raw:
-            raw["hidden_layers"] = tuple(raw["hidden_layers"])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        _check_integer("bins", self.bins)
+        for bins in self.bin_counts or []:
+            _check_integer("bin_counts", bins)
+        for seed in self.seeds or []:
+            _check_integer("seeds", seed)
+        if self.prior_source == "file" and not self.prior_file:
+            raise ValueError("prior_source 'file' needs prior_file")
+        _check_integer("n_strata", self.n_strata, minimum=1)
+        _check_integer("prior_bins", self.prior_bins, minimum=1)
+        _check_integer("prior_gaussians", self.prior_gaussians, minimum=0)
+        _check_integer("prior_exponentials", self.prior_exponentials, minimum=0)
+        if self.prior_gaussians + self.prior_exponentials < 1:
+            raise ValueError("prior_gaussians + prior_exponentials must be at least 1")
 
 
 def _craft_config(cfg: ExperimentConfig, **overrides) -> CraftConfig:
@@ -235,10 +242,10 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
 
 
 def _fit_prior(cfg: ExperimentConfig, labels: np.ndarray, seed: int, lo: float, hi: float):
-    """The configured prior form fitted to ``labels``; a uniform prior spans [lo, hi],
-    or [lo - 0.5, hi + 0.5] when the two coincide."""
+    """The configured prior form fitted to ``labels``; a uniform prior is the
+    one-bin histogram over [lo, hi], widened as any histogram when they coincide."""
     if cfg.prior_form == "uniform":
-        return UniformPrior(lo, hi) if lo < hi else UniformPrior(lo - 0.5, hi + 0.5)
+        return fit_histogram_prior(np.array([lo, hi]), 1)
     if labels.size == 0:
         raise ValueError("no labels available to fit the prior")
     if cfg.prior_form == "histogram":
@@ -256,8 +263,6 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
     prior option is configured; that prior is fitted to the true
     pre-distortion labels.
     """
-    if checkpoint.scaler is None:
-        raise ValueError("checkpoint carries no scaler; retrain the source model")
     if checkpoint.params.spec.input_dim != train_raw.d:
         raise ValueError(
             f"checkpoint expects {checkpoint.params.spec.input_dim} features, data has {train_raw.d}"
@@ -287,8 +292,6 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
             else:  # no label range to span: use the scaler's own label range
                 grid = BinGrid(-1.0, 1.0, cfg.bins)
             if cfg.prior_source == "file":
-                if not cfg.prior_file:
-                    raise ValueError("prior_source 'file' needs prior_file")
                 _note(access_log, cfg.prior_file)
                 with open(cfg.prior_file, encoding="utf-8") as fh:
                     prior = prior_from_dict(json.load(fh))
@@ -384,8 +387,8 @@ def run_adapt(cfg: ExperimentConfig) -> dict:
 
 
 def _median(values):
-    finite = [v for v in values if v is not None and not math.isnan(v)]
-    return float(np.median(finite)) if finite else None
+    defined = [v for v in values if v is not None]
+    return float(np.median(defined)) if defined else None
 
 
 def aggregate_sweep_rows(rows) -> list:
@@ -439,9 +442,10 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     rows, lines = [], []
     for method, fraction, alpha, bins, seed in cells:
         try:
-            cell = dataclasses.replace(cfg, method=method, label_fraction=fraction,
-                                       alpha=alpha, bins=bins, seed=seed)
-            row = adapt_in_memory(checkpoint, train, val, test, cell, seed=seed)
+            # a cell that builds no grid (bins None) keeps the config's bin count
+            cell = dataclasses.replace(cfg, method=method, label_fraction=fraction, alpha=alpha,
+                                       bins=cfg.bins if bins is None else bins, seed=seed)
+            row = adapt_in_memory(checkpoint, train, val, test, cell)
         except Exception as exc:  # record the failure, keep sweeping
             row = {"method": method, "seed": seed, "alpha": alpha, "bins": bins,
                    "label_fraction": fraction, "error": f"{type(exc).__name__}: {exc}"}
@@ -491,8 +495,6 @@ def run_evaluate(cfg: ExperimentConfig) -> dict:
     access: list = []
     _note(access, cfg.source_checkpoint)
     checkpoint = load_checkpoint(cfg.source_checkpoint)
-    if checkpoint.scaler is None:
-        raise ValueError("checkpoint carries no scaler")
     test = _tracked_load_csv(cfg.target_test, access)
     pair = evaluate(checkpoint.params, test, checkpoint.scaler)
     return {

@@ -18,6 +18,8 @@ from .network import RegressorParams, forward_batch
 
 __all__ = ["MetricPair", "rmse", "percentage_bend_correlation", "evaluate"]
 
+_BEND = 0.2  # the conventional bend
+
 
 @dataclass(frozen=True)
 class MetricPair:
@@ -39,12 +41,12 @@ def rmse(pred, truth) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def _bend_location_and_scale(v: np.ndarray, bend: float):
+def _bend_location_and_scale(v: np.ndarray):
     """Winsorized location estimate and the bend scale for one variable."""
     n = v.size
     med = float(np.median(v))
     dev = np.abs(v - med)
-    m = int(math.floor((1.0 - bend) * n + 0.5))
+    m = int(math.floor((1.0 - _BEND) * n + 0.5))
     omega = float(np.sort(dev)[m - 1])
     if omega <= 0.0:
         raise ValueError("degenerate spread: too many ties at the median")
@@ -60,22 +62,20 @@ def _bend_location_and_scale(v: np.ndarray, bend: float):
     return theta, omega
 
 
-def percentage_bend_correlation(x, y, bend: float = 0.2) -> float:
+def percentage_bend_correlation(x, y) -> float:
     """Robust correlation with winsorized standardized deviations.
 
     Raises ValueError when either variable has degenerate spread (the bend
     scale comes out zero).
     """
-    if not 0.0 < bend < 0.5:
-        raise ValueError("bend must lie in (0, 0.5)")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length vectors")
     if x.size < 3:
         raise ValueError("need at least 3 pairs")
-    tx, ox = _bend_location_and_scale(x, bend)
-    ty, oy = _bend_location_and_scale(y, bend)
+    tx, ox = _bend_location_and_scale(x)
+    ty, oy = _bend_location_and_scale(y)
     a = np.clip((x - tx) / ox, -1.0, 1.0)
     b = np.clip((y - ty) / oy, -1.0, 1.0)
     return float((a @ b) / np.sqrt((a @ a) * (b @ b)))

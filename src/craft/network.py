@@ -6,9 +6,11 @@ weight matrix followed by its bias vector; per-layer ``weights`` and
 ``biases`` are views into it, and a gradient uses the same layout, so an
 optimizer step is a handful of whole-vector operations.  The output layer is
 linear and one unit wide.  A forward pass can keep its activations for the
-backward pass at the same parameters.  Checkpoints serialize to JSON (format
-version 1, unchanged by the flat layout: per-layer nested lists) with full
-float precision, so a save/load round trip is bitwise exact.
+backward pass at the same parameters.  A checkpoint holds the parameters and
+the scaler they were trained under, since a model is only usable with its
+scaler; it serializes to JSON (format version 1, unchanged by the flat
+layout: per-layer nested lists) with full float precision, so a save/load
+round trip is bitwise exact.
 """
 
 from __future__ import annotations
@@ -218,16 +220,16 @@ def adam_step(params: RegressorParams, grads: RegressorParams, state: AdamState)
 @dataclass(frozen=True)
 class Checkpoint:
     params: RegressorParams
-    scaler: ScalerParams | None = None
+    scaler: ScalerParams
 
 
-def save_checkpoint(path, params: RegressorParams, scaler: ScalerParams | None = None) -> None:
+def save_checkpoint(path, params: RegressorParams, scaler: ScalerParams) -> None:
     payload = {
         "version": _CHECKPOINT_VERSION,
         "spec": {"layers": list(params.spec.layer_sizes), "activation": params.spec.activation},
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
-        "scaler": scaler.to_dict() if scaler is not None else None,
+        "scaler": scaler.to_dict(),
     }
     write_json(path, payload)
 
@@ -245,5 +247,6 @@ def load_checkpoint(path) -> Checkpoint:
         params = RegressorParams.from_blocks(spec, weights, biases)
     except ValueError as exc:
         raise ValueError(f"checkpoint {exc}") from None
-    scaler = ScalerParams(**payload["scaler"]) if payload.get("scaler") else None
-    return Checkpoint(params, scaler)
+    if not payload.get("scaler"):
+        raise ValueError(f"checkpoint {path} carries no scaler; retrain the source model")
+    return Checkpoint(params, ScalerParams(**payload["scaler"]))

@@ -1,9 +1,10 @@
 """Label-marginal priors and their shared log-density interface.
 
-Three prior forms are supported: a uniform density over a range, a histogram
-density, and a mixture of Gaussians and exponentials fitted by EM.  The
-mixture acts on data shifted by a constant offset so exponential components
-see strictly positive values; the offset is part of the fitted parameters.
+Two prior shapes are supported: a histogram density, and a mixture of
+Gaussians and exponentials fitted by EM.  A uniform density over [lo, hi] is
+the one-bin histogram on those edges.  The mixture acts on data shifted by a
+constant offset so exponential components see strictly positive values; the
+offset is part of the fitted parameters.
 The array-holding priors compare and hash by identity, as in :mod:`craft.data`.
 """
 
@@ -18,7 +19,6 @@ from .data import _frozen_array
 
 __all__ = [
     "MixtureSpec",
-    "UniformPrior",
     "HistogramPrior",
     "MixturePrior",
     "em_fit",
@@ -184,16 +184,6 @@ def em_fit(labels, spec: MixtureSpec, seed: int = 0) -> MixturePrior:
     return MixturePrior(weights, means, variances, rates, offset, loglik_path=tuple(path))
 
 
-@dataclass(frozen=True)
-class UniformPrior:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("uniform prior needs lo < hi")
-
-
 @dataclass(frozen=True, eq=False)
 class HistogramPrior:
     """Piecewise-constant density on contiguous bins.
@@ -228,10 +218,7 @@ def prior_log_density(prior, y):
     y_arr = np.asarray(y, dtype=np.float64)
     scalar = y_arr.ndim == 0
     yv = np.atleast_1d(y_arr)
-    if isinstance(prior, UniformPrior):
-        inside = (yv >= prior.lo) & (yv <= prior.hi)
-        out = np.where(inside, -math.log(prior.hi - prior.lo), -np.inf)
-    elif isinstance(prior, HistogramPrior):
+    if isinstance(prior, HistogramPrior):
         nbins = prior.probs.size
         idx = np.searchsorted(prior.edges, yv, side="right") - 1
         idx = np.where(yv == prior.edges[-1], nbins - 1, idx)
@@ -274,13 +261,11 @@ def fit_histogram_prior(labels, n_bins: int) -> HistogramPrior:
 def affine_transform_prior(prior, scale: float, shift: float):
     """Re-express a prior for the transformed variable ``y' = scale * y + shift``.
 
-    All three forms are closed under positive affine maps; densities pick up
+    Both shapes are closed under positive affine maps; densities pick up
     the usual 1/scale Jacobian.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if isinstance(prior, UniformPrior):
-        return UniformPrior(scale * prior.lo + shift, scale * prior.hi + shift)
     if isinstance(prior, HistogramPrior):
         return HistogramPrior(scale * prior.edges + shift, prior.probs)
     if isinstance(prior, MixturePrior):
@@ -297,8 +282,6 @@ def affine_transform_prior(prior, scale: float, shift: float):
 
 
 def prior_to_dict(prior) -> dict:
-    if isinstance(prior, UniformPrior):
-        return {"kind": "uniform", "lo": prior.lo, "hi": prior.hi}
     if isinstance(prior, HistogramPrior):
         return {"kind": "histogram", "edges": prior.edges.tolist(), "probs": prior.probs.tolist()}
     if isinstance(prior, MixturePrior):
@@ -313,9 +296,11 @@ def prior_to_dict(prior) -> dict:
 
 
 def prior_from_dict(d: dict):
+    """The prior a :func:`prior_to_dict` dict describes; a ``uniform`` dict
+    (``lo``, ``hi``) loads as the one-bin histogram on those edges."""
     kind = d.get("kind")
     if kind == "uniform":
-        return UniformPrior(float(d["lo"]), float(d["hi"]))
+        return HistogramPrior([d["lo"], d["hi"]], [1.0])
     if kind == "histogram":
         return HistogramPrior(d["edges"], d["probs"])
     if kind == "mixture":

@@ -7,7 +7,12 @@ import numpy as np
 from craft.data import Dataset
 from craft.engine import craft_loss_and_grad, select_pseudo_labels
 from craft.network import RegressorParams, backward, forward_batch
-from craft.priors import prior_log_density
+from craft.priors import HistogramPrior, prior_log_density
+
+
+def uniform_prior(lo, hi):
+    """The uniform density on [lo, hi]: the one-bin histogram on those edges."""
+    return HistogramPrior([lo, hi], [1.0])
 
 
 def invert_scaler(ds, params):

@@ -10,6 +10,7 @@ from oracles import (
     grad_check,
     reference_fit,
     stacked_loss_and_grad,
+    uniform_prior,
 )
 
 from craft.data import Dataset, apply_scaler, fit_scaler, generate_synthetic, stratified_label_mask
@@ -35,7 +36,7 @@ from craft.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from craft.priors import HistogramPrior, UniformPrior, fit_histogram_prior
+from craft.priors import HistogramPrior, fit_histogram_prior
 
 
 def identity_net():
@@ -87,7 +88,7 @@ class TestBinGrid:
 class TestJointLogScores:
     def test_singleton_batch_row_equals_prior_exactly(self):
         grid = BinGrid(-1.0, 1.0, 9)
-        prior = UniformPrior(-1.0, 1.0)
+        prior = uniform_prior(-1.0, 1.0)
         scores = joint_log_scores(np.array([0.37]), grid, prior, c=0.5)
         expected = math.log(0.5)
         assert (scores[0] == expected).all()
@@ -95,7 +96,7 @@ class TestJointLogScores:
     def test_two_sample_frozen_values(self):
         # brute-force over bins with c=0.5, f=[-0.9, 0.9], candidates {-1, 0, 1}
         grid = BinGrid(-1.5, 1.5, 3)
-        prior = UniformPrior(-1.5, 1.5)
+        prior = uniform_prior(-1.5, 1.5)
         lp = math.log(1.0 / 3.0)
         scores = joint_log_scores(np.array([-0.9, 0.9]), grid, prior, c=0.5)
         eg = math.exp(-0.01) + math.exp(-3.61)
@@ -121,8 +122,8 @@ class TestJointLogScores:
         rng = np.random.default_rng(2)
         preds = rng.normal(size=10)
         grid = BinGrid(-1.0, 1.0, 21)
-        narrow = UniformPrior(-1.0, 1.0)
-        wide = UniformPrior(-5.0, 5.0)  # differs by a constant on the grid
+        narrow = uniform_prior(-1.0, 1.0)
+        wide = uniform_prior(-5.0, 5.0)  # differs by a constant on the grid
         a = joint_log_scores(preds, grid, narrow, 0.5)
         b = joint_log_scores(preds, grid, wide, 0.5)
         np.testing.assert_allclose(b - a, math.log(2.0 / 10.0), atol=1e-12)
@@ -144,7 +145,7 @@ class TestJointLogScores:
         rng = np.random.default_rng(4)
         preds = rng.normal(size=15)
         grid = BinGrid(-2.0, 2.0, 11)
-        prior = UniformPrior(-2.0, 2.0)
+        prior = uniform_prior(-2.0, 2.0)
         scores = joint_log_scores(preds, grid, prior, 0.5)
         logp = math.log(1.0 / 4.0)
         mass = np.exp(scores - logp).sum(axis=0)
@@ -154,7 +155,7 @@ class TestJointLogScores:
 class TestSelectPseudoLabels:
     def test_two_sample_mutual_repulsion(self):
         grid = BinGrid(-1.5, 1.5, 3)
-        prior = UniformPrior(-1.5, 1.5)
+        prior = uniform_prior(-1.5, 1.5)
         chosen = grid.midpoints[select_pseudo_labels(np.array([-0.9, 0.9]), grid, prior, c=0.5)]
         np.testing.assert_allclose(chosen, [-1.0, 1.0])
 
@@ -166,7 +167,7 @@ class TestSelectPseudoLabels:
 
     def test_singleton_uniform_ties_resolve_to_nearest_midpoint(self):
         grid = BinGrid(-1.0, 1.0, 10)
-        prior = UniformPrior(-1.0, 1.0)
+        prior = uniform_prior(-1.0, 1.0)
         chosen = grid.midpoints[select_pseudo_labels(np.array([0.33]), grid, prior, c=0.5)]
         dists = np.abs(grid.midpoints - 0.33)
         assert chosen[0] == grid.midpoints[dists.argmin()]
@@ -177,14 +178,14 @@ class TestSelectPseudoLabels:
             n = int(rng.integers(1, 32))
             bins = int(rng.integers(2, 80))
             grid = BinGrid(-2.5, 2.5, bins)
-            prior = UniformPrior(-3.0, 3.0)
+            prior = uniform_prior(-3.0, 3.0)
             preds = rng.normal(size=n)
             ours = grid.midpoints[select_pseudo_labels(preds, grid, prior, c=0.5)]
             np.testing.assert_array_equal(ours, brute_force_select(preds, grid, prior, 0.5))
 
     def test_returns_bin_indices(self):
         grid = BinGrid(0.0, 4.0, 4)
-        chosen = select_pseudo_labels(np.array([0.2, 3.9]), grid, UniformPrior(0.0, 4.0), 0.5)
+        chosen = select_pseudo_labels(np.array([0.2, 3.9]), grid, uniform_prior(0.0, 4.0), 0.5)
         assert chosen.dtype.kind == "i"
         assert chosen.tolist() == [0, 3]
 
@@ -259,7 +260,7 @@ class TestCraftLoss:
         x_l, y_l = rng.normal(size=(5, 2)), rng.normal(size=5)
         x_u = rng.normal(size=(7, 2))
         grid = BinGrid(-1.5, 1.5, 30)
-        prior = UniformPrior(-1.5, 1.5)
+        prior = uniform_prior(-1.5, 1.5)
         targets = grid.midpoints[select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)]
         config = self.config(alpha=0.1)
 
@@ -332,7 +333,7 @@ def small_target(n=120, d=3, frac=0.3, seed=0):
 def craft_config(target, alpha=0.1, epochs=3, seed=0, lr=1e-3, **kw):
     labeled = target.labels[target.labeled]
     grid = make_bin_grid(40, labeled)
-    prior = UniformPrior(grid.lo, grid.hi)
+    prior = uniform_prior(grid.lo, grid.hi)
     return CraftConfig(alpha=alpha, c=0.5, grid=grid, prior=prior, batch_size=32,
                        epochs=epochs, seed=seed, learning_rate=lr, model_selection="final", **kw)
 
@@ -376,6 +377,12 @@ class TestFitLoops:
         losses = [row["supervised"] for row in report.epochs]
         assert losses[-1] < losses[0]
         assert min(losses[-5:]) <= min(losses[:5])
+
+    @pytest.mark.parametrize("field,value", [("epochs", 2.5), ("batch_size", 7.5),
+                                             ("seed", 1.5), ("epochs", True)])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+            CraftConfig(alpha=0.0, **{field: value})
 
     def test_tl_requires_labeled_rows(self):
         ds = Dataset(np.ones((4, 1)), np.full(4, np.nan), np.zeros(4, dtype=bool))
@@ -429,7 +436,7 @@ class TestFitLoops:
         target = small_target(seed=6)
         params = init_params(MlpSpec((3, 6, 1)), seed=7)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params)
+        save_checkpoint(path, params, fit_scaler(target))
         loaded = load_checkpoint(path).params
         config = craft_config(target, epochs=3, seed=1)
         a, _ = fit_craft(params, target, config)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from craft.cli import build_parser, config_from_args, main
-from craft.data import Dataset, load_csv
+from craft.data import Dataset, GeneratorSpec, load_csv
 from craft.harness import (
     ExperimentConfig,
     RUN_REPORT_SCHEMA,
@@ -68,12 +68,34 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     ({"learning_rate": math.nan}, "learning_rate"),
     ({"alpha": math.nan}, "alpha"),
     ({"c": math.nan}, "c"),
+    ({"epochs": 2.5}, "epochs"),
+    ({"batch_size": 7.5}, "batch_size"),
+    ({"bins": 20.5}, "bins"),
+    ({"bin_counts": [20, 20.5]}, "bin_counts"),
+    ({"seed": 1.5}, "seed"),
+    ({"seeds": [0, 1.5]}, "seeds"),
+    ({"epochs": True}, "epochs"),
+    ({"prior_source": "file"}, "prior_file"),
+    ({"n_strata": 0}, "n_strata"),
+    ({"prior_bins": 0}, "prior_bins"),
+    ({"prior_gaussians": -1}, "prior_gaussians"),
+    ({"prior_exponentials": -1}, "prior_exponentials"),
+    ({"prior_gaussians": 0, "prior_exponentials": 0}, "prior_gaussians"),
 ], ids=["alpha", "c", "batch_size", "epochs", "pseudo_source", "model_selection", "naive-alpha",
         "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
-        "c-nan"])
+        "c-nan", "epochs-float", "batch_size-float", "bins-float", "bin_counts-float",
+        "seed-float", "seeds-float", "epochs-bool", "prior_file", "n_strata", "prior_bins",
+        "prior_gaussians", "prior_exponentials", "no-mixture-component"])
 def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         ExperimentConfig(**overrides)
+
+
+def test_config_builds_its_scenario_from_a_dict():
+    spec = default_scenario(seed=3, d=2)
+    cfg = ExperimentConfig(scenario=spec.to_dict())
+    assert isinstance(cfg.scenario, GeneratorSpec)
+    assert cfg.scenario.to_dict() == spec.to_dict()
 
 
 class TestSynthCommand:
@@ -351,7 +373,7 @@ class TestFitPrior:
             assert abs(math.exp(logd) - dens) < 1e-12
         if prior_form == "uniform":
             labels = load_csv(tiny_workspace["paths"]["target_train"]).labels
-            assert (prior.lo, prior.hi) == (labels.min(), labels.max())
+            assert prior.edges.tolist() == [labels.min(), labels.max()]
 
     @pytest.mark.parametrize("prior_form", ["uniform", "histogram"])
     def test_labels_sharing_one_value_get_a_unit_width_span(self, tmp_path, prior_form):
@@ -447,6 +469,7 @@ class TestCli:
         cfg_path.write_text(json.dumps({"not_a_knob": 1}))
         assert main(["synth", "--config", str(cfg_path)]) != 0
         err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TypeError"
         assert "not_a_knob" in err["message"]
 
     @pytest.mark.parametrize("argv", [["synth", "--alpha", "1"], ["train-source", "--data", "x.csv"]],

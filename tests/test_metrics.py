@@ -102,11 +102,6 @@ class TestPercentageBend:
         with pytest.raises(ValueError):
             percentage_bend_correlation([1.0, 2.0], [1.0, 2.0])
 
-    def test_bend_domain(self):
-        x = np.arange(10.0)
-        with pytest.raises(ValueError):
-            percentage_bend_correlation(x, x, bend=0.5)
-
 
 class TestEvaluate:
     def _perfect_setup(self):

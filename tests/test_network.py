@@ -188,6 +188,9 @@ class TestGradCheck:
         assert grad_check(loss_fn, params, h=1e-5) == 0.0
 
 
+SCALER = ScalerParams(np.array([0.0, 1.0]), np.array([1.0, 2.0]), -1.0, 1.0)
+
+
 class TestCheckpoint:
     def test_round_trip_is_byte_identical(self, tmp_path):
         params = init_params(MlpSpec((3, 5, 1)), seed=9)
@@ -202,7 +205,7 @@ class TestCheckpoint:
     def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         import json
         path = tmp_path / "c.json"
-        save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=3))
+        save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=3), SCALER)
         before = path.read_bytes()
 
         def failing_dump(obj, fh, **kwargs):
@@ -211,24 +214,38 @@ class TestCheckpoint:
 
         monkeypatch.setattr(json, "dump", failing_dump)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=4))
+            save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=4), SCALER)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_loaded_params_bitwise_equal(self, tmp_path):
         params = init_params(MlpSpec((2, 4, 1)), seed=3)
         path = tmp_path / "c.json"
-        save_checkpoint(path, params)
+        save_checkpoint(path, params, SCALER)
         back = load_checkpoint(path)
         for w0, w1 in zip(params.weights, back.params.weights):
             np.testing.assert_array_equal(w0, w1)
-        assert back.scaler is None
+        assert back.scaler.to_dict() == SCALER.to_dict()
+
+    @pytest.mark.parametrize("scaler", [None, "missing"])
+    def test_scalerless_checkpoint_is_rejected(self, tmp_path, scaler):
+        import json
+        path = tmp_path / "c.json"
+        save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=3), SCALER)
+        payload = json.loads(path.read_text())
+        if scaler is None:
+            payload["scaler"] = None
+        else:
+            del payload["scaler"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="carries no scaler"):
+            load_checkpoint(path)
 
     def test_shape_mismatch_errors(self, tmp_path):
         import json
         params = init_params(MlpSpec((2, 4, 1)), seed=3)
         path = tmp_path / "c.json"
-        save_checkpoint(path, params)
+        save_checkpoint(path, params, SCALER)
         payload = json.loads(path.read_text())
         payload["spec"]["layers"] = [3, 4, 1]
         path.write_text(json.dumps(payload))
@@ -239,7 +256,7 @@ class TestCheckpoint:
         import json
         params = init_params(MlpSpec((2, 4, 1)), seed=3)
         path = tmp_path / "c.json"
-        save_checkpoint(path, params)
+        save_checkpoint(path, params, SCALER)
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))

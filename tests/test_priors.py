@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import uniform_prior
 
 from craft.priors import (
     HistogramPrior,
     MixturePrior,
     MixtureSpec,
-    UniformPrior,
     affine_transform_prior,
     em_fit,
     fit_histogram_prior,
@@ -122,7 +122,7 @@ class TestMixtureLogDensity:
 
 class TestPriorLogDensity:
     def test_uniform_interior(self):
-        prior = UniformPrior(-1.0, 1.0)
+        prior = uniform_prior(-1.0, 1.0)
         assert abs(prior_log_density(prior, 0.3) - math.log(0.5)) < 1e-15
         assert prior_log_density(prior, 1.5) == -np.inf
 
@@ -197,9 +197,18 @@ class TestSerialization:
         np.testing.assert_array_equal(back.rates, params.rates)
         assert back.offset == params.offset
 
+    def test_uniform_dict_loads_with_its_support_and_density(self):
+        prior = prior_from_dict({"kind": "uniform", "lo": -2.0, "hi": 3.0})
+        assert isinstance(prior, HistogramPrior) and prior.edges.tolist() == [-2.0, 3.0]
+        inside = np.array([-2.0, -0.4, 1.7, 3.0])
+        np.testing.assert_array_max_ulp(prior_log_density(prior, inside),
+                                        np.full(4, -math.log(5.0)), maxulp=1)
+        outside = np.array([np.nextafter(-2.0, -np.inf), np.nextafter(3.0, np.inf), 9.0])
+        assert prior_log_density(prior, outside).tolist() == [-np.inf] * 3
+
     def test_prior_round_trips(self):
         priors = [
-            UniformPrior(-2.0, 3.0),
+            uniform_prior(-2.0, 3.0),
             HistogramPrior([0.0, 1.0, 2.5], [0.25, 0.75]),
             MixturePrior([1.0], [0.0], [1.0], [], 0.0),
         ]
@@ -216,7 +225,7 @@ class TestAffineTransform:
         x = np.concatenate([rng.normal(2, 1, 200), rng.exponential(1, 100)])
         priors = [
             fit_histogram_prior(x, 8),
-            UniformPrior(float(x.min()), float(x.max())),
+            uniform_prior(float(x.min()), float(x.max())),
             em_fit(x, MixtureSpec(1, 1), seed=1),
         ]
         a, b = 2.5, -1.75
@@ -231,4 +240,4 @@ class TestAffineTransform:
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
-            affine_transform_prior(UniformPrior(0, 1), -1.0, 0.0)
+            affine_transform_prior(uniform_prior(0, 1), -1.0, 0.0)
