@@ -66,6 +66,7 @@ class BinGrid:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
+        _check_integer("count", self.count)
         object.__setattr__(self, "count", int(self.count))
         if not self.lo < self.hi:
             raise ValueError("grid needs lo < hi")
@@ -165,14 +166,27 @@ def joint_log_scores(predictions, grid: BinGrid, prior, c: float = 0.5) -> np.nd
     if f.ndim != 1 or f.size < 1:
         raise ValueError("predictions must be a nonempty vector")
     mids = grid.midpoints
-    # candidate-major layout keeps the batch reduction on the contiguous axis
-    neg_d = -((mids[:, None] - f[None, :]) ** 2) / (2.0 * c)
-    batch_max = neg_d.max(axis=1)
-    batch_lse = batch_max + np.log(np.exp(neg_d - batch_max[:, None]).sum(axis=1))
-    logp = prior_log_density(prior, mids)
+    # The matrix is built sample-major, in the (n, B) layout it is returned in:
+    # no transpose at the end, and each elementwise pass runs n inner loops of
+    # B entries rather than B loops of n.  Two facts keep every entry
+    # bit-identical to the candidate-major form -((m - f)**2) / (2c): a square
+    # does not see the sign of its argument, and dividing by -(2c) rounds
+    # exactly as dividing by 2c and negating.
+    scores = np.subtract.outer(f, mids)
+    np.square(scores, out=scores)
+    scores /= -(2.0 * c)
+    batch_max = scores.max(axis=0)
+    shifted = scores - batch_max
+    np.exp(shifted, out=shifted)
+    # the batch sum runs over a candidate-major copy, so each bin's total keeps
+    # numpy's pairwise order over one contiguous row; summing down axis 0 would
+    # add in another order and change the last bits
+    batch_lse = batch_max + np.log(shifted.T.copy().sum(axis=1))
     # grouping matters: normalizing the match term first keeps a singleton
     # batch exactly tied across bins, so the distance tie-break can apply
-    return (neg_d.T - batch_lse[None, :]) + logp[None, :]
+    scores -= batch_lse
+    scores += prior_log_density(prior, mids)
+    return scores
 
 
 def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float = 0.5) -> np.ndarray:
@@ -180,10 +194,14 @@ def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float = 0.5) -> n
     ``grid.midpoints`` at these indices are the pseudo-labels."""
     scores = joint_log_scores(predictions, grid, prior, c)
     f = np.asarray(predictions, dtype=np.float64)
-    at_best = scores == scores.max(axis=1, keepdims=True)
-    chosen = at_best.argmax(axis=1)
-    tied = np.flatnonzero(at_best.sum(axis=1) > 1)
-    if tied.size:
+    chosen = scores.argmax(axis=1)
+    best = scores[np.arange(f.size), chosen]
+    at_best = scores == best[:, None]
+    # each row matches its own winner unless that is NaN, so a count above n means a tie
+    if np.count_nonzero(at_best) > f.size or np.isnan(best).any():
+        # a NaN row matches nothing and takes bin 0
+        chosen = at_best.argmax(axis=1)
+        tied = np.flatnonzero(at_best.sum(axis=1) > 1)
         # ties on the score fall back to the nearest midpoint; argmin then breaks
         # remaining distance ties toward the lowest bin index
         dist = np.abs(grid.midpoints[None, :] - f[tied, None])
@@ -198,19 +216,17 @@ def _unsup_terms(f: np.ndarray, targets: np.ndarray, c: float):
     excess over the row minimum (nonnegative) plus a crowding term in
     [0, log n]; both are exactly zero for a singleton batch.
     """
-    diff = targets[:, None] - f[None, :]
-    dmat = np.square(diff)
+    resid = f[None, :] - targets[:, None]
+    dmat = np.square(resid)
     dmat /= 2.0 * c
     row_min = dmat.min(axis=1)
-    # w holds exp(-(d_il - row min)), then the row softmax, then softmax * (f_l - t_i)
-    w = dmat - row_min[:, None]
-    np.negative(w, out=w)
+    # w holds exp(row min - d_il), then the row softmax, then softmax * (f_l - t_i)
+    w = row_min[:, None] - dmat
     np.exp(w, out=w)
     sums = w.sum(axis=1)
     quad = np.diagonal(dmat) - row_min
     crowding = np.log(sums)
     w /= sums[:, None]
-    resid = np.negative(diff, out=diff)  # f_l - t_i
     w *= resid
     d_loss_d_f = np.diagonal(resid).copy()
     d_loss_d_f -= w.sum(axis=0)
@@ -337,9 +353,9 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
                 targets = config.grid.midpoints[chosen]
                 if true_for_labeled and chunk_l.size:
                     targets[: chunk_l.size] = y[chunk_l]
-                    np.add.at(hist, chosen[chunk_l.size:], 1)
+                    hist += np.bincount(chosen[chunk_l.size:], minlength=bins)
                 else:
-                    np.add.at(hist, chosen, 1)
+                    hist += np.bincount(chosen, minlength=bins)
             select_s += time.perf_counter() - t0
             t0 = time.perf_counter()
             breakdown, grads = craft_loss_and_grad(params, x, y[chunk_l], targets, config, cache)

@@ -102,7 +102,8 @@ class ExperimentConfig:
     cell that reads it is checked when the config is built, naming the field:
     the method, label fraction and fit settings, sweep axes included (the fit
     settings by the same :class:`CraftConfig` rules a fit applies); the count
-    settings, which must be integers; a prior file for the 'file' prior
+    settings, which must be integers; ``hidden_layers``, a list of integers of
+    at least 1; a prior file for the 'file' prior
     source; and the prior's strata, bins and component counts.  A bin count's
     floor is checked only when its grid is built, as it depends on where the
     grid comes from.
@@ -165,6 +166,10 @@ class ExperimentConfig:
                 raise ValueError("label_fraction must lie in (0, 1]")
         for alpha in [self.alpha, *(self.alphas or [])]:
             _craft_config(self, alpha=alpha)
+        if not isinstance(self.hidden_layers, (list, tuple)):
+            raise ValueError(f"hidden_layers must be a list of integers, got {self.hidden_layers!r}")
+        for width in self.hidden_layers:
+            _check_integer("hidden_layers", width, minimum=1)
         _check_integer("bins", self.bins)
         for bins in self.bin_counts or []:
             _check_integer("bin_counts", bins)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScalerParams, write_json
+from .data import ScalerParams, _check_integer, write_json
 
 __all__ = [
     "MlpSpec",
@@ -46,12 +46,12 @@ class MlpSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
+        for size in self.layer_sizes:
+            _check_integer("layer size", size, minimum=1)
         sizes = tuple(int(s) for s in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output layer")
-        if any(s < 1 for s in sizes):
-            raise ValueError("all layer sizes must be at least 1")
         if sizes[-1] != 1:
             raise ValueError("output layer must have exactly one unit")
         if self.activation not in ("tanh", "relu"):

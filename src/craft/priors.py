@@ -6,6 +6,13 @@ the one-bin histogram on those edges.  The mixture acts on data shifted by a
 constant offset so exponential components see strictly positive values; the
 offset is part of the fitted parameters.
 The array-holding priors compare and hash by identity, as in :mod:`craft.data`.
+
+A mixture computes its density constants once, when it is built: the log
+weights, each Gaussian's normalizer ``-0.5 * log(2 pi var)`` with numpy's
+log, and each exponential's log rate with ``math.log``, whose result can
+differ from numpy's array log in the last bit.  Every density call still
+evaluates all components at every point it is given; the EM fit recomputes
+the same constants on each iteration with the same expressions.
 """
 
 from __future__ import annotations
@@ -90,26 +97,50 @@ class MixturePrior:
             raise ValueError("Gaussian variances must be positive")
         if np.any(self.rates <= 0):
             raise ValueError("exponential rates must be positive")
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_log_weights", np.log(self.weights))
+        object.__setattr__(self, "_gauss_norms", _gauss_norms(self.variances))
+        object.__setattr__(self, "_log_rates", _log_rates(self.rates))
 
 
-def _component_log_pdfs(means, variances, rates, z):
-    """Per-component log densities at the shifted points ``z``, stacked (k, m)."""
-    parts = []
-    for mu, var in zip(means, variances):
-        parts.append(-0.5 * np.log(2.0 * np.pi * var) - (z - mu) ** 2 / (2.0 * var))
-    for lam in rates:
-        with np.errstate(invalid="ignore"):
-            parts.append(np.where(z >= 0.0, math.log(lam) - lam * z, -np.inf))
-    return np.array(parts)
+def _gauss_norms(variances):
+    """Log normalizing constant of each Gaussian component."""
+    return -0.5 * np.log(2.0 * np.pi * variances)
+
+
+def _log_rates(rates):
+    """Log of each exponential rate, taken with ``math.log``: numpy's array log
+    may round differently in the last bit."""
+    return np.array([math.log(lam) for lam in rates])
+
+
+def _component_log_pdfs(z, means, variances, norms, rates, log_rates):
+    """Per-component log densities at the shifted points ``z``, stacked (k, m);
+    ``norms`` and ``log_rates`` are :func:`_gauss_norms` and :func:`_log_rates`."""
+    out = np.empty((means.size + rates.size, z.size))
+    gauss = out[: means.size]
+    np.subtract(z, means[:, None], out=gauss)
+    np.square(gauss, out=gauss)
+    gauss /= (2.0 * variances)[:, None]
+    np.subtract(norms[:, None], gauss, out=gauss)
+    expo = out[means.size:]
+    np.multiply(rates[:, None], z, out=expo)
+    np.subtract(log_rates[:, None], expo, out=expo)
+    # exponential components carry no mass below the shifted origin
+    np.copyto(expo, -np.inf, where=~(z >= 0.0))
+    return out
 
 
 def _logsumexp_rows(a):
     """Log-sum-exp down axis 0, tolerating all minus-infinity columns."""
     m = np.max(a, axis=0)
-    safe = np.where(np.isfinite(m), m, 0.0)
+    finite = np.isfinite(m)
+    if finite.all():
+        return m + np.log(np.exp(a - m).sum(axis=0))
+    safe = np.where(finite, m, 0.0)
     with np.errstate(divide="ignore"):
         out = safe + np.log(np.exp(a - safe).sum(axis=0))
-    return np.where(np.isfinite(m), out, -np.inf)
+    return np.where(finite, out, -np.inf)
 
 
 def em_fit(labels, spec: MixtureSpec, seed: int = 0) -> MixturePrior:
@@ -155,9 +186,10 @@ def em_fit(labels, spec: MixtureSpec, seed: int = 0) -> MixturePrior:
     path = []
     prev = None
     for iteration in range(spec.max_iters):
-        comp = _component_log_pdfs(means, variances, rates, z)
+        weighted = _component_log_pdfs(z, means, variances, _gauss_norms(variances), rates,
+                                       _log_rates(rates))
         with np.errstate(divide="ignore"):
-            weighted = np.log(weights)[:, None] + comp
+            weighted += np.log(weights)[:, None]
         per_point = _logsumexp_rows(weighted)
         ll = float(per_point.sum())
         if not np.isfinite(ll):
@@ -229,10 +261,10 @@ def prior_log_density(prior, y):
             dens = np.log(prior.probs[safe] / widths[safe])
         out = np.where(inside, dens, -np.inf)
     elif isinstance(prior, MixturePrior):
-        # exponential components carry no mass below the offset-shifted origin
-        comp = _component_log_pdfs(prior.means, prior.variances, prior.rates, yv + prior.offset)
-        with np.errstate(divide="ignore"):
-            out = _logsumexp_rows(np.log(prior.weights)[:, None] + comp)
+        comp = _component_log_pdfs(yv + prior.offset, prior.means, prior.variances,
+                                   prior._gauss_norms, prior.rates, prior._log_rates)
+        comp += prior._log_weights[:, None]
+        out = _logsumexp_rows(comp)
     else:
         raise TypeError(f"unknown prior type {type(prior).__name__}")
     return float(out[0]) if scalar else out

@@ -7,7 +7,7 @@ import numpy as np
 from craft.data import Dataset
 from craft.engine import craft_loss_and_grad, select_pseudo_labels
 from craft.network import RegressorParams, backward, forward_batch
-from craft.priors import HistogramPrior, prior_log_density
+from craft.priors import HistogramPrior, MixturePrior, prior_log_density
 
 
 def uniform_prior(lo, hi):
@@ -49,6 +49,45 @@ def stacked_loss_and_grad(params, x_labeled, y_labeled, x_unsup, unsup_targets, 
         return craft_loss_and_grad(params, np.vstack([x_labeled, x_unsup]), y_labeled,
                                    unsup_targets, config)
     return craft_loss_and_grad(params, x_labeled, y_labeled, None, config)
+
+
+def candidate_major_joint_log_scores(predictions, grid, prior, c=0.5):
+    """``joint_log_scores`` as first written: the matrix is built (bins, n), with
+    the batch reductions along its contiguous rows, and transposed at the end."""
+    f = np.asarray(predictions, dtype=np.float64)
+    mids = grid.midpoints
+    neg_d = -((mids[:, None] - f[None, :]) ** 2) / (2.0 * c)
+    batch_max = neg_d.max(axis=1)
+    batch_lse = batch_max + np.log(np.exp(neg_d - batch_max[:, None]).sum(axis=1))
+    logp = prior_log_density(prior, mids)
+    return (neg_d.T - batch_lse[None, :]) + logp[None, :]
+
+
+def loop_component_log_pdfs(means, variances, rates, z):
+    """Per-component log densities at the shifted points ``z``, one component at
+    a time, stacked (k, m); exponentials are minus infinity below zero."""
+    parts = []
+    for mu, var in zip(means, variances):
+        parts.append(-0.5 * np.log(2.0 * np.pi * var) - (z - mu) ** 2 / (2.0 * var))
+    for lam in rates:
+        with np.errstate(invalid="ignore"):
+            parts.append(np.where(z >= 0.0, math.log(lam) - lam * z, -np.inf))
+    return np.array(parts)
+
+
+def loop_mixture_log_density(prior: MixturePrior, y):
+    """Mixture log density at the points ``y`` from :func:`loop_component_log_pdfs`,
+    with a guarded log-sum-exp over components; minus infinity where every
+    component is."""
+    comp = loop_component_log_pdfs(prior.means, prior.variances, prior.rates,
+                                   np.asarray(y, dtype=np.float64) + prior.offset)
+    with np.errstate(divide="ignore"):
+        a = np.log(prior.weights)[:, None] + comp
+    m = np.max(a, axis=0)
+    safe = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = safe + np.log(np.exp(a - safe).sum(axis=0))
+    return np.where(np.isfinite(m), out, -np.inf)
 
 
 def brute_force_scores(predictions, grid, prior, c):

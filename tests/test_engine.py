@@ -7,6 +7,7 @@ from oracles import (
     batch_joint_log_density,
     brute_force_scores,
     brute_force_select,
+    candidate_major_joint_log_scores,
     grad_check,
     reference_fit,
     stacked_loss_and_grad,
@@ -36,7 +37,7 @@ from craft.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from craft.priors import HistogramPrior, fit_histogram_prior
+from craft.priors import HistogramPrior, MixturePrior, fit_histogram_prior
 
 
 def identity_net():
@@ -45,6 +46,24 @@ def identity_net():
 
 def empty_batch(d=1):
     return np.empty((0, d)), np.empty(0)
+
+
+# the offset puts the lowest midpoints of a (-3, 3) grid below the exponential's origin
+MIXTURE = MixturePrior([0.5, 0.3, 0.2], [-0.5, 0.8], [0.3, 0.05], [1.5], 2.5)
+SCORE_PRIORS = {
+    "mixture": MIXTURE,
+    "histogram": fit_histogram_prior(np.random.default_rng(11).normal(size=300), 10),
+    "one-bin": uniform_prior(-2.0, 2.0),
+}
+
+
+def tie_batches(n, rng):
+    """Predictions as drawn, with the second half repeating the first, and
+    rounded to one decimal: batches with exactly equal rows."""
+    preds = rng.normal(size=n)
+    repeated = preds.copy()
+    repeated[n // 2:] = preds[: n - n // 2]
+    return [preds, repeated, np.round(preds, 1)]
 
 
 class TestBinGrid:
@@ -81,6 +100,8 @@ class TestBinGrid:
             BinGrid(1.0, 1.0, 5)
         with pytest.raises(ValueError):
             BinGrid(0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="^count must be an integer"):
+            BinGrid(-1.0, 1.0, 2.5)
         with pytest.raises(ValueError):
             make_bin_grid(2, np.array([0.0, 1.0]))
 
@@ -117,6 +138,17 @@ class TestJointLogScores:
         preds = rng.normal(size=12)
         ours = joint_log_scores(preds, grid, prior, c=0.5)
         np.testing.assert_array_equal(ours, brute_force_scores(preds, grid, prior, 0.5))
+
+    @pytest.mark.parametrize("c", [0.5, 0.05])
+    @pytest.mark.parametrize("prior_name", list(SCORE_PRIORS))
+    def test_bitwise_equal_to_the_candidate_major_reference(self, prior_name, c):
+        rng = np.random.default_rng(12)
+        grid = BinGrid(-3.0, 3.0, 200)
+        prior = SCORE_PRIORS[prior_name]
+        for n in (1, 2, 64, 97):
+            for preds in tie_batches(n, rng):
+                ours = joint_log_scores(preds, grid, prior, c)
+                assert np.array_equal(ours, candidate_major_joint_log_scores(preds, grid, prior, c))
 
     def test_constant_prior_shift_preserves_argmax(self):
         rng = np.random.default_rng(2)
@@ -182,6 +214,20 @@ class TestSelectPseudoLabels:
             preds = rng.normal(size=n)
             ours = grid.midpoints[select_pseudo_labels(preds, grid, prior, c=0.5)]
             np.testing.assert_array_equal(ours, brute_force_select(preds, grid, prior, 0.5))
+
+    def test_mixture_prior_equals_brute_force(self):
+        rng = np.random.default_rng(13)
+        grid = BinGrid(-3.0, 3.0, 40)
+        for n in (1, 2, 12):
+            for preds in tie_batches(n, rng):
+                ours = grid.midpoints[select_pseudo_labels(preds, grid, MIXTURE, c=0.5)]
+                np.testing.assert_array_equal(ours, brute_force_select(preds, grid, MIXTURE, 0.5))
+
+    def test_nan_scores_select_the_first_bin(self):
+        # a NaN prediction makes every score of its batch NaN, and a NaN matches no bin
+        grid = BinGrid(-1.0, 1.0, 5)
+        chosen = select_pseudo_labels(np.array([np.nan, 0.3]), grid, uniform_prior(-1.0, 1.0), 0.5)
+        assert chosen.tolist() == [0, 0]
 
     def test_returns_bin_indices(self):
         grid = BinGrid(0.0, 4.0, 4)

@@ -81,11 +81,15 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     ({"prior_gaussians": -1}, "prior_gaussians"),
     ({"prior_exponentials": -1}, "prior_exponentials"),
     ({"prior_gaussians": 0, "prior_exponentials": 0}, "prior_gaussians"),
+    ({"hidden_layers": [4.5]}, "hidden_layers"),
+    ({"hidden_layers": 32}, "hidden_layers"),
+    ({"hidden_layers": [32, 0]}, "hidden_layers"),
 ], ids=["alpha", "c", "batch_size", "epochs", "pseudo_source", "model_selection", "naive-alpha",
         "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
         "c-nan", "epochs-float", "batch_size-float", "bins-float", "bin_counts-float",
         "seed-float", "seeds-float", "epochs-bool", "prior_file", "n_strata", "prior_bins",
-        "prior_gaussians", "prior_exponentials", "no-mixture-component"])
+        "prior_gaussians", "prior_exponentials", "no-mixture-component", "hidden_layers-float",
+        "hidden_layers-number", "hidden_layers-zero"])
 def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         ExperimentConfig(**overrides)

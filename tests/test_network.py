@@ -47,6 +47,10 @@ class TestInit:
             MlpSpec((3,))
         with pytest.raises(ValueError):
             MlpSpec((3, 1), activation="sigmoid")
+        with pytest.raises(ValueError, match="^layer size must be an integer"):
+            MlpSpec((3, 4.5, 1))
+        with pytest.raises(ValueError, match="^layer size must be at least 1"):
+            MlpSpec((3, 0, 1))
 
 
 class TestForward:

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import uniform_prior
+from oracles import loop_component_log_pdfs, loop_mixture_log_density, uniform_prior
 
+from craft import priors
 from craft.priors import (
     HistogramPrior,
     MixturePrior,
@@ -90,6 +91,18 @@ class TestEmFit:
         with pytest.raises(ValueError, match="identical|distinct"):
             em_fit(np.full(10, 3.0), MixtureSpec(1, 0))
 
+    def test_equals_the_loop_component_reference(self, monkeypatch):
+        labels = np.random.default_rng(21).gamma(2.0, 1.0, 150) - 1.0
+        spec = MixtureSpec(max_iters=200)
+        fitted = em_fit(labels, spec, seed=3)
+        monkeypatch.setattr(priors, "_component_log_pdfs",
+                            lambda z, means, variances, norms, rates, log_rates:
+                            loop_component_log_pdfs(means, variances, rates, z))
+        reference = em_fit(labels, spec, seed=3)
+        assert fitted.loglik_path == reference.loglik_path
+        for name in ("weights", "means", "variances", "rates"):
+            np.testing.assert_array_equal(getattr(fitted, name), getattr(reference, name))
+
     def test_too_few_distinct_values_errors(self):
         with pytest.raises(ValueError, match="distinct"):
             em_fit(np.array([0.0, 1.0, 0.0, 1.0]), MixtureSpec(2, 1))
@@ -118,6 +131,40 @@ class TestMixtureLogDensity:
         base = MixturePrior([1.0], [1.0], [0.5], [], 0.0)
         shifted = MixturePrior([1.0], [1.0], [0.5], [], 2.0)
         assert abs(prior_log_density(shifted, -1.0) - prior_log_density(base, 1.0)) < 1e-15
+
+
+EDGE_MIXTURES = {
+    "fitted": (em_fit(np.random.default_rng(5).gamma(2.0, 1.0, 200) - 1.0, MixtureSpec(), seed=1),
+               np.linspace(-3.0, 6.0, 200)),
+    "zero-weight": (MixturePrior([0.6, 0.0, 0.4], [0.2, 1.0], [0.5, 0.1], [2.0], 1.5),
+                    np.linspace(-3.0, 3.0, 200)),
+    "gaussian-only": (MixturePrior([0.3, 0.7], [-1.0, 0.5], [0.2, 1.3], [], 0.0),
+                      np.linspace(-3.0, 3.0, 97)),
+    "exponential-only": (MixturePrior([0.25, 0.75], [], [], [0.7, 3.0], 0.4),
+                         np.linspace(-3.0, 3.0, 64)),
+    "below-origin": (MixturePrior([0.25, 0.75], [], [], [0.7, 3.0], 0.4),
+                     np.linspace(-5.0, -0.5, 2)),
+    "nan-point": (MixturePrior([0.5, 0.5], [0.0], [1.0], [1.0], 0.0), np.array([np.nan, 0.5])),
+    # numpy's array log can round a few of these rates differently from math.log
+    "many-rates": (MixturePrior(np.full(4000, 1.0 / 4000), [], [],
+                                np.random.default_rng(6).uniform(0.05, 20.0, 4000), 0.0),
+                   np.array([0.5, 1.0])),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_MIXTURES))
+class TestMixtureKernelsAreExact:
+    def test_component_log_pdfs_equal_the_loop_reference(self, name):
+        prior, y = EDGE_MIXTURES[name]
+        z = y + prior.offset
+        ours = priors._component_log_pdfs(z, prior.means, prior.variances, prior._gauss_norms,
+                                          prior.rates, prior._log_rates)
+        assert np.array_equal(ours, loop_component_log_pdfs(prior.means, prior.variances,
+                                                            prior.rates, z), equal_nan=True)
+
+    def test_log_density_equals_the_loop_reference(self, name):
+        prior, y = EDGE_MIXTURES[name]
+        assert np.array_equal(prior_log_density(prior, y), loop_mixture_log_density(prior, y))
 
 
 class TestPriorLogDensity:
