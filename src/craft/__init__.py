@@ -47,7 +47,6 @@ from .network import (
 from .priors import (
     HistogramPrior,
     MixturePrior,
-    MixtureSpec,
     em_fit,
     fit_histogram_prior,
     prior_log_density,

@@ -14,10 +14,12 @@ Each flag sets the config field named by its ``dest``, and flags beat the
 file: the two are merged before the config is built and checked, so a flag
 can replace a bad file value, and a bad method, label fraction or fit
 setting fails before any work starts.  A flag for a swept field also drops
-the file's axis for it: ``--method`` drops ``methods``, ``--label-fraction``
-``label_fractions``, ``--alpha`` ``alphas``, ``--bins`` ``bin_counts`` and
-``--seed`` ``seeds``.  On failure the process exits nonzero
-with a one-line error JSON on stderr.
+the file's axis for it (``harness.SWEEP_AXES``): ``--method`` drops
+``methods``, ``--label-fraction`` ``label_fractions``, ``--alpha``
+``alphas``, ``--bins`` ``bin_counts`` and ``--seed`` ``seeds``.  When the
+config cannot be built or the command fails, the process exits 1 with a
+one-line error JSON on stderr.  Errors argparse itself catches, such as an
+unknown flag or a non-numeric ``--seed``, exit 2 with its usage message.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import sys
 
 from .harness import (
+    SWEEP_AXES,
     ExperimentConfig,
     run_adapt,
     run_evaluate,
@@ -40,7 +43,7 @@ _FLAGS = {
     "--seed": {"dest": "seed", "type": int},
     "--out": {"dest": "out_dir", "help": "output directory"},
     "--epochs": {"dest": "epochs", "type": int},
-    "--method": {"dest": "method", "choices": ["craft", "tl", "naive"]},
+    "--method": {"dest": "method"},
     "--alpha": {"dest": "alpha", "type": float},
     "--bins": {"dest": "bins", "type": int},
     "--label-fraction": {"dest": "label_fraction", "type": float},
@@ -48,8 +51,6 @@ _FLAGS = {
     "--checkpoint": {"dest": "source_checkpoint", "help": "source checkpoint path"},
 }
 _RUN_FLAGS = tuple(_FLAGS)
-_AXES = {"method": "methods", "label_fraction": "label_fractions", "alpha": "alphas",
-         "bins": "bin_counts", "seed": "seeds"}
 
 # subcommand: (handler, flags it reads, config field its --data flag sets)
 _COMMANDS = {
@@ -95,8 +96,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                if field not in ("command", "config") and value is not None}
     if "prior_source" in updates:
         updates.update(_parse_prior_flag(updates["prior_source"]))
-    for field in updates.keys() & _AXES.keys():
-        raw.pop(_AXES[field], None)
+    for field in updates.keys() & SWEEP_AXES.keys():
+        raw.pop(SWEEP_AXES[field], None)
     return ExperimentConfig(**{**raw, **updates})
 
 

@@ -125,7 +125,6 @@ class CraftConfig:
     seed: int = 0
     learning_rate: float = 1e-4
     pseudo_source: str = "pseudo_for_all"
-    model_selection: str = "best_val"
 
     def __post_init__(self):
         # written so that NaN fails too
@@ -140,8 +139,6 @@ class CraftConfig:
         _check_integer("seed", self.seed)
         if self.pseudo_source not in ("pseudo_for_all", "true_labels_for_labeled"):
             raise ValueError(f"unknown pseudo_source {self.pseudo_source!r}")
-        if self.model_selection not in ("best_val", "final"):
-            raise ValueError(f"unknown model_selection {self.model_selection!r}")
 
 
 @dataclass(frozen=True)
@@ -326,7 +323,6 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
     bins = config.grid.count if use_unsup else None
     hist = np.zeros(bins or 0, dtype=np.int64)
     epoch_rows = []
-    track_val = val is not None and config.model_selection == "best_val"
     best_val_rmse = math.inf
     best_params = None
     true_for_labeled = config.pseudo_source == "true_labels_for_labeled"
@@ -372,12 +368,12 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
             "select_s": select_s,
             "step_s": step_s,
         })
-        if track_val:
+        if val is not None:
             val_rmse = rmse(forward_batch(params, val.features), val.labels)
             if val_rmse < best_val_rmse:
                 best_val_rmse = val_rmse
                 best_params = params.copy()
-    if track_val and best_params is not None:
+    if best_params is not None:
         params = best_params
     report = RunReport(method=method, seed=config.seed, alpha=config.alpha, c=config.c,
                        bins=bins, epochs=epoch_rows, pseudo_label_hist=hist.tolist())
@@ -393,7 +389,9 @@ def fit_craft(source_params: RegressorParams, target: Dataset, config: CraftConf
     then one optimizer step runs on the combined loss.  Works with any labeled
     fraction in [0, 1]; with zero labeled rows only the unsupervised term
     drives the fit.  At alpha zero it is supervised fine-tuning and needs at
-    least one labeled row.  Deterministic given the config seed.
+    least one labeled row.  Given ``val``, the fit returns the parameters of
+    the epoch with the lowest validation RMSE; without it, those of the last
+    epoch.  Deterministic given the config seed.
     """
     return _fit(source_params, target, config, val, "craft")
 

@@ -1,9 +1,10 @@
 """Experiment harness: configuration, source training, adaptation runs, sweeps.
 
 Adaptation is source-free by contract: a run reads the source checkpoint and
-target files, never source data.  The train-source, adapt and evaluate
-commands record every file they open for reading and echo the list as
-``files_opened`` so the contract is auditable; sweep rows and fit-prior do not.
+target files, never source data, and train-source reads the ``source_train``
+CSV that synth writes.  The train-source, adapt and evaluate commands record
+every file they open for reading and echo the list as ``files_opened`` so the
+contract is auditable; sweep rows and fit-prior do not.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .engine import BinGrid, CraftConfig, RunReport, fit_craft, fit_tl, make_bin
 from .metrics import evaluate, rmse
 from .network import Checkpoint, MlpSpec, init_params, load_checkpoint, save_checkpoint
 from .priors import (
-    MixtureSpec,
     affine_transform_prior,
     em_fit,
     fit_histogram_prior,
@@ -46,6 +46,7 @@ from .priors import (
 
 __all__ = [
     "ExperimentConfig",
+    "SWEEP_AXES",
     "RUN_REPORT_SCHEMA",
     "default_scenario",
     "train_source_in_memory",
@@ -92,6 +93,11 @@ RUN_REPORT_SCHEMA = {
 }
 
 
+# each swept field and the config field listing its values, in run_sweep's nesting order
+SWEEP_AXES = {"method": "methods", "label_fraction": "label_fractions", "alpha": "alphas",
+              "bins": "bin_counts", "seed": "seeds"}
+
+
 @dataclass
 class ExperimentConfig:
     """One JSON-loadable bag of knobs for every command; unused fields are ignored.
@@ -100,16 +106,18 @@ class ExperimentConfig:
     raises ``TypeError`` naming it, and a ``scenario`` dict becomes a
     :class:`GeneratorSpec`.  Every setting that would fail each run or sweep
     cell that reads it is checked when the config is built, naming the field:
-    the method, label fraction and fit settings, sweep axes included (the fit
-    settings by the same :class:`CraftConfig` rules a fit applies); the count
-    settings, which must be integers; ``hidden_layers``, a list of integers of
-    at least 1; a prior file for the 'file' prior
-    source; and the prior's strata, bins and component counts.  A bin count's
-    floor is checked only when its grid is built, as it depends on where the
-    grid comes from.
+    the method, label fraction and fit settings, sweep axes included (each
+    axis a list, and the fit settings by the same :class:`CraftConfig` rules
+    a fit applies); the model selection, validation fraction and bias
+    settings; the count settings, which must be integers; ``hidden_layers``,
+    a list of integers of at least 1, and ``activation`` (by the
+    :class:`MlpSpec` rules); a prior file for the 'file' prior source; and the
+    prior's strata, bins and component counts.  A bin count's floor is
+    checked only when its grid is built, as it depends on where the grid
+    comes from.
     """
 
-    # data: either a generator scenario or CSV paths
+    # data: the scenario synth generates, and the CSV paths the other commands read
     scenario: GeneratorSpec | None = None
     source_train: str | None = None
     source_checkpoint: str | None = None
@@ -154,6 +162,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.scenario, dict):
             self.scenario = GeneratorSpec(**self.scenario)
+        for axis in SWEEP_AXES.values():
+            values = getattr(self, axis)
+            if values is not None and not isinstance(values, (list, tuple)):
+                raise ValueError(f"{axis} must be a list, got {values!r}")
         for method in [self.method, *(self.methods or [])]:
             if method not in ("craft", "tl", "naive"):
                 raise ValueError(f"unknown method {method!r}")
@@ -166,10 +178,19 @@ class ExperimentConfig:
                 raise ValueError("label_fraction must lie in (0, 1]")
         for alpha in [self.alpha, *(self.alphas or [])]:
             _craft_config(self, alpha=alpha)
+        if self.model_selection not in ("best_val", "final"):
+            raise ValueError(f"unknown model_selection {self.model_selection!r}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError("val_fraction must lie in (0, 1)")
+        for name in ("bias_keep_above", "bias_threshold_quantile"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if not isinstance(self.hidden_layers, (list, tuple)):
             raise ValueError(f"hidden_layers must be a list of integers, got {self.hidden_layers!r}")
         for width in self.hidden_layers:
             _check_integer("hidden_layers", width, minimum=1)
+        MlpSpec((1, *self.hidden_layers, 1), self.activation)
         _check_integer("bins", self.bins)
         for bins in self.bin_counts or []:
             _check_integer("bin_counts", bins)
@@ -190,7 +211,7 @@ def _craft_config(cfg: ExperimentConfig, **overrides) -> CraftConfig:
     return CraftConfig(**{"alpha": cfg.alpha, "c": cfg.c, "batch_size": cfg.batch_size,
                           "epochs": cfg.epochs, "seed": cfg.seed,
                           "learning_rate": cfg.learning_rate, "pseudo_source": cfg.pseudo_source,
-                          "model_selection": cfg.model_selection, **overrides})
+                          **overrides})
 
 
 def default_scenario(seed: int = 7, **overrides) -> GeneratorSpec:
@@ -211,14 +232,16 @@ def default_scenario(seed: int = 7, **overrides) -> GeneratorSpec:
     return GeneratorSpec(**base)
 
 
-def _note(access_log, path) -> None:
+def _read(load, path, access_log):
+    """``load(path)``, noting the path in ``access_log`` unless that is None."""
     if access_log is not None:
         access_log.append(str(path))
+    return load(path)
 
 
-def _tracked_load_csv(path, access_log):
-    _note(access_log, path)
-    return load_csv(path)
+def _load_prior(path):
+    with open(path, encoding="utf-8") as fh:
+        return prior_from_dict(json.load(fh))
 
 
 def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
@@ -238,8 +261,7 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
     val_scaled = apply_scaler(val_raw, scaler)
     spec = MlpSpec((source.d, *cfg.hidden_layers, 1), cfg.activation)
     params0 = init_params(spec, cfg.seed)
-    config = _craft_config(cfg, model_selection="best_val")
-    params, report = fit_tl(params0, train_scaled, config, val=val_scaled)
+    params, report = fit_tl(params0, train_scaled, _craft_config(cfg), val=val_scaled)
     metrics = evaluate(params, val_raw, scaler)
     report.rmse = metrics.rmse
     report.pbcor = metrics.pbcor
@@ -255,7 +277,7 @@ def _fit_prior(cfg: ExperimentConfig, labels: np.ndarray, seed: int, lo: float, 
         raise ValueError("no labels available to fit the prior")
     if cfg.prior_form == "histogram":
         return fit_histogram_prior(labels, cfg.prior_bins)
-    return em_fit(labels, MixtureSpec(cfg.prior_gaussians, cfg.prior_exponentials), seed)
+    return em_fit(labels, cfg.prior_gaussians, cfg.prior_exponentials, seed)
 
 
 def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset | None,
@@ -266,7 +288,8 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
     The raw target train set must be fully labeled when a label-dropping
     protocol (bias injection, stratified masking) or the 'true_marginal'
     prior option is configured; that prior is fitted to the true
-    pre-distortion labels.
+    pre-distortion labels.  The validation set, when given, picks the kept
+    epoch under 'best_val' model selection and is unused under 'final'.
     """
     if checkpoint.params.spec.input_dim != train_raw.d:
         raise ValueError(
@@ -281,7 +304,8 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
     if cfg.label_fraction < 1.0:
         work = stratified_label_mask(work, cfg.label_fraction, cfg.n_strata, seed)
     train_scaled = apply_scaler(work, scaler)
-    val_scaled = apply_scaler(val_raw, scaler) if val_raw is not None else None
+    use_val = val_raw is not None and cfg.model_selection == "best_val"
+    val_scaled = apply_scaler(val_raw, scaler) if use_val else None
 
     report: RunReport
     if cfg.method == "naive":
@@ -297,9 +321,7 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
             else:  # no label range to span: use the scaler's own label range
                 grid = BinGrid(-1.0, 1.0, cfg.bins)
             if cfg.prior_source == "file":
-                _note(access_log, cfg.prior_file)
-                with open(cfg.prior_file, encoding="utf-8") as fh:
-                    prior = prior_from_dict(json.load(fh))
+                prior = _read(_load_prior, cfg.prior_file, access_log)
                 # file priors live in original label units; move them into model space
                 a = 2.0 / (scaler.label_hi - scaler.label_lo)
                 b = -2.0 * scaler.label_lo / (scaler.label_hi - scaler.label_lo) - 1.0
@@ -347,13 +369,12 @@ def run_synth(cfg: ExperimentConfig) -> dict:
 
 
 def run_train_source(cfg: ExperimentConfig) -> dict:
+    """Train a source model on the ``source_train`` CSV; writes the checkpoint
+    and a report JSON."""
+    if not cfg.source_train:
+        raise ValueError("train-source needs a source_train CSV; run synth first to write one")
     access: list = []
-    if cfg.source_train:
-        source = _tracked_load_csv(cfg.source_train, access)
-    elif cfg.scenario is not None:
-        source = generate_synthetic(cfg.scenario)[0]
-    else:
-        raise ValueError("train-source needs source_train or a scenario")
+    source = _read(load_csv, cfg.source_train, access)
     params, scaler, report = train_source_in_memory(source, cfg)
     out = Path(cfg.out_dir)
     ckpt_path = out / "source_checkpoint.json"
@@ -370,11 +391,10 @@ def _load_adapt_inputs(cfg: ExperimentConfig, access: list | None):
         raise ValueError("adapt needs a source_checkpoint path")
     if not cfg.target_train or not cfg.target_test:
         raise ValueError("adapt needs target_train and target_test paths")
-    _note(access, cfg.source_checkpoint)
-    checkpoint = load_checkpoint(cfg.source_checkpoint)
-    train = _tracked_load_csv(cfg.target_train, access)
-    val = _tracked_load_csv(cfg.target_val, access) if cfg.target_val else None
-    test = _tracked_load_csv(cfg.target_test, access)
+    checkpoint = _read(load_checkpoint, cfg.source_checkpoint, access)
+    train = _read(load_csv, cfg.target_train, access)
+    val = _read(load_csv, cfg.target_val, access) if cfg.target_val else None
+    test = _read(load_csv, cfg.target_test, access)
     return checkpoint, train, val, test
 
 
@@ -435,15 +455,11 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     """
     checkpoint, train, val, test = _load_adapt_inputs(cfg, None)
     out = Path(cfg.out_dir)
-    methods = cfg.methods or [cfg.method]
-    fractions = cfg.label_fractions or [cfg.label_fraction]
-    alphas = cfg.alphas or [cfg.alpha]
-    bin_counts = cfg.bin_counts or [cfg.bins]
-    seeds = cfg.seeds or [cfg.seed]
+    axes = [getattr(cfg, axis) or [getattr(cfg, name)] for name, axis in SWEEP_AXES.items()]
     for name in ("runs.jsonl", "sweep_report.json", "runs.csv"):
         (out / name).unlink(missing_ok=True)
     cells = dict.fromkeys((m, f, a, b, s) if m == "craft" and a > 0.0 else (m, f, 0.0, None, s)
-                          for m, f, a, b, s in product(methods, fractions, alphas, bin_counts, seeds))
+                          for m, f, a, b, s in product(*axes))
     rows, lines = [], []
     for method, fraction, alpha, bins, seed in cells:
         try:
@@ -498,9 +514,8 @@ def run_evaluate(cfg: ExperimentConfig) -> dict:
     if not cfg.source_checkpoint or not cfg.target_test:
         raise ValueError("evaluate needs source_checkpoint and target_test")
     access: list = []
-    _note(access, cfg.source_checkpoint)
-    checkpoint = load_checkpoint(cfg.source_checkpoint)
-    test = _tracked_load_csv(cfg.target_test, access)
+    checkpoint = _read(load_checkpoint, cfg.source_checkpoint, access)
+    test = _read(load_csv, cfg.target_test, access)
     pair = evaluate(checkpoint.params, test, checkpoint.scaler)
     return {
         "rmse": pair.rmse,

@@ -8,9 +8,10 @@ optimizer step is a handful of whole-vector operations.  The output layer is
 linear and one unit wide.  A forward pass can keep its activations for the
 backward pass at the same parameters.  A checkpoint holds the parameters and
 the scaler they were trained under, since a model is only usable with its
-scaler; it serializes to JSON (format version 1, unchanged by the flat
-layout: per-layer nested lists) with full float precision, so a save/load
-round trip is bitwise exact.
+scaler; it serializes to JSON with full float precision, so a save/load
+round trip is bitwise exact.  The file keeps per-layer lists, whose shapes
+are checked against the spec at load: a flat list could not tell layers
+[2, 3, 1] from [4, 2, 1], which both have 13 parameters.
 """
 
 from __future__ import annotations

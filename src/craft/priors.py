@@ -25,7 +25,6 @@ import numpy as np
 from .data import _frozen_array
 
 __all__ = [
-    "MixtureSpec",
     "HistogramPrior",
     "MixturePrior",
     "em_fit",
@@ -35,33 +34,6 @@ __all__ = [
     "prior_to_dict",
     "prior_from_dict",
 ]
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Shape and stopping rules for the EM fit.
-
-    ``var_floor`` is a hard lower bound on Gaussian variances; None means
-    1e-4 times the squared data range, decided at fit time.
-    """
-
-    n_gaussians: int = 2
-    n_exponentials: int = 1
-    max_iters: int = 500
-    tol: float = 1e-6
-    var_floor: float | None = None
-
-    def __post_init__(self):
-        if self.n_gaussians < 0 or self.n_exponentials < 0:
-            raise ValueError("component counts must be nonnegative")
-        if self.n_gaussians + self.n_exponentials < 1:
-            raise ValueError("need at least one mixture component")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.var_floor is not None and self.var_floor <= 0:
-            raise ValueError("var_floor must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,40 +115,51 @@ def _logsumexp_rows(a):
     return np.where(finite, out, -np.inf)
 
 
-def em_fit(labels, spec: MixtureSpec, seed: int = 0) -> MixturePrior:
-    """Fit the Gaussian/exponential mixture to 1-d samples by EM.
+def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int = 0, *,
+           max_iters: int = 500, tol: float = 1e-6, var_floor: float | None = None) -> MixturePrior:
+    """Fit a mixture of ``n_gaussians`` Gaussians and ``n_exponentials``
+    exponentials to 1-d samples by EM; ``seed`` jitters the initial rates.
 
     The E-step assigns responsibilities proportional to weighted component
     densities; the M-step re-estimates weights as responsibility means,
     Gaussian moments as responsibility-weighted means and (floored) variances,
     and exponential rates as responsibility mass over responsibility-weighted
     sums, all on offset-shifted data.  Iteration stops once the log-likelihood
-    improves by less than ``tol`` or ``max_iters`` is hit; the likelihood path
-    is monotone nondecreasing up to rounding.
+    improves by less than ``tol`` or after ``max_iters`` iterations; the
+    likelihood path is monotone nondecreasing up to rounding.  ``var_floor``
+    is a hard lower bound on Gaussian variances; None means 1e-4 times the
+    squared data range.
     """
+    k1, k2 = n_gaussians, n_exponentials
+    if k1 < 0 or k2 < 0:
+        raise ValueError("component counts must be nonnegative")
+    if k1 + k2 < 1:
+        raise ValueError("need at least one mixture component")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if var_floor is not None and var_floor <= 0:
+        raise ValueError("var_floor must be positive")
     x = np.asarray(labels, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("labels must be a nonempty vector")
     if not np.isfinite(x).all():
         raise ValueError("labels contain non-finite values")
-    k1, k2 = spec.n_gaussians, spec.n_exponentials
     if np.unique(x).size < k1 + k2:
         raise ValueError(f"need at least {k1 + k2} distinct values to fit {k1 + k2} components")
     data_range = float(x.max() - x.min())
     if data_range == 0.0:
         raise ValueError("degenerate data: all labels identical")
-    var_floor = spec.var_floor if spec.var_floor is not None else 1e-4 * data_range**2
+    var_floor = 1e-4 * data_range**2 if var_floor is None else var_floor
     offset = (max(0.0, -float(x.min())) + 1e-6 * data_range) if k2 > 0 else 0.0
     z = x + offset
     n = z.size
 
     rng = np.random.default_rng(seed)
-    if k1 > 0:
-        means = np.quantile(z, (np.arange(k1) + 1.0) / (k1 + 1.0))
-        variances = np.full(k1, max(float(z.var()), var_floor))
-    else:
-        means = np.empty(0)
-        variances = np.empty(0)
+    means = np.quantile(z, (np.arange(k1) + 1.0) / (k1 + 1.0))
+    variances = np.full(k1, max(float(z.var()), var_floor))
+    # with no exponential the offset is 0, and labels averaging 0 would divide by zero
     if k2 > 0:
         rates = (1.0 / float(z.mean())) * (1.0 + 0.1 * (2.0 * rng.random(k2) - 1.0))
     else:
@@ -185,7 +168,7 @@ def em_fit(labels, spec: MixtureSpec, seed: int = 0) -> MixturePrior:
 
     path = []
     prev = None
-    for iteration in range(spec.max_iters):
+    for iteration in range(max_iters):
         weighted = _component_log_pdfs(z, means, variances, _gauss_norms(variances), rates,
                                        _log_rates(rates))
         with np.errstate(divide="ignore"):
@@ -195,7 +178,7 @@ def em_fit(labels, spec: MixtureSpec, seed: int = 0) -> MixturePrior:
         if not np.isfinite(ll):
             raise ValueError(f"EM log-likelihood became non-finite at iteration {iteration}")
         path.append(ll)
-        if prev is not None and ll - prev < spec.tol:
+        if prev is not None and ll - prev < tol:
             break
         prev = ll
         resp = np.exp(weighted - per_point[None, :])

@@ -166,10 +166,9 @@ def _reference_adam(weights, biases, grads, moments, t, lr, b1=0.9, b2=0.999, ep
 def reference_fit(source_params, target, config):
     """The unfused training loop: per step a selection forward, separate supervised and
     unsupervised forwards, a backward pass that reruns the forward, a prior evaluated
-    per batch and Adam walked block by block.  ``config.model_selection`` must be
-    "final"; at ``config.alpha`` zero this is supervised fine-tuning.  Returns the
-    parameters after each epoch."""
-    assert config.model_selection == "final"
+    per batch and Adam walked block by block, with no validation set, so no epoch
+    is selected; at ``config.alpha`` zero this is supervised fine-tuning.  Returns
+    the parameters after each epoch."""
     X, y = target.features, target.labels
     labeled_idx = np.flatnonzero(target.labeled)
     unlabeled_idx = np.flatnonzero(~target.labeled)

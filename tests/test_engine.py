@@ -381,16 +381,16 @@ def craft_config(target, alpha=0.1, epochs=3, seed=0, lr=1e-3, **kw):
     grid = make_bin_grid(40, labeled)
     prior = uniform_prior(grid.lo, grid.hi)
     return CraftConfig(alpha=alpha, c=0.5, grid=grid, prior=prior, batch_size=32,
-                       epochs=epochs, seed=seed, learning_rate=lr, model_selection="final", **kw)
+                       epochs=epochs, seed=seed, learning_rate=lr, **kw)
 
 
 def trajectory(fit, params, target, config):
     """Parameters after each epoch of a fit under ``config``.
 
-    A fit of k epochs with final-epoch selection ends where epoch k of a
+    A fit of k epochs without a validation set ends where epoch k of a
     longer fit does: it draws the same RNG stream and Adam state.
     """
-    return [fit(params, target, replace(config, epochs=k, model_selection="final"))[0]
+    return [fit(params, target, replace(config, epochs=k))[0]
             for k in range(1, config.epochs + 1)]
 
 
@@ -412,6 +412,23 @@ class TestFitLoops:
         adapted, _ = fit_tl(params, target, craft_config(target, epochs=3, lr=0.0))
         for (_, a), (_, b) in zip(adapted.blocks(), params.blocks()):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("fit", [fit_craft, fit_tl])
+    def test_a_validation_set_keeps_the_best_epoch(self, fit):
+        target = small_target()
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3))
+        val = Dataset(X, np.tanh(X).sum(axis=1), np.ones(40, dtype=bool))
+        params = init_params(MlpSpec((3, 8, 1)), seed=1)
+        config = craft_config(target, epochs=8, lr=3e-2)
+        traj = trajectory(fit, params, target, config)
+        val_rmse = [rmse(forward_batch(p, val.features), val.labels) for p in traj]
+        best = int(np.argmin(val_rmse))
+        assert 0 < best < len(traj) - 1  # the best epoch is neither the first nor the last
+        kept, _ = fit(params, target, config, val=val)
+        np.testing.assert_array_equal(kept.vector, traj[best].vector)
+        last, _ = fit(params, target, config)
+        np.testing.assert_array_equal(last.vector, traj[-1].vector)
 
     def test_tl_loss_decreases_on_convex_instance(self):
         rng = np.random.default_rng(8)
@@ -621,7 +638,7 @@ class TestShiftDegradesTransfer:
         scaled = apply_scaler(train, scaler)
         params = init_params(MlpSpec((8, 32, 32, 1)), seed=0)
         config = CraftConfig(alpha=0.0, epochs=60, seed=0, learning_rate=3e-3,
-                             batch_size=64, model_selection="final")
+                             batch_size=64)
         fitted, _ = fit_tl(params, scaled, config)
 
         def units_rmse(ds):

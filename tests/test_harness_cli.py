@@ -84,12 +84,25 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     ({"hidden_layers": [4.5]}, "hidden_layers"),
     ({"hidden_layers": 32}, "hidden_layers"),
     ({"hidden_layers": [32, 0]}, "hidden_layers"),
+    ({"val_fraction": 0.0}, "val_fraction"),
+    ({"val_fraction": -0.5}, "val_fraction"),
+    ({"val_fraction": 1.0}, "val_fraction"),
+    ({"bias_keep_above": 1.5}, "bias_keep_above"),
+    ({"bias_keep_above": 0.5, "bias_threshold_quantile": -0.1}, "bias_threshold_quantile"),
+    ({"bias_threshold_quantile": math.nan}, "bias_threshold_quantile"),
+    ({"activation": "sigmoid"}, "activation"),
+    ({"seeds": 3}, "seeds"),
+    ({"alphas": 0.1}, "alphas"),
+    ({"methods": "craft"}, "methods"),
 ], ids=["alpha", "c", "batch_size", "epochs", "pseudo_source", "model_selection", "naive-alpha",
         "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
         "c-nan", "epochs-float", "batch_size-float", "bins-float", "bin_counts-float",
         "seed-float", "seeds-float", "epochs-bool", "prior_file", "n_strata", "prior_bins",
         "prior_gaussians", "prior_exponentials", "no-mixture-component", "hidden_layers-float",
-        "hidden_layers-number", "hidden_layers-zero"])
+        "hidden_layers-number", "hidden_layers-zero", "val_fraction-zero",
+        "val_fraction-negative", "val_fraction-one", "bias_keep_above",
+        "bias_threshold_quantile", "bias_threshold_quantile-nan", "activation",
+        "seeds-number", "alphas-number", "methods-string"])
 def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         ExperimentConfig(**overrides)
@@ -121,6 +134,12 @@ class TestTrainSource:
         assert ckpt.params.spec.input_dim == 3
         # a trained source model should comfortably beat the label spread
         assert tiny_workspace["source_val_rmse"] < 1.0
+
+    def test_needs_a_source_train_csv(self, tmp_path):
+        cfg = ExperimentConfig(scenario=default_scenario(seed=1, d=2), out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="source_train"):
+            run_train_source(cfg)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAdapt:
@@ -168,6 +187,13 @@ class TestAdapt:
         report = run_adapt(cfg)
         assert report["rmse"] > 0
         assert sum(report["pseudo_label_hist"]) > 0
+
+    def test_final_epoch_selection_ignores_the_validation_set(self, tiny_workspace, tmp_path):
+        final = run_adapt(adapt_config(tiny_workspace, tmp_path / "final", model_selection="final"))
+        no_val = run_adapt(adapt_config(tiny_workspace, tmp_path / "no_val", target_val=None))
+        for report in (final, no_val):
+            report.pop("files_opened")
+        assert strip_timing(final) == strip_timing(no_val)
 
     def test_prior_file_round_trip(self, tiny_workspace, tmp_path):
         prior_cfg = ExperimentConfig(target_train=tiny_workspace["paths"]["target_train"],
@@ -515,6 +541,12 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert "alpha" in err["message"]
         assert not (tmp_path / "s").exists()
+
+    def test_bad_method_exits_1_with_error_json(self, capsys):
+        assert main(["adapt", "--method", "bogus"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "method" in err["message"]
 
     def test_bad_prior_value_exits_1_with_error_json(self, capsys):
         assert main(["adapt", "--prior", "bogus"]) == 1

@@ -9,7 +9,6 @@ from craft import priors
 from craft.priors import (
     HistogramPrior,
     MixturePrior,
-    MixtureSpec,
     affine_transform_prior,
     em_fit,
     fit_histogram_prior,
@@ -23,8 +22,7 @@ class TestEmFit:
     def test_single_gaussian_is_closed_form_after_one_iteration(self):
         rng = np.random.default_rng(0)
         x = rng.normal(3.0, 2.0, 500)
-        spec = MixtureSpec(n_gaussians=1, n_exponentials=0, max_iters=1, var_floor=1e-12)
-        params = em_fit(x, spec, seed=0)
+        params = em_fit(x, 1, 0, seed=0, max_iters=1, var_floor=1e-12)
         assert params.offset == 0.0
         assert abs(params.means[0] - x.mean()) < 1e-12
         assert abs(params.variances[0] - max(x.var(), 1e-12)) < 1e-12
@@ -32,15 +30,13 @@ class TestEmFit:
 
     def test_variance_floor_applies(self):
         x = np.array([0.0, 1e-7, 2e-7, 1.0])
-        spec = MixtureSpec(1, 0, max_iters=1, var_floor=5.0)
-        params = em_fit(x, spec)
+        params = em_fit(x, 1, 0, max_iters=1, var_floor=5.0)
         assert params.variances[0] == 5.0
 
     def test_single_exponential_matches_rate_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.exponential(scale=0.5, size=5000)  # rate 2
-        spec = MixtureSpec(0, 1, max_iters=1)
-        params = em_fit(x, spec, seed=0)
+        params = em_fit(x, 0, 1, seed=0, max_iters=1)
         shifted_mean = (x + params.offset).mean()
         assert abs(params.rates[0] - 1.0 / shifted_mean) < 1e-9
         assert abs(params.rates[0] - 2.0) / 2.0 < 0.05
@@ -51,7 +47,7 @@ class TestEmFit:
         gauss = rng.normal(5.0, 1.0, n // 2)
         expo = rng.exponential(1.0, n // 2)
         x = np.concatenate([gauss, expo])
-        params = em_fit(x, MixtureSpec(1, 1), seed=0)
+        params = em_fit(x, 1, 1, seed=0)
         assert abs(params.weights[0] - 0.5) < 0.05
         assert abs(params.weights[1] - 0.5) < 0.05
         assert abs(params.means[0] - 5.0) < 0.2
@@ -61,7 +57,7 @@ class TestEmFit:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             x = np.concatenate([rng.normal(2, 1, 150), rng.exponential(1.5, 100)])
-            params = em_fit(x, MixtureSpec(2, 1, max_iters=60), seed=seed)
+            params = em_fit(x, 2, 1, seed=seed, max_iters=60)
             path = np.array(params.loglik_path)
             assert path.size >= 1
             assert np.all(np.diff(path) >= -1e-9)
@@ -71,8 +67,7 @@ class TestEmFit:
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.normal(0, 1, 120), rng.exponential(2.0, 80)])
         for iters in range(1, 8):
-            spec = MixtureSpec(2, 1, max_iters=iters)
-            p = em_fit(x, spec, seed=3)
+            p = em_fit(x, 2, 1, seed=3, max_iters=iters)
             assert abs(p.weights.sum() - 1.0) < 1e-12
             assert np.all(p.weights >= 0)
             floor = 1e-4 * (x.max() - x.min()) ** 2
@@ -82,30 +77,40 @@ class TestEmFit:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=300)
-        a = em_fit(x, MixtureSpec(2, 0), seed=5)
-        b = em_fit(x, MixtureSpec(2, 0), seed=5)
+        a = em_fit(x, 2, 0, seed=5)
+        b = em_fit(x, 2, 0, seed=5)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_degenerate_data_errors(self):
         with pytest.raises(ValueError, match="identical|distinct"):
-            em_fit(np.full(10, 3.0), MixtureSpec(1, 0))
+            em_fit(np.full(10, 3.0), 1, 0)
 
     def test_equals_the_loop_component_reference(self, monkeypatch):
         labels = np.random.default_rng(21).gamma(2.0, 1.0, 150) - 1.0
-        spec = MixtureSpec(max_iters=200)
-        fitted = em_fit(labels, spec, seed=3)
+        fitted = em_fit(labels, 2, 1, seed=3, max_iters=200)
         monkeypatch.setattr(priors, "_component_log_pdfs",
                             lambda z, means, variances, norms, rates, log_rates:
                             loop_component_log_pdfs(means, variances, rates, z))
-        reference = em_fit(labels, spec, seed=3)
+        reference = em_fit(labels, 2, 1, seed=3, max_iters=200)
         assert fitted.loglik_path == reference.loglik_path
         for name in ("weights", "means", "variances", "rates"):
             np.testing.assert_array_equal(getattr(fitted, name), getattr(reference, name))
 
     def test_too_few_distinct_values_errors(self):
         with pytest.raises(ValueError, match="distinct"):
-            em_fit(np.array([0.0, 1.0, 0.0, 1.0]), MixtureSpec(2, 1))
+            em_fit(np.array([0.0, 1.0, 0.0, 1.0]), 2, 1)
+
+    @pytest.mark.parametrize("counts,kwargs,message", [
+        ((-1, 1), {}, "component counts must be nonnegative"),
+        ((0, 0), {}, "need at least one mixture component"),
+        ((1, 1), {"max_iters": 0}, "max_iters must be at least 1"),
+        ((1, 1), {"tol": 0.0}, "tol must be positive"),
+        ((1, 1), {"var_floor": 0.0}, "var_floor must be positive"),
+    ], ids=["negative-count", "no-component", "max_iters", "tol", "var_floor"])
+    def test_bad_fit_setting_errors(self, counts, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            em_fit(np.linspace(0.0, 1.0, 20), *counts, **kwargs)
 
 
 class TestMixtureLogDensity:
@@ -122,7 +127,7 @@ class TestMixtureLogDensity:
     def test_density_normalizes_by_quadrature(self):
         rng = np.random.default_rng(11)
         x = np.concatenate([rng.normal(4, 1, 400), rng.exponential(1.0, 300)])
-        prior = em_fit(x, MixtureSpec(1, 1), seed=2)
+        prior = em_fit(x, 1, 1, seed=2)
         grid = np.linspace(-20.0, 60.0, 200001)
         dens = np.exp(prior_log_density(prior, grid))
         assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-3
@@ -134,7 +139,7 @@ class TestMixtureLogDensity:
 
 
 EDGE_MIXTURES = {
-    "fitted": (em_fit(np.random.default_rng(5).gamma(2.0, 1.0, 200) - 1.0, MixtureSpec(), seed=1),
+    "fitted": (em_fit(np.random.default_rng(5).gamma(2.0, 1.0, 200) - 1.0, 2, 1, seed=1),
                np.linspace(-3.0, 6.0, 200)),
     "zero-weight": (MixturePrior([0.6, 0.0, 0.4], [0.2, 1.0], [0.5, 0.1], [2.0], 1.5),
                     np.linspace(-3.0, 3.0, 200)),
@@ -273,7 +278,7 @@ class TestAffineTransform:
         priors = [
             fit_histogram_prior(x, 8),
             uniform_prior(float(x.min()), float(x.max())),
-            em_fit(x, MixtureSpec(1, 1), seed=1),
+            em_fit(x, 1, 1, seed=1),
         ]
         a, b = 2.5, -1.75
         ys = np.linspace(x.min() + 1e-6, x.max() - 1e-6, 50)
