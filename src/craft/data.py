@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -313,6 +314,14 @@ def _check_integer(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}")
+
+
+def _check_number(name: str, value):
+    """``value``, once checked to be a real number (a bool is not one); the
+    error names the setting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)

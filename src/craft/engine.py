@@ -3,12 +3,13 @@
 The adaptive method trains a pretrained regressor on a partially labeled
 target set with a two-step scheme per batch: first, candidate labels (the
 midpoints of a bin grid) are scored jointly for the whole batch and the best
-one per sample is frozen as its pseudo-label; second, one optimizer step is
-taken on a combined loss.  The joint score of candidate y for sample i is the
-Gaussian match between y and the prediction f_i, normalized by the total
-Gaussian mass the batch places on y, times the label prior: a candidate that
-many samples' predictions crowd around is discounted, which both fights the
-source model's prediction bias and lets the prior steer the label marginal.
+one per sample, labeled rows included, is frozen as its pseudo-label;
+second, one optimizer step is taken on a combined loss.  The joint score of
+candidate y for sample i is the Gaussian match between y and the prediction
+f_i, normalized by the total Gaussian mass the batch places on y, times the
+label prior: a candidate that many samples' predictions crowd around is
+discounted, which both fights the source model's prediction bias and lets
+the prior steer the label marginal.
 
 The combined loss is the supervised sum of squared residuals plus, weighted
 by alpha, a per-sample self-identification term: with scaled squared
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, _check_integer
+from .data import Dataset, _check_integer, _check_number
 from .metrics import rmse
 from .network import AdamState, RegressorParams, adam_step, backward, forward_batch
 from .priors import prior_log_density
@@ -109,11 +110,10 @@ def make_bin_grid(count: int, labels) -> BinGrid:
 class CraftConfig:
     """Adaptation hyperparameters.
 
-    ``alpha`` weighs the unsupervised term; ``c`` is the Gaussian variance of
-    the match score (at the default 0.5 the quadratics enter unscaled).
-    ``pseudo_source`` controls whether labeled batch members join the
-    unsupervised term with selected pseudo-labels (default) or their true
-    labels.
+    ``alpha`` weighs the unsupervised term, in which every batch row takes
+    its selected pseudo-label; ``c`` is the Gaussian variance of the match
+    score (at the default 0.5 the quadratics enter unscaled).  ``alpha``,
+    ``c`` and ``learning_rate`` must be real numbers, and a bool is not one.
     """
 
     alpha: float = 0.1
@@ -124,21 +124,18 @@ class CraftConfig:
     epochs: int = 30
     seed: int = 0
     learning_rate: float = 1e-4
-    pseudo_source: str = "pseudo_for_all"
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not 0.0 <= self.alpha < math.inf:
+        if not 0.0 <= _check_number("alpha", self.alpha) < math.inf:
             raise ValueError("alpha must be finite and nonnegative")
-        if not 0.0 < self.c < math.inf:
+        if not 0.0 < _check_number("c", self.c) < math.inf:
             raise ValueError("c must be finite and positive")
-        if not 0.0 <= self.learning_rate < math.inf:
+        if not 0.0 <= _check_number("learning_rate", self.learning_rate) < math.inf:
             raise ValueError("learning_rate must be finite and nonnegative")
         _check_integer("batch_size", self.batch_size, minimum=1)
         _check_integer("epochs", self.epochs, minimum=0)
         _check_integer("seed", self.seed)
-        if self.pseudo_source not in ("pseudo_for_all", "true_labels_for_labeled"):
-            raise ValueError(f"unknown pseudo_source {self.pseudo_source!r}")
 
 
 @dataclass(frozen=True)
@@ -237,11 +234,11 @@ def craft_loss_and_grad(params: RegressorParams, x, y_sup, targets, config: Craf
 
     The supervised rows are the first ``y_sup.size`` rows of ``x``; the
     unsupervised term, when ``targets`` is given, covers its last
-    ``targets.size`` rows with those frozen targets (pseudo-labels or true
-    labels), so a row may sit in both terms.  Both terms' upstream gradients
-    are added per row, and a row in both is backpropagated once.  ``cache`` is
-    the activation list a :func:`forward_batch` call over ``x`` filled;
-    without it the forward pass runs here.
+    ``targets.size`` rows with those frozen targets, so a row may sit in both
+    terms.  Both terms' upstream gradients are added per row, and a row in
+    both is backpropagated once.  ``cache`` is the activation list a
+    :func:`forward_batch` call over ``x`` filled; without it the forward pass
+    runs here.
     """
     x = np.asarray(x, dtype=np.float64)
     y_sup = np.asarray(y_sup, dtype=np.float64)
@@ -316,6 +313,10 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
         raise ValueError("supervised fine-tuning needs at least one labeled row")
     if use_unsup and (config.grid is None or config.prior is None):
         raise ValueError("adaptation needs a bin grid and a label prior")
+    if val is not None:
+        if not val.labeled.any():
+            raise ValueError("the validation set has no labeled row to select an epoch on")
+        val = val.subset(np.flatnonzero(val.labeled))
     params = source_params.copy()
     state = AdamState.init(params, learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed)
@@ -325,7 +326,6 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
     epoch_rows = []
     best_val_rmse = math.inf
     best_params = None
-    true_for_labeled = config.pseudo_source == "true_labels_for_labeled"
 
     for _ in range(config.epochs):
         epoch_start = time.perf_counter()
@@ -347,11 +347,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
             if use_unsup:
                 chosen = select_pseudo_labels(preds, config.grid, config.prior, config.c)
                 targets = config.grid.midpoints[chosen]
-                if true_for_labeled and chunk_l.size:
-                    targets[: chunk_l.size] = y[chunk_l]
-                    hist += np.bincount(chosen[chunk_l.size:], minlength=bins)
-                else:
-                    hist += np.bincount(chosen, minlength=bins)
+                hist += np.bincount(chosen, minlength=bins)
             select_s += time.perf_counter() - t0
             t0 = time.perf_counter()
             breakdown, grads = craft_loss_and_grad(params, x, y[chunk_l], targets, config, cache)
@@ -384,14 +380,14 @@ def fit_craft(source_params: RegressorParams, target: Dataset, config: CraftConf
               val: Dataset | None = None):
     """Adapt pretrained parameters on a partially labeled target set.
 
-    Per batch: pseudo-labels are selected at the current parameters for all
-    participating rows (labeled ones included unless configured otherwise),
-    then one optimizer step runs on the combined loss.  Works with any labeled
-    fraction in [0, 1]; with zero labeled rows only the unsupervised term
-    drives the fit.  At alpha zero it is supervised fine-tuning and needs at
-    least one labeled row.  Given ``val``, the fit returns the parameters of
-    the epoch with the lowest validation RMSE; without it, those of the last
-    epoch.  Deterministic given the config seed.
+    Per batch: every participating row, labeled or not, takes the
+    pseudo-label selected at the current parameters, then one optimizer step
+    runs on the combined loss.  Works with any labeled fraction in [0, 1];
+    with zero labeled rows only the unsupervised term drives the fit.  At
+    alpha zero it is supervised fine-tuning and needs at least one labeled
+    row.  Given ``val``, which needs a labeled row, the fit returns the
+    parameters of the epoch with the lowest RMSE on its labeled rows; without
+    it, those of the last epoch.  Deterministic given the config seed.
     """
     return _fit(source_params, target, config, val, "craft")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -22,6 +22,7 @@ from .data import (
     Dataset,
     GeneratorSpec,
     _check_integer,
+    _check_number,
     apply_scaler,
     fit_scaler,
     generate_synthetic,
@@ -109,12 +110,12 @@ class ExperimentConfig:
     the method, label fraction and fit settings, sweep axes included (each
     axis a list, and the fit settings by the same :class:`CraftConfig` rules
     a fit applies); the model selection, validation fraction and bias
-    settings; the count settings, which must be integers; ``hidden_layers``,
-    a list of integers of at least 1, and ``activation`` (by the
-    :class:`MlpSpec` rules); a prior file for the 'file' prior source; and the
-    prior's strata, bins and component counts.  A bin count's floor is
-    checked only when its grid is built, as it depends on where the grid
-    comes from.
+    settings; the count settings, which must be integers; the float settings
+    and axis entries, which must be real numbers (a bool is not one);
+    ``hidden_layers``, a list of integers of at least 1; a prior file for the
+    'file' prior source; and the prior's strata, bins and component counts.
+    A bin count's floor is checked only when its grid is built, as it depends
+    on where the grid comes from.
     """
 
     # data: the scenario synth generates, and the CSV paths the other commands read
@@ -127,7 +128,6 @@ class ExperimentConfig:
     out_dir: str = "runs"
     # network
     hidden_layers: tuple = (32, 32)
-    activation: str = "tanh"
     # training
     method: str = "craft"
     alpha: float = 0.1
@@ -136,7 +136,6 @@ class ExperimentConfig:
     batch_size: int = 64
     epochs: int = 40
     learning_rate: float = 1e-4
-    pseudo_source: str = "pseudo_for_all"
     model_selection: str = "best_val"
     seed: int = 0
     val_fraction: float = 0.2
@@ -174,23 +173,22 @@ class ExperimentConfig:
         if self.prior_form not in ("mixture", "histogram", "uniform"):
             raise ValueError(f"unknown prior_form {self.prior_form!r}")
         for fraction in [self.label_fraction, *(self.label_fractions or [])]:
-            if not 0.0 < fraction <= 1.0:
+            if not 0.0 < _check_number("label_fraction", fraction) <= 1.0:
                 raise ValueError("label_fraction must lie in (0, 1]")
         for alpha in [self.alpha, *(self.alphas or [])]:
             _craft_config(self, alpha=alpha)
         if self.model_selection not in ("best_val", "final"):
             raise ValueError(f"unknown model_selection {self.model_selection!r}")
-        if not 0.0 < self.val_fraction < 1.0:
+        if not 0.0 < _check_number("val_fraction", self.val_fraction) < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
         for name in ("bias_keep_above", "bias_threshold_quantile"):
             value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
+            if value is not None and not 0.0 <= _check_number(name, value) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not isinstance(self.hidden_layers, (list, tuple)):
             raise ValueError(f"hidden_layers must be a list of integers, got {self.hidden_layers!r}")
         for width in self.hidden_layers:
             _check_integer("hidden_layers", width, minimum=1)
-        MlpSpec((1, *self.hidden_layers, 1), self.activation)
         _check_integer("bins", self.bins)
         for bins in self.bin_counts or []:
             _check_integer("bin_counts", bins)
@@ -210,8 +208,7 @@ def _craft_config(cfg: ExperimentConfig, **overrides) -> CraftConfig:
     """The engine settings ``cfg`` carries, with ``overrides`` on top."""
     return CraftConfig(**{"alpha": cfg.alpha, "c": cfg.c, "batch_size": cfg.batch_size,
                           "epochs": cfg.epochs, "seed": cfg.seed,
-                          "learning_rate": cfg.learning_rate, "pseudo_source": cfg.pseudo_source,
-                          **overrides})
+                          "learning_rate": cfg.learning_rate, **overrides})
 
 
 def default_scenario(seed: int = 7, **overrides) -> GeneratorSpec:
@@ -259,7 +256,7 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
     scaler = fit_scaler(train_raw)
     train_scaled = apply_scaler(train_raw, scaler)
     val_scaled = apply_scaler(val_raw, scaler)
-    spec = MlpSpec((source.d, *cfg.hidden_layers, 1), cfg.activation)
+    spec = MlpSpec((source.d, *cfg.hidden_layers, 1))
     params0 = init_params(spec, cfg.seed)
     params, report = fit_tl(params0, train_scaled, _craft_config(cfg), val=val_scaled)
     metrics = evaluate(params, val_raw, scaler)
@@ -289,7 +286,8 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
     protocol (bias injection, stratified masking) or the 'true_marginal'
     prior option is configured; that prior is fitted to the true
     pre-distortion labels.  The validation set, when given, picks the kept
-    epoch under 'best_val' model selection and is unused under 'final'.
+    epoch under 'best_val' model selection, scored on its labeled rows, and
+    must then hold at least one; it is unused under 'final'.
     """
     if checkpoint.params.spec.input_dim != train_raw.d:
         raise ValueError(
@@ -305,6 +303,8 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
         work = stratified_label_mask(work, cfg.label_fraction, cfg.n_strata, seed)
     train_scaled = apply_scaler(work, scaler)
     use_val = val_raw is not None and cfg.model_selection == "best_val"
+    if use_val and not val_raw.labeled.any():
+        raise ValueError("target_val has no labeled row to select an epoch on")
     val_scaled = apply_scaler(val_raw, scaler) if use_val else None
 
     report: RunReport

@@ -4,14 +4,16 @@ Everything runs in double precision on plain numpy arrays.  The parameters
 live in one contiguous vector, layer by layer, each layer's (fan_in, fan_out)
 weight matrix followed by its bias vector; per-layer ``weights`` and
 ``biases`` are views into it, and a gradient uses the same layout, so an
-optimizer step is a handful of whole-vector operations.  The output layer is
-linear and one unit wide.  A forward pass can keep its activations for the
-backward pass at the same parameters.  A checkpoint holds the parameters and
-the scaler they were trained under, since a model is only usable with its
-scaler; it serializes to JSON with full float precision, so a save/load
-round trip is bitwise exact.  The file keeps per-layer lists, whose shapes
-are checked against the spec at load: a flat list could not tell layers
-[2, 3, 1] from [4, 2, 1], which both have 13 parameters.
+optimizer step is a handful of whole-vector operations.  Hidden layers are
+tanh; the output layer is linear and one unit wide.  A forward pass can keep
+its activations for the backward pass at the same parameters.  A checkpoint
+holds the parameters and the scaler they were trained under, since a model
+is only usable with its scaler; it serializes to JSON with full float
+precision, so a save/load round trip is bitwise exact.  The file keeps
+per-layer lists, whose shapes are checked against the spec at load: a flat
+list could not tell layers [2, 3, 1] from [4, 2, 1], which both have 13
+parameters.  It also keeps ``"activation": "tanh"``, so format version 1 is
+unchanged; a checkpoint naming any other activation is rejected at load.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ _CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths ``[d, h_1, ..., h_k, 1]`` and the hidden activation."""
+    """Layer widths ``[d, h_1, ..., h_k, 1]``."""
 
     layer_sizes: tuple
-    activation: str = "tanh"
 
     def __post_init__(self):
         for size in self.layer_sizes:
@@ -55,8 +56,6 @@ class MlpSpec:
             raise ValueError("need at least an input and an output layer")
         if sizes[-1] != 1:
             raise ValueError("output layer must have exactly one unit")
-        if self.activation not in ("tanh", "relu"):
-            raise ValueError(f"unsupported activation {self.activation!r}")
         layout, start = [], 0
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             mid = start + fan_in * fan_out
@@ -130,10 +129,7 @@ def _forward_cached(params: RegressorParams, X: np.ndarray, acts: list) -> list:
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w + b
-        if i < last:
-            a = np.tanh(z) if params.spec.activation == "tanh" else np.maximum(z, 0.0)
-        else:
-            a = z
+        a = np.tanh(z) if i < last else z
         acts.append(a)
     return acts
 
@@ -179,12 +175,7 @@ def backward(params: RegressorParams, X, upstream, cache: list | None = None) ->
         np.matmul(acts[i].T, delta, out=grads.weights[i])
         delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
-            da = delta @ params.weights[i].T
-            hidden = acts[i]
-            if params.spec.activation == "tanh":
-                delta = da * (1.0 - hidden**2)
-            else:
-                delta = da * (hidden > 0.0)
+            delta = (delta @ params.weights[i].T) * (1.0 - acts[i]**2)
     return grads
 
 
@@ -227,7 +218,7 @@ class Checkpoint:
 def save_checkpoint(path, params: RegressorParams, scaler: ScalerParams) -> None:
     payload = {
         "version": _CHECKPOINT_VERSION,
-        "spec": {"layers": list(params.spec.layer_sizes), "activation": params.spec.activation},
+        "spec": {"layers": list(params.spec.layer_sizes), "activation": "tanh"},
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
         "scaler": scaler.to_dict(),
@@ -241,7 +232,10 @@ def load_checkpoint(path) -> Checkpoint:
     version = payload.get("version")
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    spec = MlpSpec(tuple(payload["spec"]["layers"]), payload["spec"]["activation"])
+    activation = payload["spec"].get("activation")
+    if activation != "tanh":
+        raise ValueError(f"unsupported checkpoint activation {activation!r}; only tanh is supported")
+    spec = MlpSpec(tuple(payload["spec"]["layers"]))
     weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
     biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
     try:

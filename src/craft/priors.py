@@ -2,7 +2,8 @@
 
 Two prior shapes are supported: a histogram density, and a mixture of
 Gaussians and exponentials fitted by EM.  A uniform density over [lo, hi] is
-the one-bin histogram on those edges.  The mixture acts on data shifted by a
+the one-bin histogram on those edges, and a prior file holds either shape
+as :func:`prior_to_dict` writes it.  The mixture acts on data shifted by a
 constant offset so exponential components see strictly positive values; the
 offset is part of the fitted parameters.
 The array-holding priors compare and hash by identity, as in :mod:`craft.data`.
@@ -311,11 +312,9 @@ def prior_to_dict(prior) -> dict:
 
 
 def prior_from_dict(d: dict):
-    """The prior a :func:`prior_to_dict` dict describes; a ``uniform`` dict
-    (``lo``, ``hi``) loads as the one-bin histogram on those edges."""
+    """The prior a :func:`prior_to_dict` dict describes: kind ``histogram``
+    or ``mixture``."""
     kind = d.get("kind")
-    if kind == "uniform":
-        return HistogramPrior([d["lo"], d["hi"]], [1.0])
     if kind == "histogram":
         return HistogramPrior(d["edges"], d["probs"])
     if kind == "mixture":

@@ -199,8 +199,6 @@ def reference_fit(source_params, target, config):
                 chosen = select_pseudo_labels(forward_batch(params, x_u), config.grid,
                                               config.prior, config.c)
                 targets = config.grid.midpoints[chosen]
-                if config.pseudo_source == "true_labels_for_labeled":
-                    targets[: chunk_l.size] = y_l
                 f = forward_batch(params, x_u)
                 resid = f[None, :] - targets[:, None]
                 dmat = resid**2 / (2.0 * config.c)

@@ -376,12 +376,12 @@ def small_target(n=120, d=3, frac=0.3, seed=0):
     return stratified_label_mask(ds, frac, seed=seed)
 
 
-def craft_config(target, alpha=0.1, epochs=3, seed=0, lr=1e-3, **kw):
+def craft_config(target, alpha=0.1, epochs=3, seed=0, lr=1e-3):
     labeled = target.labels[target.labeled]
     grid = make_bin_grid(40, labeled)
     prior = uniform_prior(grid.lo, grid.hi)
     return CraftConfig(alpha=alpha, c=0.5, grid=grid, prior=prior, batch_size=32,
-                       epochs=epochs, seed=seed, learning_rate=lr, **kw)
+                       epochs=epochs, seed=seed, learning_rate=lr)
 
 
 def trajectory(fit, params, target, config):
@@ -429,6 +429,13 @@ class TestFitLoops:
         np.testing.assert_array_equal(kept.vector, traj[best].vector)
         last, _ = fit(params, target, config)
         np.testing.assert_array_equal(last.vector, traj[-1].vector)
+
+    def test_a_validation_set_without_a_labeled_row_is_rejected(self):
+        target = small_target()
+        X = np.random.default_rng(4).normal(size=(40, 3))
+        val = Dataset(X, np.full(40, np.nan), np.zeros(40, dtype=bool))
+        with pytest.raises(ValueError, match="validation set has no labeled row"):
+            fit_craft(init_params(MlpSpec((3, 8, 1)), seed=1), target, craft_config(target), val=val)
 
     def test_tl_loss_decreases_on_convex_instance(self):
         rng = np.random.default_rng(8)
@@ -507,15 +514,6 @@ class TestFitLoops:
         for (_, w1), (_, w2) in zip(a.blocks(), b.blocks()):
             np.testing.assert_array_equal(w1, w2)
 
-    def test_true_label_substitution_mode(self):
-        target = small_target(seed=12, frac=0.5)
-        params = init_params(MlpSpec((3, 6, 1)), seed=8)
-        config = craft_config(target, epochs=2, pseudo_source="true_labels_for_labeled")
-        _, report = fit_craft(params, target, config)
-        # only unlabeled members count toward the selection histogram
-        n_unlabeled = int((~target.labeled).sum())
-        assert sum(report.pseudo_label_hist) == 2 * n_unlabeled
-
 
 def max_gap(a, b):
     return float(np.abs(a.vector - b.vector).max())
@@ -524,18 +522,15 @@ def max_gap(a, b):
 class TestFusedStep:
     """The one-forward training step against the unfused reference loop."""
 
-    @pytest.mark.parametrize("alpha,pseudo_source,frac", [
-        (0.1, "pseudo_for_all", 0.3),
-        (0.1, "true_labels_for_labeled", 0.3),
-        (0.0, "pseudo_for_all", 0.3),
-        (0.1, "pseudo_for_all", 1.0),  # no unlabeled rows in any batch
-        (0.1, "true_labels_for_labeled", 1.0),
+    @pytest.mark.parametrize("alpha,frac", [
+        (0.1, 0.3),
+        (0.0, 0.3),
+        (0.1, 1.0),  # no unlabeled rows in any batch
     ])
-    def test_fit_craft_tracks_unfused_reference(self, alpha, pseudo_source, frac):
+    def test_fit_craft_tracks_unfused_reference(self, alpha, frac):
         target = small_target(seed=13, frac=frac)
         params = init_params(MlpSpec((3, 8, 8, 1)), seed=14)
-        config = craft_config(target, alpha=alpha, epochs=3, seed=2, lr=1e-2,
-                              pseudo_source=pseudo_source)
+        config = craft_config(target, alpha=alpha, epochs=3, seed=2, lr=1e-2)
         fused = trajectory(fit_craft, params, target, config)
         reference = reference_fit(params, target, config)
         assert len(fused) == len(reference) == 3

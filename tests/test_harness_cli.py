@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from craft.cli import build_parser, config_from_args, main
-from craft.data import Dataset, GeneratorSpec, load_csv
+from craft.data import Dataset, GeneratorSpec, load_csv, write_csv
 from craft.harness import (
     ExperimentConfig,
     RUN_REPORT_SCHEMA,
@@ -58,7 +58,6 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     ({"c": 0}, "c"),
     ({"batch_size": 0}, "batch_size"),
     ({"epochs": -1}, "epochs"),
-    ({"pseudo_source": "x"}, "pseudo_source"),
     ({"model_selection": "x"}, "model_selection"),
     ({"method": "naive", "alpha": -1}, "alpha"),
     ({"alphas": [0.1, -1]}, "alpha"),
@@ -90,22 +89,42 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     ({"bias_keep_above": 1.5}, "bias_keep_above"),
     ({"bias_keep_above": 0.5, "bias_threshold_quantile": -0.1}, "bias_threshold_quantile"),
     ({"bias_threshold_quantile": math.nan}, "bias_threshold_quantile"),
-    ({"activation": "sigmoid"}, "activation"),
     ({"seeds": 3}, "seeds"),
     ({"alphas": 0.1}, "alphas"),
     ({"methods": "craft"}, "methods"),
-], ids=["alpha", "c", "batch_size", "epochs", "pseudo_source", "model_selection", "naive-alpha",
+    ({"alpha": "0.1"}, "alpha"),
+    ({"c": "0.5"}, "c"),
+    ({"learning_rate": "1e-3"}, "learning_rate"),
+    ({"label_fraction": "0.5"}, "label_fraction"),
+    ({"val_fraction": "0.2"}, "val_fraction"),
+    ({"bias_keep_above": "0.5"}, "bias_keep_above"),
+    ({"bias_keep_above": 0.5, "bias_threshold_quantile": "0.5"}, "bias_threshold_quantile"),
+    ({"alpha": True}, "alpha"),
+    ({"label_fraction": True}, "label_fraction"),
+    ({"alphas": [0.1, "1"]}, "alpha"),
+    ({"label_fractions": [0.5, True]}, "label_fraction"),
+], ids=["alpha", "c", "batch_size", "epochs", "model_selection", "naive-alpha",
         "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
         "c-nan", "epochs-float", "batch_size-float", "bins-float", "bin_counts-float",
         "seed-float", "seeds-float", "epochs-bool", "prior_file", "n_strata", "prior_bins",
         "prior_gaussians", "prior_exponentials", "no-mixture-component", "hidden_layers-float",
         "hidden_layers-number", "hidden_layers-zero", "val_fraction-zero",
         "val_fraction-negative", "val_fraction-one", "bias_keep_above",
-        "bias_threshold_quantile", "bias_threshold_quantile-nan", "activation",
-        "seeds-number", "alphas-number", "methods-string"])
+        "bias_threshold_quantile", "bias_threshold_quantile-nan",
+        "seeds-number", "alphas-number", "methods-string", "alpha-string", "c-string",
+        "learning_rate-string", "label_fraction-string", "val_fraction-string",
+        "bias_keep_above-string", "bias_threshold_quantile-string", "alpha-bool",
+        "label_fraction-bool", "alphas-string", "label_fractions-bool"])
 def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         ExperimentConfig(**overrides)
+
+
+@pytest.mark.parametrize("key,value", [("pseudo_source", "true_labels_for_labeled"),
+                                       ("activation", "tanh")], ids=["pseudo_source", "activation"])
+def test_config_rejects_a_removed_key(key, value):
+    with pytest.raises(TypeError, match=rf"\b{key}\b"):
+        ExperimentConfig(**{key: value})
 
 
 def test_config_builds_its_scenario_from_a_dict():
@@ -194,6 +213,34 @@ class TestAdapt:
         for report in (final, no_val):
             report.pop("files_opened")
         assert strip_timing(final) == strip_timing(no_val)
+
+    def test_validation_selects_on_its_labeled_rows(self, tiny_workspace, tmp_path):
+        val = load_csv(tiny_workspace["paths"]["target_val"]).subset(np.arange(60))
+        labeled = np.zeros(val.n, dtype=bool)
+        labeled[::3] = True  # 20 of the 60 rows
+        partial, only_labeled = tmp_path / "partial.csv", tmp_path / "labeled.csv"
+        write_csv(Dataset(val.features, np.where(labeled, val.labels, np.nan), labeled), partial)
+        write_csv(val.subset(np.flatnonzero(labeled)), only_labeled)
+        reports = []
+        # at this seed and rate the best epoch is not the last, which a run without
+        # target_val keeps; so a validation set that scored NaN would show
+        for path in (partial, only_labeled, None):
+            cfg = adapt_config(tiny_workspace, tmp_path / (path.stem if path else "final"),
+                               target_val=path and str(path), seed=5, learning_rate=1e-2)
+            report = run_adapt(cfg)
+            report.pop("files_opened")
+            reports.append(strip_timing(report))
+        assert reports[0] == reports[1]
+        assert reports[1]["rmse"] != reports[2]["rmse"]
+
+    def test_validation_set_without_a_label_is_rejected(self, tiny_workspace, tmp_path):
+        val = load_csv(tiny_workspace["paths"]["target_val"])
+        unlabeled = tmp_path / "unlabeled.csv"
+        write_csv(Dataset(val.features, np.full(val.n, np.nan), np.zeros(val.n, dtype=bool)),
+                  unlabeled)
+        with pytest.raises(ValueError, match="target_val"):
+            run_adapt(adapt_config(tiny_workspace, tmp_path, target_val=str(unlabeled)))
+        assert not (tmp_path / "out").exists()
 
     def test_prior_file_round_trip(self, tiny_workspace, tmp_path):
         prior_cfg = ExperimentConfig(target_train=tiny_workspace["paths"]["target_train"],

@@ -249,14 +249,9 @@ class TestSerialization:
         np.testing.assert_array_equal(back.rates, params.rates)
         assert back.offset == params.offset
 
-    def test_uniform_dict_loads_with_its_support_and_density(self):
-        prior = prior_from_dict({"kind": "uniform", "lo": -2.0, "hi": 3.0})
-        assert isinstance(prior, HistogramPrior) and prior.edges.tolist() == [-2.0, 3.0]
-        inside = np.array([-2.0, -0.4, 1.7, 3.0])
-        np.testing.assert_array_max_ulp(prior_log_density(prior, inside),
-                                        np.full(4, -math.log(5.0)), maxulp=1)
-        outside = np.array([np.nextafter(-2.0, -np.inf), np.nextafter(3.0, np.inf), 9.0])
-        assert prior_log_density(prior, outside).tolist() == [-np.inf] * 3
+    def test_uniform_dict_is_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown prior kind 'uniform'"):
+            prior_from_dict({"kind": "uniform", "lo": -2.0, "hi": 3.0})
 
     def test_prior_round_trips(self):
         priors = [
