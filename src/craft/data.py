@@ -72,6 +72,11 @@ class ScalerParams:
     def scale_labels(self, y):
         return 2.0 * (np.asarray(y, dtype=np.float64) - self.label_lo) / (self.label_hi - self.label_lo) - 1.0
 
+    def label_map(self):
+        """``(scale, shift)``: :meth:`scale_labels` is the map ``scale * y + shift``."""
+        span = self.label_hi - self.label_lo
+        return 2.0 / span, -2.0 * self.label_lo / span - 1.0
+
     def unscale_labels(self, y):
         return (np.asarray(y, dtype=np.float64) + 1.0) * (self.label_hi - self.label_lo) / 2.0 + self.label_lo
 
@@ -128,16 +133,19 @@ class Dataset:
 
 def _parse_cell(path, lineno, name, cell):
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: non-numeric value {cell!r} in column {name}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: non-finite value {cell!r} in column {name}")
+    return value
 
 
 def load_csv(path) -> Dataset:
     """Read a dataset from a ``f0,...,f{d-1},y[,labeled]`` CSV file.
 
     Without a ``labeled`` column every row counts as labeled.  An empty ``y``
-    cell is allowed only on rows flagged unlabeled.
+    cell is allowed only on rows flagged unlabeled, and no cell may be non-finite.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -112,18 +112,19 @@ class CraftConfig:
 
     ``alpha`` weighs the unsupervised term, in which every batch row takes
     its selected pseudo-label; ``c`` is the Gaussian variance of the match
-    score (at the default 0.5 the quadratics enter unscaled).  ``alpha``,
-    ``c`` and ``learning_rate`` must be real numbers, and a bool is not one.
+    score (at 0.5 the quadratics enter unscaled).  ``alpha``, ``c`` and
+    ``learning_rate`` must be real numbers, and a bool is not one.  The six
+    fit settings have their defaults in ``harness.ExperimentConfig`` alone.
     """
 
-    alpha: float = 0.1
-    c: float = 0.5
+    alpha: float
+    c: float
+    batch_size: int
+    epochs: int
+    seed: int
+    learning_rate: float
     grid: BinGrid | None = None
     prior: object | None = None
-    batch_size: int = 64
-    epochs: int = 30
-    seed: int = 0
-    learning_rate: float = 1e-4
 
     def __post_init__(self):
         # written so that NaN fails too
@@ -148,7 +149,7 @@ class LossBreakdown:
     total: float
 
 
-def joint_log_scores(predictions, grid: BinGrid, prior, c: float = 0.5) -> np.ndarray:
+def joint_log_scores(predictions, grid: BinGrid, prior, c: float) -> np.ndarray:
     """Log joint score of every (sample, candidate midpoint) pair, shape (n, B).
 
     Entry (i, b) is the negated scaled squared distance between midpoint b and
@@ -183,7 +184,7 @@ def joint_log_scores(predictions, grid: BinGrid, prior, c: float = 0.5) -> np.nd
     return scores
 
 
-def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float = 0.5) -> np.ndarray:
+def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float) -> np.ndarray:
     """Index of the highest-scoring bin per sample (see :func:`joint_log_scores`);
     ``grid.midpoints`` at these indices are the pseudo-labels."""
     scores = joint_log_scores(predictions, grid, prior, c)
@@ -228,8 +229,7 @@ def _unsup_terms(f: np.ndarray, targets: np.ndarray, c: float):
     return quad, crowding, d_loss_d_f
 
 
-def craft_loss_and_grad(params: RegressorParams, x, y_sup, targets, config: CraftConfig,
-                        cache: list | None = None):
+def craft_loss_and_grad(params: RegressorParams, x, y_sup, targets, config: CraftConfig, cache: list):
     """Combined loss and its exact parameter gradient over one batch, at fixed targets.
 
     The supervised rows are the first ``y_sup.size`` rows of ``x``; the
@@ -237,12 +237,11 @@ def craft_loss_and_grad(params: RegressorParams, x, y_sup, targets, config: Craf
     ``targets.size`` rows with those frozen targets, so a row may sit in both
     terms.  Both terms' upstream gradients are added per row, and a row in
     both is backpropagated once.  ``cache`` is the activation list a
-    :func:`forward_batch` call over ``x`` filled; without it the forward pass
-    runs here.
+    :func:`forward_batch` call over ``x`` at ``params`` filled; the predictions
+    and the backward pass read it, and no forward pass runs here.
     """
-    x = np.asarray(x, dtype=np.float64)
     y_sup = np.asarray(y_sup, dtype=np.float64)
-    n, n_sup = x.shape[0], y_sup.size
+    n, n_sup = len(x), y_sup.size
     if n == 0:
         raise ValueError("the batch is empty")
     if n_sup > n:
@@ -251,17 +250,11 @@ def craft_loss_and_grad(params: RegressorParams, x, y_sup, targets, config: Craf
         targets = np.asarray(targets, dtype=np.float64)
         if targets.size > n:
             raise ValueError(f"targets has {targets.size} entries for a batch of {n} rows")
-    if cache is None:
-        cache = []
-        forward_batch(params, x, cache)
     f = cache[-1][:, 0]
     upstream = np.zeros(n)
-    if n_sup:
-        residual = f[:n_sup] - y_sup
-        supervised = float(residual @ residual)
-        upstream[:n_sup] = 2.0 * residual
-    else:
-        supervised = 0.0
+    residual = f[:n_sup] - y_sup
+    supervised = float(residual @ residual)
+    upstream[:n_sup] = 2.0 * residual
     if targets is not None:
         start = n - targets.size
         quad, crowding, d_f = _unsup_terms(f[start:], targets, config.c)

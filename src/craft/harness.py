@@ -52,6 +52,7 @@ __all__ = [
     "default_scenario",
     "train_source_in_memory",
     "adapt_in_memory",
+    "aggregate_sweep_rows",
     "run_synth",
     "run_train_source",
     "run_adapt",
@@ -128,7 +129,7 @@ class ExperimentConfig:
     out_dir: str = "runs"
     # network
     hidden_layers: tuple = (32, 32)
-    # training
+    # training (CraftConfig's fit settings have no defaults but these)
     method: str = "craft"
     alpha: float = 0.1
     c: float = 0.5
@@ -238,7 +239,18 @@ def _read(load, path, access_log):
 
 def _load_prior(path):
     with open(path, encoding="utf-8") as fh:
-        return prior_from_dict(json.load(fh))
+        try:
+            return prior_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"prior file {path}: {exc}") from None
+
+
+def _check_features(checkpoint: Checkpoint, **splits):
+    """Fail naming the first given split whose feature count the checkpoint does not take."""
+    expected = checkpoint.params.spec.input_dim
+    for name, ds in splits.items():
+        if ds is not None and ds.d != expected:
+            raise ValueError(f"checkpoint expects {expected} features, {name} has {ds.d}")
 
 
 def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
@@ -289,10 +301,7 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
     epoch under 'best_val' model selection, scored on its labeled rows, and
     must then hold at least one; it is unused under 'final'.
     """
-    if checkpoint.params.spec.input_dim != train_raw.d:
-        raise ValueError(
-            f"checkpoint expects {checkpoint.params.spec.input_dim} features, data has {train_raw.d}"
-        )
+    _check_features(checkpoint, target_train=train_raw, target_val=val_raw, target_test=test_raw)
     seed = cfg.seed if seed is None else seed
     scaler = checkpoint.scaler
 
@@ -323,9 +332,7 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
             if cfg.prior_source == "file":
                 prior = _read(_load_prior, cfg.prior_file, access_log)
                 # file priors live in original label units; move them into model space
-                a = 2.0 / (scaler.label_hi - scaler.label_lo)
-                b = -2.0 * scaler.label_lo / (scaler.label_hi - scaler.label_lo) - 1.0
-                prior = affine_transform_prior(prior, a, b)
+                prior = affine_transform_prior(prior, *scaler.label_map())
             else:
                 prior_labels = labeled_scaled
                 if cfg.prior_source == "true_marginal":
@@ -516,6 +523,7 @@ def run_evaluate(cfg: ExperimentConfig) -> dict:
     access: list = []
     checkpoint = _read(load_checkpoint, cfg.source_checkpoint, access)
     test = _read(load_csv, cfg.target_test, access)
+    _check_features(checkpoint, target_test=test)
     pair = evaluate(checkpoint.params, test, checkpoint.scaler)
     return {
         "rmse": pair.rmse,

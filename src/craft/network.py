@@ -5,8 +5,8 @@ live in one contiguous vector, layer by layer, each layer's (fan_in, fan_out)
 weight matrix followed by its bias vector; per-layer ``weights`` and
 ``biases`` are views into it, and a gradient uses the same layout, so an
 optimizer step is a handful of whole-vector operations.  Hidden layers are
-tanh; the output layer is linear and one unit wide.  A forward pass can keep
-its activations for the backward pass at the same parameters.  A checkpoint
+tanh; the output layer is linear and one unit wide.  The backward pass reads
+the activations its forward pass kept at the same parameters.  A checkpoint
 holds the parameters and the scaler they were trained under, since a model
 is only usable with its scaler; it serializes to JSON with full float
 precision, so a save/load round trip is bitwise exact.  The file keeps
@@ -122,60 +122,43 @@ def init_params(spec: MlpSpec, seed: int = 0) -> RegressorParams:
     return params
 
 
-def _forward_cached(params: RegressorParams, X: np.ndarray, acts: list) -> list:
-    """Forward pass appending post-activation values per layer (input first) to ``acts``."""
-    acts.append(X)
-    a = X
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        a = np.tanh(z) if i < last else z
-        acts.append(a)
-    return acts
-
-
-def _check_rows(params: RegressorParams, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.spec.input_dim:
-        raise ValueError(f"expected shape (n, {params.spec.input_dim}), got {X.shape}")
-    return X
-
-
 def forward_batch(params: RegressorParams, X, cache: list | None = None) -> np.ndarray:
     """Predictions for every row of ``X``, shape (n,).
 
-    Pass an empty list as ``cache`` to keep the per-layer activations;
-    handing it to :func:`backward` at the same parameters and rows spares
-    the second forward pass.
+    Pass an empty list as ``cache`` to keep the post-activation values per
+    layer, input first; :func:`backward` at the same parameters and rows
+    reads them.
     """
-    X = _check_rows(params, X)
-    acts = _forward_cached(params, X, [] if cache is None else cache)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.spec.input_dim:
+        raise ValueError(f"expected shape (n, {params.spec.input_dim}), got {X.shape}")
+    acts = [] if cache is None else cache
+    acts.append(X)
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if i < last else z)
     return acts[-1][:, 0]
 
 
-def backward(params: RegressorParams, X, upstream, cache: list | None = None) -> RegressorParams:
+def backward(params: RegressorParams, X, upstream, cache: list) -> RegressorParams:
     """Exact gradient of sum_i upstream_i * f(x_i) over all parameters.
 
     ``cache`` is the activation list a :func:`forward_batch` call over the
-    same ``X`` filled; without it the forward pass runs again.
+    same ``X`` at the same parameters filled; it is required.
     """
-    X = _check_rows(params, X)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (X.shape[0],):
-        raise ValueError("upstream must be a vector with one entry per row")
-    if cache is None:
-        acts = _forward_cached(params, X, [])
-    elif len(cache) != len(params.weights) + 1 or cache[0].shape != X.shape:
+    if len(cache) != len(params.weights) + 1 or cache[0].shape != np.shape(X):
         raise ValueError("cache does not hold a forward pass over X")
-    else:
-        acts = cache
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != (len(X),):
+        raise ValueError("upstream must be a vector with one entry per row")
     grads = RegressorParams(params.spec, np.empty(params.spec.n_params))
     delta = upstream[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=grads.weights[i])
+        np.matmul(cache[i].T, delta, out=grads.weights[i])
         delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (1.0 - acts[i]**2)
+            delta = (delta @ params.weights[i].T) * (1.0 - cache[i]**2)
     return grads
 
 
@@ -188,12 +171,12 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
-    learning_rate: float = 1e-4
+    t: int
+    learning_rate: float
 
     @classmethod
-    def init(cls, params: RegressorParams, learning_rate: float = 1e-4) -> "AdamState":
-        return cls(np.zeros_like(params.vector), np.zeros_like(params.vector), learning_rate=learning_rate)
+    def init(cls, params: RegressorParams, learning_rate: float) -> "AdamState":
+        return cls(np.zeros_like(params.vector), np.zeros_like(params.vector), 0, learning_rate)
 
 
 def adam_step(params: RegressorParams, grads: RegressorParams, state: AdamState):
@@ -229,15 +212,19 @@ def save_checkpoint(path, params: RegressorParams, scaler: ScalerParams) -> None
 def load_checkpoint(path) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    version = payload.get("version")
+    version = payload.get("version") if isinstance(payload, dict) else None
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    activation = payload["spec"].get("activation")
+    try:
+        activation = payload["spec"].get("activation")
+        layers, weights, biases = payload["spec"]["layers"], payload["weights"], payload["biases"]
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path} has no key {exc.args[0]!r}") from None
     if activation != "tanh":
         raise ValueError(f"unsupported checkpoint activation {activation!r}; only tanh is supported")
-    spec = MlpSpec(tuple(payload["spec"]["layers"]))
-    weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
+    spec = MlpSpec(tuple(layers))
+    weights = [np.array(w, dtype=np.float64) for w in weights]
+    biases = [np.array(b, dtype=np.float64) for b in biases]
     try:
         params = RegressorParams.from_blocks(spec, weights, biases)
     except ValueError as exc:

@@ -230,10 +230,8 @@ class HistogramPrior:
 
 
 def prior_log_density(prior, y):
-    """Log density of a label prior at ``y`` (scalar or vector); -inf off support."""
-    y_arr = np.asarray(y, dtype=np.float64)
-    scalar = y_arr.ndim == 0
-    yv = np.atleast_1d(y_arr)
+    """Log density of a label prior at each point of ``y``, always a 1-d array; -inf off support."""
+    yv = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if isinstance(prior, HistogramPrior):
         nbins = prior.probs.size
         idx = np.searchsorted(prior.edges, yv, side="right") - 1
@@ -251,7 +249,7 @@ def prior_log_density(prior, y):
         out = _logsumexp_rows(comp)
     else:
         raise TypeError(f"unknown prior type {type(prior).__name__}")
-    return float(out[0]) if scalar else out
+    return out
 
 
 def fit_histogram_prior(labels, n_bins: int) -> HistogramPrior:
@@ -313,17 +311,22 @@ def prior_to_dict(prior) -> dict:
 
 def prior_from_dict(d: dict):
     """The prior a :func:`prior_to_dict` dict describes: kind ``histogram``
-    or ``mixture``."""
+    or ``mixture``.  Anything else, or a missing key, is a ``ValueError``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a prior is a JSON object, not a {type(d).__name__}")
     kind = d.get("kind")
-    if kind == "histogram":
-        return HistogramPrior(d["edges"], d["probs"])
-    if kind == "mixture":
-        gaussians = d.get("gaussians", [])
-        return MixturePrior(
-            weights=d["weights"],
-            means=[g[0] for g in gaussians],
-            variances=[g[1] for g in gaussians],
-            rates=d.get("exponentials", []),
-            offset=d.get("offset", 0.0),
-        )
+    try:
+        if kind == "histogram":
+            return HistogramPrior(d["edges"], d["probs"])
+        if kind == "mixture":
+            gaussians = d.get("gaussians", [])
+            return MixturePrior(
+                weights=d["weights"],
+                means=[g[0] for g in gaussians],
+                variances=[g[1] for g in gaussians],
+                rates=d.get("exponentials", []),
+                offset=d.get("offset", 0.0),
+            )
+    except KeyError as exc:
+        raise ValueError(f"{kind} prior has no key {exc.args[0]!r}") from None
     raise ValueError(f"unknown prior kind {kind!r}")

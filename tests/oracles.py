@@ -6,8 +6,29 @@ import numpy as np
 
 from craft.data import Dataset
 from craft.engine import craft_loss_and_grad, select_pseudo_labels
+from craft.harness import ExperimentConfig, _craft_config
 from craft.network import RegressorParams, backward, forward_batch
 from craft.priors import HistogramPrior, MixturePrior, prior_log_density
+
+
+def fit_config(**settings):
+    """A ``CraftConfig`` at ``ExperimentConfig``'s stock fit settings, with
+    ``settings`` on top."""
+    return _craft_config(ExperimentConfig(), **settings)
+
+
+def gradient(params, x, upstream):
+    """``backward`` over the activations of a fresh forward pass over ``x``."""
+    cache: list = []
+    forward_batch(params, x, cache)
+    return backward(params, x, upstream, cache)
+
+
+def loss_and_grad(params, x, y_sup, targets, config):
+    """``craft_loss_and_grad`` over the activations of a fresh forward pass over ``x``."""
+    cache: list = []
+    forward_batch(params, x, cache)
+    return craft_loss_and_grad(params, x, y_sup, targets, config, cache)
 
 
 def uniform_prior(lo, hi):
@@ -39,19 +60,19 @@ def batch_joint_log_density(params, x, targets, prior, c):
     softmax = np.exp(log_pdf - row_lse[:, None])
     resid = f[None, :] - targets[:, None]
     d_f = (-np.diagonal(resid) + (softmax * resid).sum(axis=0)) / c
-    return total, backward(params, x, d_f)
+    return total, gradient(params, x, d_f)
 
 
 def stacked_loss_and_grad(params, x_labeled, y_labeled, x_unsup, unsup_targets, config):
-    """``craft_loss_and_grad`` over the labeled rows stacked above the unsupervised
+    """:func:`loss_and_grad` over the labeled rows stacked above the unsupervised
     rows; the unsupervised rows and their targets join only at positive alpha."""
     if config.alpha > 0.0 and len(x_unsup):
-        return craft_loss_and_grad(params, np.vstack([x_labeled, x_unsup]), y_labeled,
-                                   unsup_targets, config)
-    return craft_loss_and_grad(params, x_labeled, y_labeled, None, config)
+        return loss_and_grad(params, np.vstack([x_labeled, x_unsup]), y_labeled,
+                             unsup_targets, config)
+    return loss_and_grad(params, x_labeled, y_labeled, None, config)
 
 
-def candidate_major_joint_log_scores(predictions, grid, prior, c=0.5):
+def candidate_major_joint_log_scores(predictions, grid, prior, c):
     """``joint_log_scores`` as first written: the matrix is built (bins, n), with
     the batch reductions along its contiguous rows, and transposed at the end."""
     f = np.asarray(predictions, dtype=np.float64)
@@ -94,7 +115,7 @@ def brute_force_scores(predictions, grid, prior, c):
     """Cell-by-cell evaluation of the joint log score matrix."""
     f = [float(v) for v in predictions]
     mids = [float(m) for m in grid.midpoints]
-    logp = [float(prior_log_density(prior, m)) for m in mids]
+    logp = [float(prior_log_density(prior, m)[0]) for m in mids]
     n, n_bins = len(f), len(mids)
     batch_lse = []
     for b in range(n_bins):
@@ -207,7 +228,7 @@ def reference_fit(source_params, target, config):
                 d_f = (np.diagonal(resid) - (softmax * resid).sum(axis=0)) / config.c
                 upstream.append(config.alpha * d_f)
                 rows.append(x_u)
-            grads = backward(params, np.vstack(rows), np.concatenate(upstream))
+            grads = gradient(params, np.vstack(rows), np.concatenate(upstream))
             t += 1
             weights, biases = _reference_adam(weights, biases, grads, moments, t,
                                               config.learning_rate)

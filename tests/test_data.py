@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ class TestCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text,line,column", [
+        ("f0,y\n0.1,1.0\nnan,2.0\n", 3, "f0"),
+        ("f0,y,labeled\n0.1,inf,1\n", 2, "y"),
+    ], ids=["feature", "label"])
+    def test_non_finite_cell_errors_naming_file_line_and_column(self, tmp_path, text, line, column):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        message = rf"^{re.escape(str(path))}:{line}: non-finite value .* in column {column}$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+
     def test_round_trip(self, tmp_path):
         ds = make_dataset(n=7, d=2, labeled=[1, 1, 0, 1, 0, 1, 1])
         path = tmp_path / "d.csv"
@@ -120,6 +132,13 @@ class TestScaler:
         back = invert_scaler(apply_scaler(ds, params), params)
         np.testing.assert_allclose(back.features, ds.features, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(back.labels, ds.labels, rtol=1e-12, atol=1e-12)
+
+    def test_label_map_is_the_label_scaling(self):
+        ds = make_dataset(n=20, d=2, seed=3)
+        params = fit_scaler(ds)
+        scale, shift = params.label_map()
+        np.testing.assert_allclose(scale * ds.labels + shift, params.scale_labels(ds.labels),
+                                   rtol=0, atol=1e-14)
 
     def test_scaled_features_standardized(self):
         ds = make_dataset(n=200, d=3, seed=1)

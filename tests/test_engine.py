@@ -8,7 +8,10 @@ from oracles import (
     brute_force_scores,
     brute_force_select,
     candidate_major_joint_log_scores,
+    fit_config,
     grad_check,
+    gradient,
+    loss_and_grad,
     reference_fit,
     stacked_loss_and_grad,
     uniform_prior,
@@ -18,7 +21,6 @@ from craft.data import Dataset, apply_scaler, fit_scaler, generate_synthetic, st
 from craft.engine import (
     BinGrid,
     CraftConfig,
-    craft_loss_and_grad,
     fit_craft,
     fit_tl,
     joint_log_scores,
@@ -31,7 +33,6 @@ from craft.metrics import rmse
 from craft.network import (
     MlpSpec,
     RegressorParams,
-    backward,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -247,8 +248,8 @@ class TestSelectPseudoLabels:
 
 
 class TestCraftLoss:
-    def config(self, alpha=0.1, c=0.5):
-        return CraftConfig(alpha=alpha, c=c, epochs=1)
+    def config(self, alpha=0.1):
+        return fit_config(alpha=alpha)
 
     def test_alpha_zero_reduces_to_supervised(self):
         params = init_params(MlpSpec((2, 6, 1)), seed=0)
@@ -259,7 +260,7 @@ class TestCraftLoss:
         residual = forward_batch(params, x_l) - y_l
         assert breakdown.total == breakdown.supervised == float(residual @ residual)
         assert breakdown.unsup_quadratic == 0.0 and breakdown.unsup_contrastive == 0.0
-        reference = backward(params, x_l, 2.0 * residual)
+        reference = gradient(params, x_l, 2.0 * residual)
         for (_, g1), (_, g2) in zip(grads.blocks(), reference.blocks()):
             np.testing.assert_array_equal(g1, g2)
 
@@ -329,7 +330,7 @@ class TestCraftLoss:
     def test_both_batches_empty_errors(self):
         params = identity_net()
         with pytest.raises(ValueError, match="empty"):
-            craft_loss_and_grad(params, *empty_batch(), None, self.config())
+            loss_and_grad(params, *empty_batch(), None, self.config())
 
     @pytest.mark.parametrize("name,y_sup,targets", [
         ("y_sup", np.zeros(3), None),
@@ -338,18 +339,7 @@ class TestCraftLoss:
     def test_more_labels_than_rows_errors(self, name, y_sup, targets):
         x = np.array([[0.1], [0.2]])
         with pytest.raises(ValueError, match=name):
-            craft_loss_and_grad(identity_net(), x, y_sup, targets, self.config())
-
-    def test_cached_forward_pass_gives_the_same_result(self):
-        rng = np.random.default_rng(12)
-        params = init_params(MlpSpec((2, 5, 1)), seed=12)
-        x, y_sup, targets = rng.normal(size=(7, 2)), rng.normal(size=3), rng.normal(size=6)
-        cache: list = []
-        forward_batch(params, x, cache)
-        bd_a, g_a = craft_loss_and_grad(params, x, y_sup, targets, self.config(alpha=0.4), cache)
-        bd_b, g_b = craft_loss_and_grad(params, x, y_sup, targets, self.config(alpha=0.4))
-        assert bd_a == bd_b
-        np.testing.assert_array_equal(g_a.vector, g_b.vector)
+            loss_and_grad(identity_net(), x, y_sup, targets, self.config())
 
     def test_unsupervised_gradient_is_map_gradient(self):
         rng = np.random.default_rng(7)
@@ -361,7 +351,7 @@ class TestCraftLoss:
             targets = grid.midpoints[select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)]
             alpha = 0.37
             _, unsup = stacked_loss_and_grad(params, *empty_batch(2), x_u, targets,
-                                             CraftConfig(alpha=alpha, c=0.5, epochs=1))
+                                             fit_config(alpha=alpha, c=0.5))
             _, joint = batch_joint_log_density(params, x_u, targets, prior, 0.5)
             for (_, g1), (_, g2) in zip(unsup.blocks(), joint.blocks()):
                 err = np.abs(g1 - (-alpha) * g2) / np.maximum(1.0, np.abs(alpha * g2))
@@ -452,18 +442,22 @@ class TestFitLoops:
                                              ("seed", 1.5), ("epochs", True)])
     def test_counts_and_seed_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
-            CraftConfig(alpha=0.0, **{field: value})
+            fit_config(alpha=0.0, **{field: value})
+
+    def test_fit_settings_have_no_engine_defaults(self):
+        with pytest.raises(TypeError, match="learning_rate"):
+            CraftConfig(alpha=0.1, c=0.5, batch_size=64, epochs=1, seed=0)
 
     def test_tl_requires_labeled_rows(self):
         ds = Dataset(np.ones((4, 1)), np.full(4, np.nan), np.zeros(4, dtype=bool))
         params = init_params(MlpSpec((1, 1)), 0)
         with pytest.raises(ValueError, match="labeled"):
-            fit_tl(params, ds, CraftConfig(alpha=0.0, epochs=1))
+            fit_tl(params, ds, fit_config(alpha=0.0, epochs=1))
 
     def test_craft_at_alpha_zero_requires_labeled_rows_like_tl(self):
         ds = Dataset(np.ones((4, 1)), np.full(4, np.nan), np.zeros(4, dtype=bool))
         params = init_params(MlpSpec((1, 1)), 0)
-        config = CraftConfig(alpha=0.0, epochs=1)
+        config = fit_config(alpha=0.0, epochs=1)
         with pytest.raises(ValueError) as tl_error:
             fit_tl(params, ds, config)
         with pytest.raises(ValueError) as craft_error:
@@ -632,8 +626,7 @@ class TestShiftDegradesTransfer:
         scaler = fit_scaler(train)
         scaled = apply_scaler(train, scaler)
         params = init_params(MlpSpec((8, 32, 32, 1)), seed=0)
-        config = CraftConfig(alpha=0.0, epochs=60, seed=0, learning_rate=3e-3,
-                             batch_size=64)
+        config = fit_config(alpha=0.0, epochs=60, seed=0, learning_rate=3e-3, batch_size=64)
         fitted, _ = fit_tl(params, scaled, config)
 
         def units_rmse(ds):

@@ -3,6 +3,7 @@ import builtins
 import dataclasses
 import json
 import math
+import re
 
 import jsonschema
 import numpy as np
@@ -298,6 +299,30 @@ class TestAdapt:
         with pytest.raises(ValueError, match="features"):
             run_adapt(cfg)
 
+    @pytest.mark.parametrize("split", ["target_val", "target_test"])
+    def test_a_split_missing_a_feature_fails_naming_it_before_any_epoch(
+            self, tiny_workspace, tmp_path, monkeypatch, split):
+        full = load_csv(tiny_workspace["paths"][split])
+        narrow = tmp_path / "narrow.csv"
+        write_csv(Dataset(full.features[:, :-1], full.labels, full.labeled), narrow)
+        fits = []
+        monkeypatch.setattr("craft.harness.fit_craft", lambda *args, **kwargs: fits.append(1))
+        with pytest.raises(ValueError, match=rf"expects 3 features, {split} has 2"):
+            run_adapt(adapt_config(tiny_workspace, tmp_path, **{split: str(narrow)}))
+        assert fits == []
+
+    @pytest.mark.parametrize("payload,named", [
+        ({"kind": "mixture"}, "mixture prior has no key 'weights'"),
+        ([0.5, 0.5], "a prior is a JSON object, not a list"),
+    ])
+    def test_a_malformed_prior_file_fails_naming_the_file(self, tiny_workspace, tmp_path,
+                                                          payload, named):
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(payload))
+        cfg = adapt_config(tiny_workspace, tmp_path, prior_source="file", prior_file=str(path))
+        with pytest.raises(ValueError, match=re.escape(f"prior file {path}: {named}")):
+            run_adapt(cfg)
+
 
 class TestSweep:
     def test_rows_reproducible_and_aggregates_recomputable(self, tiny_workspace, tmp_path):
@@ -482,6 +507,14 @@ class TestEvaluateCommand:
         result = run_evaluate(cfg)
         assert result["rmse"] > 0
         assert -1.0 <= result["pbcor"] <= 1.0
+
+    def test_a_test_split_missing_a_feature_fails_naming_it(self, tiny_workspace, tmp_path):
+        full = load_csv(tiny_workspace["paths"]["target_test"])
+        narrow = tmp_path / "narrow.csv"
+        write_csv(Dataset(full.features[:, :-1], full.labels, full.labeled), narrow)
+        cfg = ExperimentConfig(source_checkpoint=tiny_workspace["checkpoint"], target_test=str(narrow))
+        with pytest.raises(ValueError, match="expects 3 features, target_test has 2"):
+            run_evaluate(cfg)
 
 
 class TestCli:

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from oracles import grad_check
+from oracles import grad_check, gradient
 
 from craft.data import ScalerParams
 from craft.network import (
@@ -78,12 +79,12 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_gradient(self):
         params = init_params(MlpSpec((2, 4, 1)), seed=3)
-        grads = backward(params, np.ones((5, 2)), np.zeros(5))
+        grads = gradient(params, np.ones((5, 2)), np.zeros(5))
         for _, g in grads.blocks():
             assert (g == 0.0).all()
 
     def test_scalar_linear_hand_derivative(self):
-        grads = backward(scalar_linear(), np.array([[3.0]]), np.array([1.0]))
+        grads = gradient(scalar_linear(), np.array([[3.0]]), np.array([1.0]))
         assert grads.weights[0][0, 0] == 3.0
         assert grads.biases[0][0] == 1.0
 
@@ -94,9 +95,18 @@ class TestBackward:
 
         def loss_fn(p):
             out = forward_batch(p, X)
-            return float(out @ upstream), backward(p, X, upstream)
+            return float(out @ upstream), gradient(p, X, upstream)
 
         assert grad_check(loss_fn, params, h=1e-5) < 1e-6
+
+    def test_rejects_a_cache_without_a_forward_pass_over_its_rows(self):
+        params = init_params(MlpSpec((2, 4, 1)), seed=7)
+        X = np.random.default_rng(8).normal(size=(3, 2))
+        other: list = []
+        forward_batch(params, X[:2], other)
+        for cache in ([], other):
+            with pytest.raises(ValueError, match="cache does not hold a forward pass over X"):
+                backward(params, X, np.ones(3), cache)
 
 
 def ones_gradient(params):
@@ -117,7 +127,7 @@ class TestAdam:
 
     def test_zero_gradient_leaves_params_unchanged(self):
         params = init_params(MlpSpec((2, 3, 1)), seed=0)
-        state = AdamState.init(params)
+        state = AdamState.init(params, learning_rate=0.1)
         current = params
         for _ in range(5):
             current, state = adam_step(current, zero_gradient(current), state)
@@ -155,7 +165,7 @@ class TestAdam:
         grads = zero_gradient(params)
         grads.weights[1][0, 0] = np.nan
         with pytest.raises(ValueError, match="layer 1 weights"):
-            adam_step(params, grads, AdamState.init(params))
+            adam_step(params, grads, AdamState.init(params, learning_rate=0.1))
 
 
 class TestGradCheck:
@@ -263,4 +273,10 @@ class TestCheckpoint:
         payload["version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_missing_key_fails_naming_the_file_and_the_key(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"version": 1}')
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} has no key 'spec'")):
             load_checkpoint(path)

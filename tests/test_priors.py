@@ -119,6 +119,11 @@ class TestMixtureLogDensity:
         expected = -0.5 * math.log(2 * math.pi)
         assert abs(prior_log_density(prior, 0.0) - expected) < 1e-12
 
+    def test_a_scalar_query_gives_a_one_element_array(self):
+        prior = MixturePrior([1.0], [0.0], [1.0], [], 0.0)
+        for query in (0.0, np.float64(0.0), np.array(0.0)):
+            assert prior_log_density(prior, query).shape == (1,)
+
     def test_exponential_below_support_is_minus_inf(self):
         prior = MixturePrior([1.0], [], [], [1.0], 0.0)
         assert prior_log_density(prior, -0.5) == -np.inf
@@ -194,7 +199,7 @@ class TestPriorLogDensity:
             dens += 0.4 * 2.0 * math.exp(-2.0 * z) if z >= 0.0 else 0.0
             assert abs(prior_log_density(prior, y) - math.log(dens)) < 1e-12
         np.testing.assert_array_equal(prior_log_density(prior, ys),
-                                      [prior_log_density(prior, y) for y in ys])
+                                      [prior_log_density(prior, y)[0] for y in ys])
 
     def test_zero_probability_bin_is_minus_inf(self):
         prior = HistogramPrior([0.0, 1.0, 2.0], [1.0, 0.0])
