@@ -13,7 +13,9 @@ the flag overrides it reads, and rejects any other flag:
 Each flag sets the config field named by its ``dest``, and flags beat the
 file: the two are merged before the config is built and checked, so a flag
 can replace a bad file value, and a bad method, label fraction or fit
-setting fails before any work starts.  A flag for a swept field also drops
+setting fails before any work starts.  ``--prior file:PATH`` sets
+``prior_file``, and ``--prior fit`` clears one the file names, so the prior
+is fitted to the labeled rows.  A flag for a swept field also drops
 the file's axis for it (``harness.SWEEP_AXES``): ``--method`` drops
 ``methods``, ``--label-fraction`` ``label_fractions``, ``--alpha``
 ``alphas``, ``--bins`` ``bin_counts`` and ``--seed`` ``seeds``.  When the
@@ -47,7 +49,7 @@ _FLAGS = {
     "--alpha": {"dest": "alpha", "type": float},
     "--bins": {"dest": "bins", "type": int},
     "--label-fraction": {"dest": "label_fraction", "type": float},
-    "--prior": {"dest": "prior_source", "help": "fit | file:PATH | true"},
+    "--prior": {"dest": "prior_file", "help": "fit | file:PATH (fit drops a prior_file)"},
     "--checkpoint": {"dest": "source_checkpoint", "help": "source checkpoint path"},
 }
 _RUN_FLAGS = tuple(_FLAGS)
@@ -77,14 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_prior_flag(value: str) -> dict:
+def _parse_prior_flag(value: str) -> str | None:
+    """The ``prior_file`` a ``--prior`` value sets: None for ``fit``."""
     if value == "fit":
-        return {"prior_source": "fit_labeled"}
-    if value == "true":
-        return {"prior_source": "true_marginal"}
-    if value.startswith("file:"):
-        return {"prior_source": "file", "prior_file": value[len("file:"):]}
-    raise ValueError(f"--prior must be fit, true, or file:PATH (got {value!r})")
+        return None
+    if value.startswith("file:") and value != "file:":
+        return value[len("file:"):]
+    raise ValueError(f"--prior must be fit or file:PATH (got {value!r})")
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -94,8 +95,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raw = json.load(fh)
     updates = {field: value for field, value in vars(args).items()
                if field not in ("command", "config") and value is not None}
-    if "prior_source" in updates:
-        updates.update(_parse_prior_flag(updates["prior_source"]))
+    if "prior_file" in updates:
+        updates["prior_file"] = _parse_prior_flag(updates["prior_file"])
     for field in updates.keys() & SWEEP_AXES.keys():
         raw.pop(SWEEP_AXES[field], None)
     return ExperimentConfig(**{**raw, **updates})

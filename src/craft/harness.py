@@ -2,9 +2,9 @@
 
 Adaptation is source-free by contract: a run reads the source checkpoint and
 target files, never source data, and train-source reads the ``source_train``
-CSV that synth writes.  The train-source, adapt and evaluate commands record
-every file they open for reading and echo the list as ``files_opened`` so the
-contract is auditable; sweep rows and fit-prior do not.
+CSV that synth writes; ``adapt_in_memory`` reads no file.  The train-source,
+adapt and evaluate commands record every file they open for reading and echo
+the list as ``files_opened``, so the contract is auditable.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class ExperimentConfig:
     a fit applies); the model selection, validation fraction and bias
     settings; the count settings, which must be integers; the float settings
     and axis entries, which must be real numbers (a bool is not one);
-    ``hidden_layers``, a list of integers of at least 1; a prior file for the
-    'file' prior source; and the prior's strata, bins and component counts.
+    ``hidden_layers``, a list of integers of at least 1; the path settings,
+    each a string or None; and the prior's strata, bins and component counts.
     A bin count's floor is checked only when its grid is built, as it depends
     on where the grid comes from.
     """
@@ -146,8 +146,7 @@ class ExperimentConfig:
     bias_keep_above: float | None = None
     bias_threshold_quantile: float | None = None
     # prior
-    prior_source: str = "fit_labeled"  # fit_labeled | true_marginal | file
-    prior_file: str | None = None
+    prior_file: str | None = None  # CRAFT's prior when set, else fitted to the labeled rows
     prior_form: str = "mixture"  # mixture | histogram | uniform
     prior_bins: int = 10
     prior_gaussians: int = 2
@@ -162,6 +161,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.scenario, dict):
             self.scenario = GeneratorSpec(**self.scenario)
+        for name in ("source_train", "source_checkpoint", "target_train", "target_val",
+                     "target_test", "out_dir", "prior_file"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
         for axis in SWEEP_AXES.values():
             values = getattr(self, axis)
             if values is not None and not isinstance(values, (list, tuple)):
@@ -169,8 +172,6 @@ class ExperimentConfig:
         for method in [self.method, *(self.methods or [])]:
             if method not in ("craft", "tl", "naive"):
                 raise ValueError(f"unknown method {method!r}")
-        if self.prior_source not in ("fit_labeled", "true_marginal", "file"):
-            raise ValueError(f"unknown prior_source {self.prior_source!r}")
         if self.prior_form not in ("mixture", "histogram", "uniform"):
             raise ValueError(f"unknown prior_form {self.prior_form!r}")
         for fraction in [self.label_fraction, *(self.label_fractions or [])]:
@@ -195,8 +196,6 @@ class ExperimentConfig:
             _check_integer("bin_counts", bins)
         for seed in self.seeds or []:
             _check_integer("seeds", seed)
-        if self.prior_source == "file" and not self.prior_file:
-            raise ValueError("prior_source 'file' needs prior_file")
         _check_integer("n_strata", self.n_strata, minimum=1)
         _check_integer("prior_bins", self.prior_bins, minimum=1)
         _check_integer("prior_gaussians", self.prior_gaussians, minimum=0)
@@ -230,10 +229,9 @@ def default_scenario(seed: int = 7, **overrides) -> GeneratorSpec:
     return GeneratorSpec(**base)
 
 
-def _read(load, path, access_log):
-    """``load(path)``, noting the path in ``access_log`` unless that is None."""
-    if access_log is not None:
-        access_log.append(str(path))
+def _read(load, path, access_log: list):
+    """``load(path)``, noting the path in ``access_log``."""
+    access_log.append(str(path))
     return load(path)
 
 
@@ -291,15 +289,16 @@ def _fit_prior(cfg: ExperimentConfig, labels: np.ndarray, seed: int, lo: float, 
 
 def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset | None,
                     test_raw: Dataset, cfg: ExperimentConfig, seed: int | None = None,
-                    access_log=None) -> dict:
+                    prior=None) -> dict:
     """One adaptation run against in-memory data; returns the report dict.
 
-    The raw target train set must be fully labeled when a label-dropping
-    protocol (bias injection, stratified masking) or the 'true_marginal'
-    prior option is configured; that prior is fitted to the true
-    pre-distortion labels.  The validation set, when given, picks the kept
-    epoch under 'best_val' model selection, scored on its labeled rows, and
-    must then hold at least one; it is unused under 'final'.
+    It reads no file.  The raw target train set must be fully labeled when a
+    label-dropping protocol (bias injection, stratified masking) is
+    configured.  ``prior``, in label units as a prior file holds it, is
+    CRAFT's label prior; without one, the prior is fitted to the labeled
+    rows.  The validation set, when given, picks the kept epoch under
+    'best_val' model selection, scored on its labeled rows, and must then
+    hold at least one; it is unused under 'final'.
     """
     _check_features(checkpoint, target_train=train_raw, target_val=val_raw, target_test=test_raw)
     seed = cfg.seed if seed is None else seed
@@ -322,35 +321,25 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
         report = RunReport(method="naive", seed=seed, alpha=0.0, c=cfg.c, bins=None)
         report.rmse = rmse(np.full(test_raw.n, mean), test_raw.labels)
     else:
-        grid = prior = None
+        grid = model_prior = None
         if cfg.method == "craft" and cfg.alpha > 0.0:
             labeled_scaled = train_scaled.labels[train_scaled.labeled]
             if labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min():
                 grid = make_bin_grid(cfg.bins, labeled_scaled)
             else:  # no label range to span: use the scaler's own label range
                 grid = BinGrid(-1.0, 1.0, cfg.bins)
-            if cfg.prior_source == "file":
-                prior = _read(_load_prior, cfg.prior_file, access_log)
-                # file priors live in original label units; move them into model space
-                prior = affine_transform_prior(prior, *scaler.label_map())
-            else:
-                prior_labels = labeled_scaled
-                if cfg.prior_source == "true_marginal":
-                    if not train_raw.labeled.all():
-                        raise ValueError("prior_source 'true_marginal' needs a fully labeled target_train")
-                    prior_labels = scaler.scale_labels(train_raw.labels)
-                prior = _fit_prior(cfg, prior_labels, seed, grid.lo, grid.hi)
-        config = _craft_config(cfg, grid=grid, prior=prior, seed=seed)
+            if prior is None:
+                model_prior = _fit_prior(cfg, labeled_scaled, seed, grid.lo, grid.hi)
+            else:  # a given prior lives in label units; move it into model space
+                model_prior = affine_transform_prior(prior, *scaler.label_map())
+        config = _craft_config(cfg, grid=grid, prior=model_prior, seed=seed)
         fit = fit_craft if cfg.method == "craft" else fit_tl
         params, report = fit(checkpoint.params, train_scaled, config, val=val_scaled)
         metrics = evaluate(params, test_raw, scaler)
         report.rmse = metrics.rmse
         report.pbcor = metrics.pbcor
     report.label_fraction = cfg.label_fraction
-    out = report.to_dict()
-    if access_log is not None:
-        out["files_opened"] = list(access_log)
-    return out
+    return report.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +382,7 @@ def run_train_source(cfg: ExperimentConfig) -> dict:
     return {"checkpoint": str(ckpt_path), "report": str(report_path), "val_rmse": report.rmse}
 
 
-def _load_adapt_inputs(cfg: ExperimentConfig, access: list | None):
+def _load_adapt_inputs(cfg: ExperimentConfig, access: list):
     if not cfg.source_checkpoint:
         raise ValueError("adapt needs a source_checkpoint path")
     if not cfg.target_train or not cfg.target_test:
@@ -402,15 +391,17 @@ def _load_adapt_inputs(cfg: ExperimentConfig, access: list | None):
     train = _read(load_csv, cfg.target_train, access)
     val = _read(load_csv, cfg.target_val, access) if cfg.target_val else None
     test = _read(load_csv, cfg.target_test, access)
-    return checkpoint, train, val, test
+    prior = _read(_load_prior, cfg.prior_file, access) if cfg.prior_file else None
+    return checkpoint, train, val, test, prior
 
 
 def run_adapt(cfg: ExperimentConfig) -> dict:
     """Source-free adaptation from files: reads only the checkpoint, the target
-    CSVs, and (optionally) a prior file; writes one report JSON."""
+    CSVs, and (optionally) a prior file, each once; writes one report JSON."""
     access: list = []
-    checkpoint, train, val, test = _load_adapt_inputs(cfg, access)
-    report = adapt_in_memory(checkpoint, train, val, test, cfg, access_log=access)
+    checkpoint, train, val, test, prior = _load_adapt_inputs(cfg, access)
+    report = adapt_in_memory(checkpoint, train, val, test, cfg, prior=prior)
+    report["files_opened"] = access
     out = Path(cfg.out_dir)
     path = out / f"report_{cfg.method}_seed{cfg.seed}.json"
     write_json(path, report, indent=2)
@@ -449,6 +440,7 @@ def aggregate_sweep_rows(rows) -> list:
 def run_sweep(cfg: ExperimentConfig) -> dict:
     """Sweep over (methods x fractions x alphas x bins x seeds), each distinct fit once.
 
+    Every input file, a prior file included, is read once, before any cell.
     Tl, naive and craft at alpha zero read neither alpha nor the bin count,
     so their cells run once per (fraction, seed), with alpha 0.0 and bins
     None; the cells keep the order of the product.
@@ -460,7 +452,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     lands last, plus a combined ``sweep_report.json`` and a delimited
     ``runs.csv``.
     """
-    checkpoint, train, val, test = _load_adapt_inputs(cfg, None)
+    checkpoint, train, val, test, prior = _load_adapt_inputs(cfg, [])
     out = Path(cfg.out_dir)
     axes = [getattr(cfg, axis) or [getattr(cfg, name)] for name, axis in SWEEP_AXES.items()]
     for name in ("runs.jsonl", "sweep_report.json", "runs.csv"):
@@ -473,7 +465,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
             # a cell that builds no grid (bins None) keeps the config's bin count
             cell = dataclasses.replace(cfg, method=method, label_fraction=fraction, alpha=alpha,
                                        bins=cfg.bins if bins is None else bins, seed=seed)
-            row = adapt_in_memory(checkpoint, train, val, test, cell)
+            row = adapt_in_memory(checkpoint, train, val, test, cell, prior=prior)
         except Exception as exc:  # record the failure, keep sweeping
             row = {"method": method, "seed": seed, "alpha": alpha, "bins": bins,
                    "label_fraction": fraction, "error": f"{type(exc).__name__}: {exc}"}

@@ -216,19 +216,19 @@ def load_checkpoint(path) -> Checkpoint:
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     try:
+        for key, kind in (("spec", dict), ("weights", list), ("biases", list)):
+            if not isinstance(payload[key], kind):
+                raise ValueError(f"checkpoint {path}: {key} must be a {kind.__name__}")
         activation = payload["spec"].get("activation")
         layers, weights, biases = payload["spec"]["layers"], payload["weights"], payload["biases"]
     except KeyError as exc:
         raise ValueError(f"checkpoint {path} has no key {exc.args[0]!r}") from None
     if activation != "tanh":
         raise ValueError(f"unsupported checkpoint activation {activation!r}; only tanh is supported")
-    spec = MlpSpec(tuple(layers))
-    weights = [np.array(w, dtype=np.float64) for w in weights]
-    biases = [np.array(b, dtype=np.float64) for b in biases]
-    try:
-        params = RegressorParams.from_blocks(spec, weights, biases)
-    except ValueError as exc:
-        raise ValueError(f"checkpoint {exc}") from None
     if not payload.get("scaler"):
         raise ValueError(f"checkpoint {path} carries no scaler; retrain the source model")
-    return Checkpoint(params, ScalerParams(**payload["scaler"]))
+    try:
+        return Checkpoint(RegressorParams.from_blocks(MlpSpec(tuple(layers)), weights, biases),
+                          ScalerParams(**payload["scaler"]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None

@@ -320,6 +320,9 @@ def prior_from_dict(d: dict):
             return HistogramPrior(d["edges"], d["probs"])
         if kind == "mixture":
             gaussians = d.get("gaussians", [])
+            if not (isinstance(gaussians, list)
+                    and all(isinstance(g, list) and len(g) == 2 for g in gaussians)):
+                raise ValueError("mixture prior gaussians must be [mean, variance] pairs")
             return MixturePrior(
                 weights=d["weights"],
                 means=[g[0] for g in gaussians],

@@ -36,6 +36,12 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
+def inputs(ws):
+    """The tiny workspace's checkpoint and target train, val and test splits."""
+    return (load_checkpoint(ws["checkpoint"]),
+            *(load_csv(ws["paths"][name]) for name in ("target_train", "target_val", "target_test")))
+
+
 def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     base = dict(
         source_checkpoint=ws["checkpoint"],
@@ -75,7 +81,6 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     ({"seed": 1.5}, "seed"),
     ({"seeds": [0, 1.5]}, "seeds"),
     ({"epochs": True}, "epochs"),
-    ({"prior_source": "file"}, "prior_file"),
     ({"n_strata": 0}, "n_strata"),
     ({"prior_bins": 0}, "prior_bins"),
     ({"prior_gaussians": -1}, "prior_gaussians"),
@@ -104,10 +109,17 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     ({"label_fraction": True}, "label_fraction"),
     ({"alphas": [0.1, "1"]}, "alpha"),
     ({"label_fractions": [0.5, True]}, "label_fraction"),
+    ({"source_train": 1}, "source_train"),
+    ({"source_checkpoint": 7}, "source_checkpoint"),
+    ({"target_train": 9}, "target_train"),
+    ({"target_val": 2.0}, "target_val"),
+    ({"target_test": ["t.csv"]}, "target_test"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"prior_file": True}, "prior_file"),
 ], ids=["alpha", "c", "batch_size", "epochs", "model_selection", "naive-alpha",
         "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
         "c-nan", "epochs-float", "batch_size-float", "bins-float", "bin_counts-float",
-        "seed-float", "seeds-float", "epochs-bool", "prior_file", "n_strata", "prior_bins",
+        "seed-float", "seeds-float", "epochs-bool", "n_strata", "prior_bins",
         "prior_gaussians", "prior_exponentials", "no-mixture-component", "hidden_layers-float",
         "hidden_layers-number", "hidden_layers-zero", "val_fraction-zero",
         "val_fraction-negative", "val_fraction-one", "bias_keep_above",
@@ -115,14 +127,17 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
         "seeds-number", "alphas-number", "methods-string", "alpha-string", "c-string",
         "learning_rate-string", "label_fraction-string", "val_fraction-string",
         "bias_keep_above-string", "bias_threshold_quantile-string", "alpha-bool",
-        "label_fraction-bool", "alphas-string", "label_fractions-bool"])
+        "label_fraction-bool", "alphas-string", "label_fractions-bool", "source_train-number",
+        "source_checkpoint-number", "target_train-number", "target_val-float",
+        "target_test-list", "out_dir-number", "prior_file-bool"])
 def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         ExperimentConfig(**overrides)
 
 
 @pytest.mark.parametrize("key,value", [("pseudo_source", "true_labels_for_labeled"),
-                                       ("activation", "tanh")], ids=["pseudo_source", "activation"])
+                                       ("activation", "tanh"), ("prior_source", "file")],
+                         ids=["pseudo_source", "activation", "prior_source"])
 def test_config_rejects_a_removed_key(key, value):
     with pytest.raises(TypeError, match=rf"\b{key}\b"):
         ExperimentConfig(**{key: value})
@@ -200,10 +215,9 @@ class TestAdapt:
         assert all(source_csv not in path for path in report["files_opened"])
         assert any(tiny_workspace["checkpoint"] in path for path in report["files_opened"])
 
-    def test_bias_and_true_marginal_prior_path(self, tiny_workspace, tmp_path):
+    def test_bias_injected_target_adapts(self, tiny_workspace, tmp_path):
         cfg = adapt_config(tiny_workspace, tmp_path, method="craft",
-                           bias_keep_above=0.2, label_fraction=0.4,
-                           prior_source="true_marginal", model_selection="final")
+                           bias_keep_above=0.2, label_fraction=0.4, model_selection="final")
         report = run_adapt(cfg)
         assert report["rmse"] > 0
         assert sum(report["pseudo_label_hist"]) > 0
@@ -248,11 +262,32 @@ class TestAdapt:
                                      out_dir=str(tmp_path / "prior"), prior_form="mixture",
                                      prior_gaussians=1, prior_exponentials=0)
         produced = run_fit_prior(prior_cfg)
-        cfg = adapt_config(tiny_workspace, tmp_path, method="craft",
-                           prior_source="file", prior_file=produced["prior"])
+        cfg = adapt_config(tiny_workspace, tmp_path, method="craft", prior_file=produced["prior"])
         report = run_adapt(cfg)
         assert report["rmse"] > 0
-        assert any(produced["prior"] in p for p in report["files_opened"])
+        assert report.pop("files_opened")[-1] == produced["prior"]
+        # the run adapts with the file's prior, not one fitted to the labeled rows
+        with open(produced["prior"], encoding="utf-8") as fh:
+            prior = prior_from_dict(json.load(fh))
+        given = adapt_in_memory(*inputs(tiny_workspace), cfg, prior=prior)
+        fitted = adapt_in_memory(*inputs(tiny_workspace), cfg)
+        assert strip_timing(report) == strip_timing(given)
+        assert given["pseudo_label_hist"] != fitted["pseudo_label_hist"]
+
+    def test_a_given_prior_opens_no_file(self, tiny_workspace, tmp_path, monkeypatch):
+        prior = prior_from_dict({"kind": "histogram", "edges": [-3.0, 3.0], "probs": [1.0]})
+        loaded = inputs(tiny_workspace)
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        report = adapt_in_memory(*loaded, adapt_config(tiny_workspace, tmp_path), prior=prior)
+        assert math.isfinite(report["rmse"]) and sum(report["pseudo_label_hist"]) > 0
+        assert opened == []
 
     @pytest.mark.parametrize("method,prior_form,labeled_rows", [
         ("tl", "mixture", [4]),
@@ -276,19 +311,6 @@ class TestAdapt:
                                  load_csv(tiny_workspace["paths"]["target_test"]), cfg)
         assert math.isfinite(report["rmse"])
         assert report["bins"] == (cfg.bins if method == "craft" else None)
-
-    @pytest.mark.parametrize("prior_form", ["mixture", "histogram"])
-    def test_true_marginal_prior_needs_a_fully_labeled_target_train(
-            self, tiny_workspace, tmp_path, prior_form):
-        train = load_csv(tiny_workspace["paths"]["target_train"])
-        labeled = np.ones(train.n, dtype=bool)
-        labeled[::3] = False
-        partial = Dataset(train.features, np.where(labeled, train.labels, np.nan), labeled)
-        cfg = adapt_config(tiny_workspace, tmp_path, method="craft", prior_form=prior_form,
-                           prior_source="true_marginal", label_fraction=1.0)
-        with pytest.raises(ValueError, match="prior_source.*target_train"):
-            adapt_in_memory(load_checkpoint(tiny_workspace["checkpoint"]), partial, None,
-                            load_csv(tiny_workspace["paths"]["target_test"]), cfg)
 
     def test_wrong_dimension_checkpoint_errors(self, tiny_workspace, tmp_path):
         spec = default_scenario(seed=2, d=5, n_source=30, n_target_train=30,
@@ -314,12 +336,16 @@ class TestAdapt:
     @pytest.mark.parametrize("payload,named", [
         ({"kind": "mixture"}, "mixture prior has no key 'weights'"),
         ([0.5, 0.5], "a prior is a JSON object, not a list"),
+        ({"kind": "mixture", "weights": [1.0], "gaussians": [[0.0]]},
+         "mixture prior gaussians must be [mean, variance] pairs"),
+        ({"kind": "mixture", "weights": [1.0], "gaussians": [0.0]},
+         "mixture prior gaussians must be [mean, variance] pairs"),
     ])
     def test_a_malformed_prior_file_fails_naming_the_file(self, tiny_workspace, tmp_path,
                                                           payload, named):
         path = tmp_path / "prior.json"
         path.write_text(json.dumps(payload))
-        cfg = adapt_config(tiny_workspace, tmp_path, prior_source="file", prior_file=str(path))
+        cfg = adapt_config(tiny_workspace, tmp_path, prior_file=str(path))
         with pytest.raises(ValueError, match=re.escape(f"prior file {path}: {named}")):
             run_adapt(cfg)
 
@@ -361,6 +387,24 @@ class TestSweep:
         assert "error" not in row
         assert (row["bins"], row["pseudo_label_hist"]) == (None, [])
 
+    def test_a_prior_file_is_read_once(self, tiny_workspace, tmp_path, monkeypatch):
+        prior = run_fit_prior(ExperimentConfig(target_train=tiny_workspace["paths"]["target_train"],
+                                               out_dir=str(tmp_path / "prior")))["prior"]
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=2,
+                           prior_file=prior)
+        report = run_sweep(dataclasses.replace(cfg, methods=["craft"], alphas=[0.1, 1.0],
+                                               seeds=[0]))
+        assert [row["alpha"] for row in report["rows"] if "error" not in row] == [0.1, 1.0]
+        assert opened.count(prior) == 1
+
     def test_each_distinct_fit_runs_once(self, tiny_workspace, tmp_path):
         cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=2)
         report = run_sweep(dataclasses.replace(cfg, methods=["craft", "tl", "naive"],
@@ -393,7 +437,7 @@ class TestWholeFileWrites:
                                target_train=paths["target_train"], target_val=paths["target_val"],
                                target_test=paths["target_test"], out_dir=str(tmp_path / "adapt"),
                                epochs=2, bins=20, label_fraction=0.5,
-                               prior_source="file", prior_file=prior["prior"])
+                               prior_file=prior["prior"])
         run_adapt(cfg)
         run_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep"),
                                       methods=["craft", "tl", "naive"], bin_counts=[2, 20]))
@@ -574,6 +618,14 @@ class TestCli:
         assert named in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "d").exists()
 
+    def test_removed_prior_source_key_exits_1_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"prior_source": "true_marginal"}))
+        assert main(["adapt", "--config", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TypeError"
+        assert "prior_source" in err["message"]
+
     def test_unknown_config_key_errors(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"not_a_knob": 1}))
@@ -629,10 +681,32 @@ class TestCli:
         assert "method" in err["message"]
 
     def test_bad_prior_value_exits_1_with_error_json(self, capsys):
-        assert main(["adapt", "--prior", "bogus"]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError"
-        assert "--prior" in err["message"]
+        for value in ("bogus", "true", "file:"):
+            assert main(["adapt", "--prior", value]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError"
+            assert "--prior" in err["message"]
+
+    def test_prior_flag_sets_or_clears_the_files_prior_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"prior_file": "p.json"}))
+        for flags, prior_file in [([], "p.json"), (["--prior", "fit"], None),
+                                  (["--prior", "file:q.json"], "q.json")]:
+            args = build_parser().parse_args(["adapt", "--config", str(cfg_path), *flags])
+            assert config_from_args(args).prior_file == prior_file
+
+    def test_bad_prior_file_fails_the_sweep_before_its_first_cell(self, tiny_workspace, tmp_path,
+                                                                  capsys):
+        bad = tmp_path / "prior.json"
+        bad.write_text(json.dumps({"kind": "mixture"}))
+        cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"),
+                           prior_file=str(bad), methods=["craft", "tl"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({k: v for k, v in dataclasses.asdict(cfg).items()
+                                        if v is not None}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert f"prior file {bad}" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "s" / "runs.jsonl").exists()
 
     def test_every_flag_sets_a_config_field(self):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}

@@ -275,6 +275,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("change,named", [
+        ({"scaler": {k: v for k, v in SCALER.to_dict().items() if k != "label_hi"}}, "label_hi"),
+        ({"spec": [2, 4, 1]}, "spec"),
+        ({"weights": 3}, "weights"),
+    ], ids=["scaler-without-label_hi", "spec-list", "weights-number"])
+    def test_malformed_checkpoint_fails_naming_the_file_and_the_field(self, tmp_path, change,
+                                                                       named):
+        import json
+        path = tmp_path / "c.json"
+        save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=3), SCALER)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+        with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}\b.*'?{named}\b"):
+            load_checkpoint(path)
+
     def test_missing_key_fails_naming_the_file_and_the_key(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"version": 1}')
