@@ -92,7 +92,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     raw = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"config {args.config}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"config {args.config} holds a {type(raw).__name__}, not a JSON object")
     updates = {field: value for field, value in vars(args).items()
                if field not in ("command", "config") and value is not None}
     if "prior_file" in updates:

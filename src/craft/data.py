@@ -256,7 +256,7 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def stratified_label_mask(ds: Dataset, keep_fraction: float, n_strata: int = 10, seed: int = 0) -> Dataset:
+def stratified_label_mask(ds: Dataset, keep_fraction: float, n_strata: int, seed: int) -> Dataset:
     """Drop labels uniformly within label-quantile strata, keeping values intact.
 
     Rows are ranked by label and split into ``n_strata`` equal-probability
@@ -281,12 +281,8 @@ def stratified_label_mask(ds: Dataset, keep_fraction: float, n_strata: int = 10,
     return replace(ds, labeled=keep)
 
 
-def inject_marginal_bias(
-    ds: Dataset,
-    keep_fraction_above: float,
-    threshold_quantile: float | None = None,
-    seed: int = 0,
-) -> Dataset:
+def inject_marginal_bias(ds: Dataset, keep_fraction_above: float, threshold_quantile: float | None,
+                         seed: int) -> Dataset:
     """Subsample rows whose label exceeds a threshold, biasing the marginal.
 
     The threshold is the given label quantile, or the label mean when
@@ -350,7 +346,7 @@ class GeneratorSpec:
     def __post_init__(self):
         for name in ("d", "n_source", "n_target_train", "n_target_val", "n_target_test"):
             _check_integer(name, getattr(self, name), minimum=1)
-        _check_integer("seed", self.seed)
+        _check_integer("seed", self.seed, minimum=0)
         object.__setattr__(self, "noise_std", float(self.noise_std))
         mean = np.broadcast_to(np.asarray(self.shift_mean, dtype=np.float64), (self.d,))
         scale = np.broadcast_to(np.asarray(self.shift_scale, dtype=np.float64), (self.d,))

@@ -43,6 +43,7 @@ from .priors import prior_log_density
 
 __all__ = [
     "BinGrid",
+    "MIN_BINS",
     "CraftConfig",
     "LossBreakdown",
     "RunReport",
@@ -54,6 +55,8 @@ __all__ = [
     "fit_tl",
     "naive_baseline",
 ]
+
+MIN_BINS = 3  # a label-built grid's fewest bins: a margin bin on each side of one inner bin
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,8 @@ class BinGrid:
 
 
 def make_bin_grid(count: int, labels) -> BinGrid:
-    """Build a grid over ``labels`` with a one-bin margin on each side; a grid
-    over an explicit range is ``BinGrid(lo, hi, count)``.
+    """Build a grid over ``labels`` with a one-bin margin on each side; it
+    needs at least ``MIN_BINS`` bins and labels that span a range.
 
     The margin is solved self-consistently: with width w = (max - min) /
     (count - 2) the grid spans exactly [min - w, max + w], so every label
@@ -97,8 +100,8 @@ def make_bin_grid(count: int, labels) -> BinGrid:
     x = np.asarray(labels, dtype=np.float64)
     if x.size == 0 or not np.isfinite(x).all():
         raise ValueError("labels must be nonempty and finite")
-    if count < 3:
-        raise ValueError("label-built grids need at least 3 bins")
+    if count < MIN_BINS:
+        raise ValueError(f"label-built grids need at least {MIN_BINS} bins")
     span = float(x.max() - x.min())
     if span == 0.0:
         raise ValueError("label range is zero; build a BinGrid over an explicit range instead")
@@ -136,7 +139,7 @@ class CraftConfig:
             raise ValueError("learning_rate must be finite and nonnegative")
         _check_integer("batch_size", self.batch_size, minimum=1)
         _check_integer("epochs", self.epochs, minimum=0)
-        _check_integer("seed", self.seed)
+        _check_integer("seed", self.seed, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -229,19 +232,19 @@ def _unsup_terms(f: np.ndarray, targets: np.ndarray, c: float):
     return quad, crowding, d_loss_d_f
 
 
-def craft_loss_and_grad(params: RegressorParams, x, y_sup, targets, config: CraftConfig, cache: list):
+def craft_loss_and_grad(params: RegressorParams, y_sup, targets, config: CraftConfig, cache: list):
     """Combined loss and its exact parameter gradient over one batch, at fixed targets.
 
-    The supervised rows are the first ``y_sup.size`` rows of ``x``; the
-    unsupervised term, when ``targets`` is given, covers its last
-    ``targets.size`` rows with those frozen targets, so a row may sit in both
-    terms.  Both terms' upstream gradients are added per row, and a row in
-    both is backpropagated once.  ``cache`` is the activation list a
-    :func:`forward_batch` call over ``x`` at ``params`` filled; the predictions
-    and the backward pass read it, and no forward pass runs here.
+    ``cache`` is the activation list a :func:`forward_batch` call over the
+    batch at ``params`` filled, the rows first; the predictions and the
+    backward pass read it, and no forward pass runs here.  The supervised
+    rows are the first ``y_sup.size``; the unsupervised term, when
+    ``targets`` is given, covers the last ``targets.size`` with those frozen
+    targets, so a row may sit in both terms.  Both terms' upstream gradients
+    are added per row, and a row in both is backpropagated once.
     """
     y_sup = np.asarray(y_sup, dtype=np.float64)
-    n, n_sup = len(x), y_sup.size
+    n, n_sup = len(cache[0]), y_sup.size
     if n == 0:
         raise ValueError("the batch is empty")
     if n_sup > n:
@@ -267,7 +270,7 @@ def craft_loss_and_grad(params: RegressorParams, x, y_sup, targets, config: Craf
     total = supervised + config.alpha * (unsup_quadratic + unsup_contrastive)
     if not math.isfinite(total):
         raise ValueError("non-finite training loss")
-    grads = backward(params, x, upstream, cache)
+    grads = backward(params, upstream, cache)
     return LossBreakdown(supervised, unsup_quadratic, unsup_contrastive, total), grads
 
 
@@ -333,9 +336,8 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
             if members.size == 0:
                 continue  # nothing contributes a gradient
             t0 = time.perf_counter()
-            x = X[members]
             cache: list = []
-            preds = forward_batch(params, x, cache)
+            preds = forward_batch(params, X[members], cache)
             targets = None
             if use_unsup:
                 chosen = select_pseudo_labels(preds, config.grid, config.prior, config.c)
@@ -343,7 +345,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
                 hist += np.bincount(chosen, minlength=bins)
             select_s += time.perf_counter() - t0
             t0 = time.perf_counter()
-            breakdown, grads = craft_loss_and_grad(params, x, y[chunk_l], targets, config, cache)
+            breakdown, grads = craft_loss_and_grad(params, y[chunk_l], targets, config, cache)
             params, state = adam_step(params, grads, state)
             step_s += time.perf_counter() - t0
             sums[0] += breakdown.supervised

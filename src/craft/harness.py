@@ -33,7 +33,7 @@ from .data import (
     write_file,
     write_json,
 )
-from .engine import BinGrid, CraftConfig, RunReport, fit_craft, fit_tl, make_bin_grid, naive_baseline
+from .engine import MIN_BINS, CraftConfig, RunReport, fit_craft, fit_tl, make_bin_grid, naive_baseline
 from .metrics import evaluate, rmse
 from .network import Checkpoint, MlpSpec, init_params, load_checkpoint, save_checkpoint
 from .priors import (
@@ -70,7 +70,7 @@ RUN_REPORT_SCHEMA = {
         "seed": {"type": "integer"},
         "alpha": {"type": "number", "minimum": 0},
         "c": {"type": "number", "exclusiveMinimum": 0},
-        "bins": {"type": ["integer", "null"], "minimum": 2},
+        "bins": {"type": ["integer", "null"], "minimum": MIN_BINS},
         "label_fraction": {"type": ["number", "null"], "exclusiveMinimum": 0, "maximum": 1},
         "rmse": {"type": ["number", "null"], "minimum": 0},
         "pbcor": {"type": ["number", "null"], "minimum": -1, "maximum": 1},
@@ -111,12 +111,12 @@ class ExperimentConfig:
     the method, label fraction and fit settings, sweep axes included (each
     axis a list, and the fit settings by the same :class:`CraftConfig` rules
     a fit applies); the model selection, validation fraction and bias
-    settings; the count settings, which must be integers; the float settings
-    and axis entries, which must be real numbers (a bool is not one);
-    ``hidden_layers``, a list of integers of at least 1; the path settings,
-    each a string or None; and the prior's strata, bins and component counts.
-    A bin count's floor is checked only when its grid is built, as it depends
-    on where the grid comes from.
+    settings; the count settings, which must be integers (the seeds at least
+    0, and the bin counts at least ``engine.MIN_BINS`` whatever the method);
+    the float settings and axis entries, which must be real numbers (a bool
+    is not one); ``hidden_layers``, a list of integers of at least 1; the
+    path settings, each a string or None (``out_dir`` a string); and the
+    prior's strata, bins and component counts.
     """
 
     # data: the scenario synth generates, and the CSV paths the other commands read
@@ -163,7 +163,8 @@ class ExperimentConfig:
             self.scenario = GeneratorSpec(**self.scenario)
         for name in ("source_train", "source_checkpoint", "target_train", "target_val",
                      "target_test", "out_dir", "prior_file"):
-            if not isinstance(getattr(self, name), (str, type(None))):
+            allowed = str if name == "out_dir" else (str, type(None))
+            if not isinstance(getattr(self, name), allowed):
                 raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
         for axis in SWEEP_AXES.values():
             values = getattr(self, axis)
@@ -191,11 +192,11 @@ class ExperimentConfig:
             raise ValueError(f"hidden_layers must be a list of integers, got {self.hidden_layers!r}")
         for width in self.hidden_layers:
             _check_integer("hidden_layers", width, minimum=1)
-        _check_integer("bins", self.bins)
+        _check_integer("bins", self.bins, minimum=MIN_BINS)
         for bins in self.bin_counts or []:
-            _check_integer("bin_counts", bins)
+            _check_integer("bin_counts", bins, minimum=MIN_BINS)
         for seed in self.seeds or []:
-            _check_integer("seeds", seed)
+            _check_integer("seeds", seed, minimum=0)
         _check_integer("n_strata", self.n_strata, minimum=1)
         _check_integer("prior_bins", self.prior_bins, minimum=1)
         _check_integer("prior_gaussians", self.prior_gaussians, minimum=0)
@@ -211,7 +212,7 @@ def _craft_config(cfg: ExperimentConfig, **overrides) -> CraftConfig:
                           "learning_rate": cfg.learning_rate, **overrides})
 
 
-def default_scenario(seed: int = 7, **overrides) -> GeneratorSpec:
+def default_scenario(seed: int, **overrides) -> GeneratorSpec:
     """The stock covariate-shift benchmark scenario."""
     base = dict(
         scenario="default-shift",
@@ -324,10 +325,8 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
         grid = model_prior = None
         if cfg.method == "craft" and cfg.alpha > 0.0:
             labeled_scaled = train_scaled.labels[train_scaled.labeled]
-            if labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min():
-                grid = make_bin_grid(cfg.bins, labeled_scaled)
-            else:  # no label range to span: use the scaler's own label range
-                grid = BinGrid(-1.0, 1.0, cfg.bins)
+            spans = labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min()
+            grid = make_bin_grid(cfg.bins, labeled_scaled if spans else (-1.0, 1.0))  # scaler's range
             if prior is None:
                 model_prior = _fit_prior(cfg, labeled_scaled, seed, grid.lo, grid.hi)
             else:  # a given prior lives in label units; move it into model space

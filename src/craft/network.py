@@ -6,14 +6,15 @@ weight matrix followed by its bias vector; per-layer ``weights`` and
 ``biases`` are views into it, and a gradient uses the same layout, so an
 optimizer step is a handful of whole-vector operations.  Hidden layers are
 tanh; the output layer is linear and one unit wide.  The backward pass reads
-the activations its forward pass kept at the same parameters.  A checkpoint
-holds the parameters and the scaler they were trained under, since a model
-is only usable with its scaler; it serializes to JSON with full float
-precision, so a save/load round trip is bitwise exact.  The file keeps
-per-layer lists, whose shapes are checked against the spec at load: a flat
-list could not tell layers [2, 3, 1] from [4, 2, 1], which both have 13
-parameters.  It also keeps ``"activation": "tanh"``, so format version 1 is
-unchanged; a checkpoint naming any other activation is rejected at load.
+the batch from the activations its forward pass kept at the same parameters,
+rows first.  A checkpoint holds the parameters and the scaler they were
+trained under, since a model is only usable with its scaler; it serializes
+to JSON with full float precision, so a save/load round trip is bitwise
+exact.  The file keeps per-layer lists, whose shapes are checked against the
+spec at load: a flat list could not tell layers [2, 3, 1] from [4, 2, 1],
+which both have 13 parameters.  It also keeps ``"activation": "tanh"``, so
+format version 1 is unchanged; a checkpoint naming any other activation is
+rejected at load.
 """
 
 from __future__ import annotations
@@ -141,17 +142,17 @@ def forward_batch(params: RegressorParams, X, cache: list | None = None) -> np.n
     return acts[-1][:, 0]
 
 
-def backward(params: RegressorParams, X, upstream, cache: list) -> RegressorParams:
+def backward(params: RegressorParams, upstream, cache: list) -> RegressorParams:
     """Exact gradient of sum_i upstream_i * f(x_i) over all parameters.
 
-    ``cache`` is the activation list a :func:`forward_batch` call over the
-    same ``X`` at the same parameters filled; it is required.
+    ``cache``, required, is the activation list a :func:`forward_batch` call
+    at the same parameters filled; its first entry holds the rows x_i.
     """
-    if len(cache) != len(params.weights) + 1 or cache[0].shape != np.shape(X):
-        raise ValueError("cache does not hold a forward pass over X")
+    if len(cache) != len(params.weights) + 1:
+        raise ValueError("cache does not hold one activation per layer")
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (len(X),):
-        raise ValueError("upstream must be a vector with one entry per row")
+    if upstream.shape != (len(cache[0]),):
+        raise ValueError("upstream must be a vector with one entry per cached row")
     grads = RegressorParams(params.spec, np.empty(params.spec.n_params))
     delta = upstream[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
@@ -211,7 +212,10 @@ def save_checkpoint(path, params: RegressorParams, scaler: ScalerParams) -> None
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")

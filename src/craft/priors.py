@@ -116,7 +116,7 @@ def _logsumexp_rows(a):
     return np.where(finite, out, -np.inf)
 
 
-def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int = 0, *,
+def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int, *,
            max_iters: int = 500, tol: float = 1e-6, var_floor: float | None = None) -> MixturePrior:
     """Fit a mixture of ``n_gaussians`` Gaussians and ``n_exponentials``
     exponentials to 1-d samples by EM; ``seed`` jitters the initial rates.

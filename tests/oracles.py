@@ -21,14 +21,14 @@ def gradient(params, x, upstream):
     """``backward`` over the activations of a fresh forward pass over ``x``."""
     cache: list = []
     forward_batch(params, x, cache)
-    return backward(params, x, upstream, cache)
+    return backward(params, upstream, cache)
 
 
 def loss_and_grad(params, x, y_sup, targets, config):
     """``craft_loss_and_grad`` over the activations of a fresh forward pass over ``x``."""
     cache: list = []
     forward_batch(params, x, cache)
-    return craft_loss_and_grad(params, x, y_sup, targets, config, cache)
+    return craft_loss_and_grad(params, y_sup, targets, config, cache)
 
 
 def uniform_prior(lo, hi):

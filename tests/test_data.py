@@ -187,7 +187,7 @@ class TestStratifiedMask:
 
     def test_only_mask_changes(self):
         ds = make_dataset(n=15)
-        masked = stratified_label_mask(ds, 0.5, seed=3)
+        masked = stratified_label_mask(ds, 0.5, n_strata=10, seed=3)
         np.testing.assert_array_equal(masked.features, ds.features)
         np.testing.assert_array_equal(masked.labels, ds.labels)
 
@@ -195,12 +195,12 @@ class TestStratifiedMask:
         ds = make_dataset()
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                stratified_label_mask(ds, bad)
+                stratified_label_mask(ds, bad, n_strata=10, seed=0)
 
     def test_requires_fully_labeled(self):
         ds = make_dataset(n=4, labeled=[1, 0, 1, 1])
         with pytest.raises(ValueError, match="fully labeled"):
-            stratified_label_mask(ds, 0.5)
+            stratified_label_mask(ds, 0.5, n_strata=10, seed=0)
 
 
 class TestMarginalBias:
@@ -213,13 +213,13 @@ class TestMarginalBias:
 
     def test_keep_all_is_identity(self):
         ds = make_dataset(n=30)
-        biased = inject_marginal_bias(ds, 1.0, seed=0)
+        biased = inject_marginal_bias(ds, 1.0, threshold_quantile=None, seed=0)
         np.testing.assert_array_equal(biased.features, ds.features)
         np.testing.assert_array_equal(biased.labels, ds.labels)
 
     def test_output_is_row_subset(self):
         ds = make_dataset(n=50, seed=2)
-        biased = inject_marginal_bias(ds, 0.3, seed=4)
+        biased = inject_marginal_bias(ds, 0.3, threshold_quantile=None, seed=4)
         rows = {tuple(r) for r in ds.features}
         assert all(tuple(r) in rows for r in biased.features)
         assert biased.n < ds.n
@@ -229,20 +229,20 @@ class TestMarginalBias:
         rng = np.random.default_rng(0)
         y = rng.normal(60.0, 10.0, 400)
         ds = Dataset(rng.normal(size=(400, 2)), y, np.ones(400, dtype=bool))
-        biased = inject_marginal_bias(ds, keep_fraction_above=0.2, seed=1)
+        biased = inject_marginal_bias(ds, keep_fraction_above=0.2, threshold_quantile=None, seed=1)
         n_above_before = int((y > y.mean()).sum())
         n_above_after = int((biased.labels > y.mean()).sum())
         assert n_above_after == int(math.floor(0.2 * n_above_before + 0.5))
-        masked = stratified_label_mask(biased, 0.4, seed=1)
+        masked = stratified_label_mask(biased, 0.4, n_strata=10, seed=1)
         kept = masked.n_labeled / masked.n
         assert abs(kept - 0.4) < 0.05
 
     def test_fraction_domain(self):
         ds = make_dataset()
         with pytest.raises(ValueError):
-            inject_marginal_bias(ds, -0.01)
+            inject_marginal_bias(ds, -0.01, threshold_quantile=None, seed=0)
         with pytest.raises(ValueError):
-            inject_marginal_bias(ds, 1.01)
+            inject_marginal_bias(ds, 1.01, threshold_quantile=None, seed=0)
 
 
 class TestGenerator:
@@ -290,6 +290,10 @@ class TestGenerator:
         values[field] = value
         with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
             GeneratorSpec(**values)
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0"):
+            GeneratorSpec("bad", 2, 10, 10, 10, 10, 0.0, 1.0, 0.1, -1)
 
 
 class TestWriteJson:

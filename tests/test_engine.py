@@ -363,7 +363,7 @@ def small_target(n=120, d=3, frac=0.3, seed=0):
     X = rng.normal(size=(n, d))
     y = np.tanh(X).sum(axis=1) + 0.05 * rng.normal(size=n)
     ds = Dataset(X, y, np.ones(n, dtype=bool))
-    return stratified_label_mask(ds, frac, seed=seed)
+    return stratified_label_mask(ds, frac, n_strata=10, seed=seed)
 
 
 def craft_config(target, alpha=0.1, epochs=3, seed=0, lr=1e-3):
@@ -443,6 +443,10 @@ class TestFitLoops:
     def test_counts_and_seed_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
             fit_config(alpha=0.0, **{field: value})
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0"):
+            fit_config(alpha=0.0, seed=-1)
 
     def test_fit_settings_have_no_engine_defaults(self):
         with pytest.raises(TypeError, match="learning_rate"):

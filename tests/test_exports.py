@@ -1,5 +1,8 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
 import sys
 
 import craft
@@ -25,3 +28,14 @@ def test_every_package_name_is_exported_by_its_module():
         if name not in getattr(sys.modules[defined_in], "__all__", ()):
             stale.append(f"{defined_in}.{name}")
     assert stale == []
+
+
+def test_the_package_imports_numpy_and_the_standard_library_alone():
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import craft, craft.cli\n"
+            "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(added - set(sys.stdlib_module_names))))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert json.loads(out.stdout) == ["craft", "numpy"]

@@ -11,6 +11,7 @@ import pytest
 
 from craft.cli import build_parser, config_from_args, main
 from craft.data import Dataset, GeneratorSpec, load_csv, write_csv
+from craft.engine import fit_craft
 from craft.harness import (
     ExperimentConfig,
     RUN_REPORT_SCHEMA,
@@ -116,6 +117,12 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     ({"target_test": ["t.csv"]}, "target_test"),
     ({"out_dir": 5}, "out_dir"),
     ({"prior_file": True}, "prior_file"),
+    ({"out_dir": None}, "out_dir"),
+    ({"bins": 2}, "bins"),
+    ({"bin_counts": [40, 2]}, "bin_counts"),
+    ({"methods": ["tl"], "bin_counts": [2]}, "bin_counts"),
+    ({"seed": -1}, "seed"),
+    ({"seeds": [0, -1]}, "seeds"),
 ], ids=["alpha", "c", "batch_size", "epochs", "model_selection", "naive-alpha",
         "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
         "c-nan", "epochs-float", "batch_size-float", "bins-float", "bin_counts-float",
@@ -129,7 +136,8 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
         "bias_keep_above-string", "bias_threshold_quantile-string", "alpha-bool",
         "label_fraction-bool", "alphas-string", "label_fractions-bool", "source_train-number",
         "source_checkpoint-number", "target_train-number", "target_val-float",
-        "target_test-list", "out_dir-number", "prior_file-bool"])
+        "target_test-list", "out_dir-number", "prior_file-bool", "out_dir-null", "bins-floor",
+        "bin_counts-floor", "tl-bin_counts-floor", "seed-negative", "seeds-negative"])
 def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         ExperimentConfig(**overrides)
@@ -312,6 +320,27 @@ class TestAdapt:
         assert math.isfinite(report["rmse"])
         assert report["bins"] == (cfg.bins if method == "craft" else None)
 
+    def test_a_grid_over_no_label_range_keeps_a_margin_bin(self, tiny_workspace, tmp_path,
+                                                           monkeypatch):
+        train = load_csv(tiny_workspace["paths"]["target_train"])
+        labeled = np.zeros(train.n, dtype=bool)
+        labeled[4] = True
+        grids = []
+
+        def capture(params, target, config, val=None):
+            grids.append(config.grid)
+            return fit_craft(params, target, config, val=val)
+
+        monkeypatch.setattr("craft.harness.fit_craft", capture)
+        cfg = adapt_config(tiny_workspace, tmp_path, prior_form="uniform", label_fraction=1.0,
+                           bins=12, epochs=1)
+        adapt_in_memory(load_checkpoint(tiny_workspace["checkpoint"]),
+                        Dataset(train.features, train.labels, labeled), None,
+                        load_csv(tiny_workspace["paths"]["target_test"]), cfg)
+        # the scaler's label range [-1, 1] with one 0.2-wide bin on each side
+        [grid] = grids
+        assert (grid.lo, grid.hi, grid.count) == (pytest.approx(-1.2), pytest.approx(1.2), 12)
+
     def test_wrong_dimension_checkpoint_errors(self, tiny_workspace, tmp_path):
         spec = default_scenario(seed=2, d=5, n_source=30, n_target_train=30,
                                 n_target_val=10, n_target_test=10)
@@ -372,17 +401,20 @@ class TestSweep:
         assert (out_a / "runs.csv").read_text().splitlines()[0].startswith("method,seed,alpha")
 
     def test_partial_failures_recorded(self, tiny_workspace, tmp_path):
+        # 1% of 30-row label strata rounds to no labeled row, so that cell has
+        # nothing to fit its prior to
         cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=2)
-        cfg = dataclasses.replace(cfg, methods=["craft"], seeds=[0], bin_counts=[2, 40])
+        cfg = dataclasses.replace(cfg, methods=["craft"], seeds=[0], label_fractions=[0.01, 0.2])
         report = run_sweep(cfg)
         errors = [r for r in report["rows"] if "error" in r]
         good = [r for r in report["rows"] if "error" not in r]
         assert len(errors) == 1 and len(good) == 1
-        assert "ValueError" in errors[0]["error"]
+        assert errors[0]["label_fraction"] == 0.01
+        assert errors[0]["error"] == "ValueError: no labels available to fit the prior"
 
     def test_tl_ignores_a_bin_count_it_never_reads(self, tiny_workspace, tmp_path):
         cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=2)
-        report = run_sweep(dataclasses.replace(cfg, methods=["tl"], seeds=[0], bin_counts=[2, 40]))
+        report = run_sweep(dataclasses.replace(cfg, methods=["tl"], seeds=[0], bin_counts=[3, 40]))
         [row] = report["rows"]
         assert "error" not in row
         assert (row["bins"], row["pseudo_label_hist"]) == (None, [])
@@ -440,7 +472,7 @@ class TestWholeFileWrites:
                                prior_file=prior["prior"])
         run_adapt(cfg)
         run_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep"),
-                                      methods=["craft", "tl", "naive"], bin_counts=[2, 20]))
+                                      methods=["craft", "tl", "naive"], bin_counts=[3, 20]))
         # 13 files, runs.jsonl among them written once per sweep cell (4: craft at each
         # bin count, tl and naive once) and once more
         assert len(writes) == 17 and all(path.endswith(".tmp") for path in writes)
@@ -625,6 +657,23 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TypeError"
         assert "prior_source" in err["message"]
+
+    def test_null_out_dir_exits_1_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"out_dir": None}))
+        assert main(["synth", "--config", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "out_dir" in err["message"]
+
+    @pytest.mark.parametrize("text", ['{"epochs": 2,', "[1, 2]"], ids=["invalid-json", "list"])
+    def test_a_config_file_that_is_not_an_object_fails_naming_it(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["synth", "--config", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"config {cfg_path}")
 
     def test_unknown_config_key_errors(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

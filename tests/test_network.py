@@ -102,11 +102,12 @@ class TestBackward:
     def test_rejects_a_cache_without_a_forward_pass_over_its_rows(self):
         params = init_params(MlpSpec((2, 4, 1)), seed=7)
         X = np.random.default_rng(8).normal(size=(3, 2))
-        other: list = []
-        forward_batch(params, X[:2], other)
-        for cache in ([], other):
-            with pytest.raises(ValueError, match="cache does not hold a forward pass over X"):
-                backward(params, X, np.ones(3), cache)
+        with pytest.raises(ValueError, match="cache does not hold one activation per layer"):
+            backward(params, np.ones(3), [])
+        cache: list = []
+        forward_batch(params, X[:2], cache)
+        with pytest.raises(ValueError, match="one entry per cached row"):
+            backward(params, np.ones(3), cache)
 
 
 def ones_gradient(params):
@@ -287,6 +288,12 @@ class TestCheckpoint:
         save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=3), SCALER)
         path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
         with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}\b.*'?{named}\b"):
+            load_checkpoint(path)
+
+    def test_invalid_json_fails_naming_the_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"version": 1,')
+        with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}: "):
             load_checkpoint(path)
 
     def test_missing_key_fails_naming_the_file_and_the_key(self, tmp_path):

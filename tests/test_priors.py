@@ -30,7 +30,7 @@ class TestEmFit:
 
     def test_variance_floor_applies(self):
         x = np.array([0.0, 1e-7, 2e-7, 1.0])
-        params = em_fit(x, 1, 0, max_iters=1, var_floor=5.0)
+        params = em_fit(x, 1, 0, seed=0, max_iters=1, var_floor=5.0)
         assert params.variances[0] == 5.0
 
     def test_single_exponential_matches_rate_oracle(self):
@@ -84,7 +84,7 @@ class TestEmFit:
 
     def test_degenerate_data_errors(self):
         with pytest.raises(ValueError, match="identical|distinct"):
-            em_fit(np.full(10, 3.0), 1, 0)
+            em_fit(np.full(10, 3.0), 1, 0, seed=0)
 
     def test_equals_the_loop_component_reference(self, monkeypatch):
         labels = np.random.default_rng(21).gamma(2.0, 1.0, 150) - 1.0
@@ -99,7 +99,7 @@ class TestEmFit:
 
     def test_too_few_distinct_values_errors(self):
         with pytest.raises(ValueError, match="distinct"):
-            em_fit(np.array([0.0, 1.0, 0.0, 1.0]), 2, 1)
+            em_fit(np.array([0.0, 1.0, 0.0, 1.0]), 2, 1, seed=0)
 
     @pytest.mark.parametrize("counts,kwargs,message", [
         ((-1, 1), {}, "component counts must be nonnegative"),
@@ -110,7 +110,7 @@ class TestEmFit:
     ], ids=["negative-count", "no-component", "max_iters", "tol", "var_floor"])
     def test_bad_fit_setting_errors(self, counts, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            em_fit(np.linspace(0.0, 1.0, 20), *counts, **kwargs)
+            em_fit(np.linspace(0.0, 1.0, 20), *counts, seed=0, **kwargs)
 
 
 class TestMixtureLogDensity:
