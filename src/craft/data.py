@@ -330,7 +330,11 @@ def _check_number(name: str, value):
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
-    """Synthetic covariate-shift scenario: one response surface, two domains."""
+    """Synthetic covariate-shift scenario: one response surface, two domains.
+
+    Each shift is a finite number or ``d`` of them, and ``noise_std`` a finite
+    number of at least 0; a bool is not a number.
+    """
 
     scenario: str
     d: int
@@ -347,15 +351,22 @@ class GeneratorSpec:
         for name in ("d", "n_source", "n_target_train", "n_target_val", "n_target_test"):
             _check_integer(name, getattr(self, name), minimum=1)
         _check_integer("seed", self.seed, minimum=0)
+        # written so that NaN fails too
+        if not 0.0 <= _check_number("noise_std", self.noise_std) < math.inf:
+            raise ValueError("noise_std must be finite and nonnegative")
         object.__setattr__(self, "noise_std", float(self.noise_std))
-        mean = np.broadcast_to(np.asarray(self.shift_mean, dtype=np.float64), (self.d,))
-        scale = np.broadcast_to(np.asarray(self.shift_scale, dtype=np.float64), (self.d,))
-        object.__setattr__(self, "shift_mean", _frozen_array(mean))
-        object.__setattr__(self, "shift_scale", _frozen_array(scale))
+        for name in ("shift_mean", "shift_scale"):
+            value = getattr(self, name)
+            listed = isinstance(value, (list, tuple)) or np.ndim(value) > 0
+            if listed and len(value) != self.d:
+                raise ValueError(f"{name} must be a number or d = {self.d} numbers, "
+                                 f"got {len(value)}")
+            for entry in value if listed else [value]:
+                if not -math.inf < _check_number(name, entry) < math.inf:
+                    raise ValueError(f"{name} entries must be finite")
+            object.__setattr__(self, name, _frozen_array(np.broadcast_to(value, (self.d,))))
         if np.any(self.shift_scale <= 0):
             raise ValueError("shift_scale entries must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
 
     def to_dict(self):
         return {**asdict(self), "shift_mean": self.shift_mean.tolist(),

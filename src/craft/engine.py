@@ -20,8 +20,7 @@ reduces the method to plain supervised fine-tuning on the labeled rows.
 
 Both steps run at the same parameters, so a training step makes one forward
 pass over its batch, labeled rows first, and keeps the activations:
-selection, both loss terms and the backward pass read them.  A run report's
-``select_s`` therefore includes the step's forward pass.  Each stage of a
+selection, both loss terms and the backward pass read them.  Each stage of a
 step is one public function, called by the training loop itself:
 ``forward_batch``, :func:`select_pseudo_labels` (winning bin indices),
 :func:`craft_loss_and_grad` (both loss terms and the backward pass) and
@@ -31,7 +30,6 @@ step is one public function, called by the training loop itself:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -276,13 +274,9 @@ def craft_loss_and_grad(params: RegressorParams, y_sup, targets, config: CraftCo
 
 @dataclass
 class RunReport:
-    """Per-run record: configuration echo, per-epoch losses and timings,
-    selected pseudo-label counts per bin, and (once evaluated) test metrics.
-
-    Of an epoch's timings, ``select_s`` covers each step's single forward
-    pass plus its pseudo-label selection, and ``step_s`` the loss, the
-    backward pass and the Adam update.
-    """
+    """Per-run record: configuration echo, per-epoch loss sums, selected
+    pseudo-label counts per bin, and (once evaluated) test metrics.  It holds
+    no clock reading, so a run's seed and inputs fix every byte of it."""
 
     method: str
     seed: int
@@ -324,9 +318,6 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
     best_params = None
 
     for _ in range(config.epochs):
-        epoch_start = time.perf_counter()
-        select_s = 0.0
-        step_s = 0.0
         sums = [0.0, 0.0, 0.0]
         labeled_chunks = np.array_split(rng.permutation(labeled_idx), n_batches)
         unlabeled_chunks = np.array_split(rng.permutation(unlabeled_idx), n_batches)
@@ -335,7 +326,6 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
             members = np.concatenate([chunk_l, chunk_u]) if use_unsup else chunk_l
             if members.size == 0:
                 continue  # nothing contributes a gradient
-            t0 = time.perf_counter()
             cache: list = []
             preds = forward_batch(params, X[members], cache)
             targets = None
@@ -343,11 +333,8 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
                 chosen = select_pseudo_labels(preds, config.grid, config.prior, config.c)
                 targets = config.grid.midpoints[chosen]
                 hist += np.bincount(chosen, minlength=bins)
-            select_s += time.perf_counter() - t0
-            t0 = time.perf_counter()
             breakdown, grads = craft_loss_and_grad(params, y[chunk_l], targets, config, cache)
             params, state = adam_step(params, grads, state)
-            step_s += time.perf_counter() - t0
             sums[0] += breakdown.supervised
             sums[1] += breakdown.unsup_quadratic
             sums[2] += breakdown.unsup_contrastive
@@ -355,9 +342,6 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
             "supervised": sums[0],
             "unsup_quadratic": sums[1],
             "unsup_contrastive": sums[2],
-            "wall_s": time.perf_counter() - epoch_start,
-            "select_s": select_s,
-            "step_s": step_s,
         })
         if val is not None:
             val_rmse = rmse(forward_batch(params, val.features), val.labels)

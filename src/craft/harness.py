@@ -78,14 +78,11 @@ RUN_REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["supervised", "unsup_quadratic", "unsup_contrastive", "wall_s"],
+                "required": ["supervised", "unsup_quadratic", "unsup_contrastive"],
                 "properties": {
                     "supervised": {"type": "number", "minimum": 0},
                     "unsup_quadratic": {"type": "number", "minimum": 0},
                     "unsup_contrastive": {"type": "number", "minimum": 0},
-                    "wall_s": {"type": "number", "minimum": 0},
-                    "select_s": {"type": "number", "minimum": 0},
-                    "step_s": {"type": "number", "minimum": 0},
                 },
             },
         },
@@ -106,17 +103,18 @@ class ExperimentConfig:
 
     Build it as ``ExperimentConfig(**d)`` from a JSON dict: an unknown key
     raises ``TypeError`` naming it, and a ``scenario`` dict becomes a
-    :class:`GeneratorSpec`.  Every setting that would fail each run or sweep
-    cell that reads it is checked when the config is built, naming the field:
-    the method, label fraction and fit settings, sweep axes included (each
-    axis a list, and the fit settings by the same :class:`CraftConfig` rules
-    a fit applies); the model selection, validation fraction and bias
-    settings; the count settings, which must be integers (the seeds at least
-    0, and the bin counts at least ``engine.MIN_BINS`` whatever the method);
-    the float settings and axis entries, which must be real numbers (a bool
-    is not one); ``hidden_layers``, a list of integers of at least 1; the
-    path settings, each a string or None (``out_dir`` a string); and the
-    prior's strata, bins and component counts.
+    :class:`GeneratorSpec` (any other scenario but None fails).  Every setting
+    that would fail each run or sweep cell that reads it is checked when the
+    config is built, naming the field: the method, label fraction and fit
+    settings, sweep axes included (each axis a nonempty list, and the fit
+    settings by the same :class:`CraftConfig` rules a fit applies); the model
+    selection, validation fraction and bias settings; the count settings,
+    which must be integers (the seeds at least 0, and the bin counts at least
+    ``engine.MIN_BINS`` whatever the method); the float settings and axis
+    entries, which must be real numbers (a bool is not one);
+    ``hidden_layers``, a list of integers of at least 1; the path settings,
+    each a string or None (``out_dir`` a string); and the prior's strata,
+    bins and component counts.
     """
 
     # data: the scenario synth generates, and the CSV paths the other commands read
@@ -161,6 +159,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.scenario, dict):
             self.scenario = GeneratorSpec(**self.scenario)
+        elif not isinstance(self.scenario, (GeneratorSpec, type(None))):
+            raise ValueError(f"scenario must be an object or null, got {self.scenario!r}")
         for name in ("source_train", "source_checkpoint", "target_train", "target_val",
                      "target_test", "out_dir", "prior_file"):
             allowed = str if name == "out_dir" else (str, type(None))
@@ -168,8 +168,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
         for axis in SWEEP_AXES.values():
             values = getattr(self, axis)
-            if values is not None and not isinstance(values, (list, tuple)):
-                raise ValueError(f"{axis} must be a list, got {values!r}")
+            if values is not None and not (isinstance(values, (list, tuple)) and values):
+                raise ValueError(f"{axis} must be a nonempty list, got {values!r}")
         for method in [self.method, *(self.methods or [])]:
             if method not in ("craft", "tl", "naive"):
                 raise ValueError(f"unknown method {method!r}")
@@ -244,12 +244,29 @@ def _load_prior(path):
             raise ValueError(f"prior file {path}: {exc}") from None
 
 
-def _check_features(checkpoint: Checkpoint, **splits):
-    """Fail naming the first given split whose feature count the checkpoint does not take."""
+def _check_splits(checkpoint: Checkpoint, cfg: ExperimentConfig, fractions, paths: dict,
+                  **splits):
+    """Fail on the first given split that runs at the label ``fractions`` cannot
+    use, naming it and its path in ``paths``: a feature count the checkpoint
+    does not take; an unlabeled row in ``target_test``, which every run
+    scores, or in ``target_train`` when a setting drops labels from it; or a
+    ``target_val`` without a labeled row to select an epoch on."""
     expected = checkpoint.params.spec.input_dim
+    drop = (f"bias_keep_above {cfg.bias_keep_above}" if cfg.bias_keep_above is not None
+            else next((f"label_fraction {f}" for f in fractions if f < 1.0), None))
+    needs = {"target_test": "the run is scored on it",
+             "target_train": drop and f"{drop} drops its labels"}
     for name, ds in splits.items():
-        if ds is not None and ds.d != expected:
+        if ds is None:
+            continue
+        if ds.d != expected:
             raise ValueError(f"checkpoint expects {expected} features, {name} has {ds.d}")
+        where = f"{name} {paths[name]}" if name in paths else name
+        if name == "target_val" and cfg.model_selection == "best_val" and not ds.labeled.any():
+            raise ValueError(f"{where} has no labeled row to select an epoch on")
+        if needs.get(name) and not ds.labeled.all():
+            raise ValueError(f"{where} has {ds.n - ds.n_labeled} of {ds.n} rows unlabeled, but "
+                             f"must be fully labeled: {needs[name]}")
 
 
 def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
@@ -293,15 +310,16 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
                     prior=None) -> dict:
     """One adaptation run against in-memory data; returns the report dict.
 
-    It reads no file.  The raw target train set must be fully labeled when a
-    label-dropping protocol (bias injection, stratified masking) is
-    configured.  ``prior``, in label units as a prior file holds it, is
-    CRAFT's label prior; without one, the prior is fitted to the labeled
-    rows.  The validation set, when given, picks the kept epoch under
-    'best_val' model selection, scored on its labeled rows, and must then
-    hold at least one; it is unused under 'final'.
+    It reads no file.  The test set must be fully labeled, and so must the
+    raw target train set when a label-dropping protocol (bias injection,
+    stratified masking) is configured.  ``prior``, in label units as a prior
+    file holds it, is CRAFT's label prior; without one, the prior is fitted
+    to the labeled rows.  The validation set, when given, picks the kept
+    epoch under 'best_val' model selection, scored on its labeled rows, and
+    must then hold at least one; it is unused under 'final'.
     """
-    _check_features(checkpoint, target_train=train_raw, target_val=val_raw, target_test=test_raw)
+    _check_splits(checkpoint, cfg, [cfg.label_fraction], {},
+                  target_train=train_raw, target_val=val_raw, target_test=test_raw)
     seed = cfg.seed if seed is None else seed
     scaler = checkpoint.scaler
 
@@ -312,8 +330,6 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
         work = stratified_label_mask(work, cfg.label_fraction, cfg.n_strata, seed)
     train_scaled = apply_scaler(work, scaler)
     use_val = val_raw is not None and cfg.model_selection == "best_val"
-    if use_val and not val_raw.labeled.any():
-        raise ValueError("target_val has no labeled row to select an epoch on")
     val_scaled = apply_scaler(val_raw, scaler) if use_val else None
 
     report: RunReport
@@ -381,7 +397,8 @@ def run_train_source(cfg: ExperimentConfig) -> dict:
     return {"checkpoint": str(ckpt_path), "report": str(report_path), "val_rmse": report.rmse}
 
 
-def _load_adapt_inputs(cfg: ExperimentConfig, access: list):
+def _load_adapt_inputs(cfg: ExperimentConfig, access: list, fractions):
+    """The inputs of runs at each of the label ``fractions``, checked before any run."""
     if not cfg.source_checkpoint:
         raise ValueError("adapt needs a source_checkpoint path")
     if not cfg.target_train or not cfg.target_test:
@@ -391,6 +408,9 @@ def _load_adapt_inputs(cfg: ExperimentConfig, access: list):
     val = _read(load_csv, cfg.target_val, access) if cfg.target_val else None
     test = _read(load_csv, cfg.target_test, access)
     prior = _read(_load_prior, cfg.prior_file, access) if cfg.prior_file else None
+    splits = {"target_train": train, "target_val": val, "target_test": test}
+    paths = {name: getattr(cfg, name) for name in splits}
+    _check_splits(checkpoint, cfg, fractions, paths, **splits)
     return checkpoint, train, val, test, prior
 
 
@@ -398,7 +418,7 @@ def run_adapt(cfg: ExperimentConfig) -> dict:
     """Source-free adaptation from files: reads only the checkpoint, the target
     CSVs, and (optionally) a prior file, each once; writes one report JSON."""
     access: list = []
-    checkpoint, train, val, test, prior = _load_adapt_inputs(cfg, access)
+    checkpoint, train, val, test, prior = _load_adapt_inputs(cfg, access, [cfg.label_fraction])
     report = adapt_in_memory(checkpoint, train, val, test, cfg, prior=prior)
     report["files_opened"] = access
     out = Path(cfg.out_dir)
@@ -439,7 +459,8 @@ def aggregate_sweep_rows(rows) -> list:
 def run_sweep(cfg: ExperimentConfig) -> dict:
     """Sweep over (methods x fractions x alphas x bins x seeds), each distinct fit once.
 
-    Every input file, a prior file included, is read once, before any cell.
+    Every input file, a prior file included, is read once and checked before
+    any cell, so a split that some cell cannot use fails the whole sweep.
     Tl, naive and craft at alpha zero read neither alpha nor the bin count,
     so their cells run once per (fraction, seed), with alpha 0.0 and bins
     None; the cells keep the order of the product.
@@ -451,13 +472,15 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     lands last, plus a combined ``sweep_report.json`` and a delimited
     ``runs.csv``.
     """
-    checkpoint, train, val, test, prior = _load_adapt_inputs(cfg, [])
+    # an axis left None sweeps the one setting it would list
+    axes = {name: [getattr(cfg, name)] if getattr(cfg, axis) is None else getattr(cfg, axis)
+            for name, axis in SWEEP_AXES.items()}
+    checkpoint, train, val, test, prior = _load_adapt_inputs(cfg, [], axes["label_fraction"])
     out = Path(cfg.out_dir)
-    axes = [getattr(cfg, axis) or [getattr(cfg, name)] for name, axis in SWEEP_AXES.items()]
     for name in ("runs.jsonl", "sweep_report.json", "runs.csv"):
         (out / name).unlink(missing_ok=True)
     cells = dict.fromkeys((m, f, a, b, s) if m == "craft" and a > 0.0 else (m, f, 0.0, None, s)
-                          for m, f, a, b, s in product(*axes))
+                          for m, f, a, b, s in product(*axes.values()))
     rows, lines = [], []
     for method, fraction, alpha, bins, seed in cells:
         try:
@@ -514,7 +537,7 @@ def run_evaluate(cfg: ExperimentConfig) -> dict:
     access: list = []
     checkpoint = _read(load_checkpoint, cfg.source_checkpoint, access)
     test = _read(load_csv, cfg.target_test, access)
-    _check_features(checkpoint, target_test=test)
+    _check_splits(checkpoint, cfg, [], {"target_test": cfg.target_test}, target_test=test)
     pair = evaluate(checkpoint.params, test, checkpoint.scaler)
     return {
         "rmse": pair.rmse,

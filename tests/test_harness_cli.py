@@ -28,19 +28,20 @@ from craft.network import RegressorParams, backward, load_checkpoint
 from craft.priors import prior_from_dict, prior_log_density
 
 
-def strip_timing(report: dict) -> dict:
-    out = json.loads(json.dumps(report))
-    out.pop("report_path", None)
-    for row in out.get("epochs", []):
-        for key in ("wall_s", "select_s", "step_s"):
-            row.pop(key, None)
-    return out
-
-
 def inputs(ws):
     """The tiny workspace's checkpoint and target train, val and test splits."""
     return (load_checkpoint(ws["checkpoint"]),
             *(load_csv(ws["paths"][name]) for name in ("target_train", "target_val", "target_test")))
+
+
+def partly_labeled(ws, split, tmp_path, unlabeled=False) -> str:
+    """A copy of the workspace's ``split`` CSV with its first row, or every row, unlabeled."""
+    full = load_csv(ws["paths"][split])
+    labeled = np.full(full.n, not unlabeled)
+    labeled[0] = False
+    path = tmp_path / f"partial_{split}.csv"
+    write_csv(Dataset(full.features, full.labels, labeled), path)
+    return str(path)
 
 
 def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
@@ -59,6 +60,9 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+SCENARIO = default_scenario(seed=1, d=2).to_dict()
 
 
 @pytest.mark.parametrize("overrides,field", [
@@ -123,6 +127,17 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     ({"methods": ["tl"], "bin_counts": [2]}, "bin_counts"),
     ({"seed": -1}, "seed"),
     ({"seeds": [0, -1]}, "seeds"),
+    ({"scenario": [1]}, "scenario"),
+    ({"methods": []}, "methods"),
+    ({"label_fractions": []}, "label_fractions"),
+    ({"alphas": []}, "alphas"),
+    ({"bin_counts": []}, "bin_counts"),
+    ({"seeds": []}, "seeds"),
+    ({"scenario": {**SCENARIO, "noise_std": math.nan}}, "noise_std"),
+    ({"scenario": {**SCENARIO, "noise_std": "0.1"}}, "noise_std"),
+    ({"scenario": {**SCENARIO, "shift_scale": math.nan}}, "shift_scale"),
+    ({"scenario": {**SCENARIO, "shift_mean": [0, 1, 2]}}, "shift_mean"),
+    ({"scenario": {**SCENARIO, "shift_mean": math.inf}}, "shift_mean"),
 ], ids=["alpha", "c", "batch_size", "epochs", "model_selection", "naive-alpha",
         "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
         "c-nan", "epochs-float", "batch_size-float", "bins-float", "bin_counts-float",
@@ -137,7 +152,10 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
         "label_fraction-bool", "alphas-string", "label_fractions-bool", "source_train-number",
         "source_checkpoint-number", "target_train-number", "target_val-float",
         "target_test-list", "out_dir-number", "prior_file-bool", "out_dir-null", "bins-floor",
-        "bin_counts-floor", "tl-bin_counts-floor", "seed-negative", "seeds-negative"])
+        "bin_counts-floor", "tl-bin_counts-floor", "seed-negative", "seeds-negative",
+        "scenario-list", "methods-empty", "label_fractions-empty", "alphas-empty",
+        "bin_counts-empty", "seeds-empty", "noise_std-nan", "noise_std-string", "shift_scale-nan",
+        "shift_mean-not-d-entries", "shift_mean-inf"])
 def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         ExperimentConfig(**overrides)
@@ -199,12 +217,12 @@ class TestAdapt:
             report.pop("report_path")
             jsonschema.validate(instance=report, schema=RUN_REPORT_SCHEMA)
 
-    def test_reports_reproducible_except_wall_times(self, tiny_workspace, tmp_path):
+    def test_reports_are_reproducible(self, tiny_workspace, tmp_path):
         cfg_a = adapt_config(tiny_workspace, tmp_path / "a", method="craft")
         cfg_b = adapt_config(tiny_workspace, tmp_path / "b", method="craft")
-        a = strip_timing(run_adapt(cfg_a))
-        b = strip_timing(run_adapt(cfg_b))
-        a["files_opened"] = b["files_opened"] = None
+        a, b = run_adapt(cfg_a), run_adapt(cfg_b)
+        for report in (a, b):
+            report.pop("report_path")
         assert a == b
 
     def test_source_files_never_opened(self, tiny_workspace, tmp_path, monkeypatch):
@@ -235,7 +253,8 @@ class TestAdapt:
         no_val = run_adapt(adapt_config(tiny_workspace, tmp_path / "no_val", target_val=None))
         for report in (final, no_val):
             report.pop("files_opened")
-        assert strip_timing(final) == strip_timing(no_val)
+            report.pop("report_path")
+        assert final == no_val
 
     def test_validation_selects_on_its_labeled_rows(self, tiny_workspace, tmp_path):
         val = load_csv(tiny_workspace["paths"]["target_val"]).subset(np.arange(60))
@@ -252,7 +271,8 @@ class TestAdapt:
                                target_val=path and str(path), seed=5, learning_rate=1e-2)
             report = run_adapt(cfg)
             report.pop("files_opened")
-            reports.append(strip_timing(report))
+            report.pop("report_path")
+            reports.append(report)
         assert reports[0] == reports[1]
         assert reports[1]["rmse"] != reports[2]["rmse"]
 
@@ -265,6 +285,25 @@ class TestAdapt:
             run_adapt(adapt_config(tiny_workspace, tmp_path, target_val=str(unlabeled)))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("split,overrides,reason", [
+        ("target_test", {"method": "craft"}, "the run is scored on it"),
+        ("target_test", {"method": "naive"}, "the run is scored on it"),
+        ("target_train", {"label_fraction": 0.5}, "label_fraction 0.5 drops its labels"),
+        ("target_train", {"label_fraction": 1.0, "bias_keep_above": 0.3},
+         "bias_keep_above 0.3 drops its labels"),
+    ], ids=["test-craft", "test-naive", "train-label_fraction", "train-bias_keep_above"])
+    def test_a_partly_labeled_split_fails_naming_it_before_any_fit(
+            self, tiny_workspace, tmp_path, monkeypatch, split, overrides, reason):
+        path = partly_labeled(tiny_workspace, split, tmp_path)
+        fits = []
+        for fit in ("fit_craft", "fit_tl"):
+            monkeypatch.setattr(f"craft.harness.{fit}", lambda *args, **kwargs: fits.append(1))
+        cfg = adapt_config(tiny_workspace, tmp_path, **{split: path}, **overrides)
+        with pytest.raises(ValueError, match=re.escape(f"{split} {path} has 1 of ")) as error:
+            run_adapt(cfg)
+        assert str(error.value).endswith(f"rows unlabeled, but must be fully labeled: {reason}")
+        assert fits == [] and not (tmp_path / "out").exists()
+
     def test_prior_file_round_trip(self, tiny_workspace, tmp_path):
         prior_cfg = ExperimentConfig(target_train=tiny_workspace["paths"]["target_train"],
                                      out_dir=str(tmp_path / "prior"), prior_form="mixture",
@@ -274,12 +313,13 @@ class TestAdapt:
         report = run_adapt(cfg)
         assert report["rmse"] > 0
         assert report.pop("files_opened")[-1] == produced["prior"]
+        report.pop("report_path")
         # the run adapts with the file's prior, not one fitted to the labeled rows
         with open(produced["prior"], encoding="utf-8") as fh:
             prior = prior_from_dict(json.load(fh))
         given = adapt_in_memory(*inputs(tiny_workspace), cfg, prior=prior)
         fitted = adapt_in_memory(*inputs(tiny_workspace), cfg)
-        assert strip_timing(report) == strip_timing(given)
+        assert report == given
         assert given["pseudo_label_hist"] != fitted["pseudo_label_hist"]
 
     def test_a_given_prior_opens_no_file(self, tiny_workspace, tmp_path, monkeypatch):
@@ -389,14 +429,12 @@ class TestSweep:
 
         report_a, out_a = sweep_into(tmp_path / "s1")
         report_b, out_b = sweep_into(tmp_path / "s2")
-        rows_a = [strip_timing(r) for r in report_a["rows"]]
-        rows_b = [strip_timing(r) for r in report_b["rows"]]
-        assert rows_a == rows_b
+        assert report_a == report_b
         # aggregates equal a recomputation from the row data
         from craft.harness import aggregate_sweep_rows
         assert report_a["aggregates"] == aggregate_sweep_rows(report_a["rows"])
         lines = (out_a / "runs.jsonl").read_text().splitlines()
-        assert len(lines) == len(rows_a) + 1
+        assert len(lines) == len(report_a["rows"]) + 1
         assert "aggregates" in json.loads(lines[-1])
         assert (out_a / "runs.csv").read_text().splitlines()[0].startswith("method,seed,alpha")
 
@@ -592,6 +630,12 @@ class TestEvaluateCommand:
         with pytest.raises(ValueError, match="expects 3 features, target_test has 2"):
             run_evaluate(cfg)
 
+    def test_a_partly_labeled_test_split_fails_naming_it(self, tiny_workspace, tmp_path):
+        path = partly_labeled(tiny_workspace, "target_test", tmp_path)
+        cfg = ExperimentConfig(source_checkpoint=tiny_workspace["checkpoint"], target_test=path)
+        with pytest.raises(ValueError, match=re.escape(f"target_test {path} has 1 of ")):
+            run_evaluate(cfg)
+
 
 class TestCli:
     def test_synth_and_error_paths(self, tmp_path, capsys):
@@ -756,6 +800,54 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_path)]) == 1
         assert f"prior file {bad}" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "s" / "runs.jsonl").exists()
+
+    @pytest.mark.parametrize("split,named", [("target_test", "the run is scored on it"),
+                                             ("target_train", "label_fraction 0.5"),
+                                             ("target_val", "has no labeled row")],
+                             ids=["target_test", "target_train", "target_val"])
+    def test_a_split_no_cell_can_use_fails_the_sweep_before_its_first_cell(
+            self, tiny_workspace, tmp_path, capsys, split, named):
+        path = partly_labeled(tiny_workspace, split, tmp_path, unlabeled=split == "target_val")
+        cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=2,
+                           methods=["tl", "naive"], label_fractions=[1.0, 0.5], **{split: path})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({k: v for k, v in dataclasses.asdict(cfg).items()
+                                        if v is not None}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith(f"{split} {path} has ") and named in message
+        assert not (tmp_path / "s" / "runs.jsonl").exists()
+
+    def test_a_rerun_into_the_same_directories_writes_the_same_bytes(self, tmp_path, capsys):
+        data, source = tmp_path / "data", tmp_path / "source"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": default_scenario(seed=1, d=2, n_source=60, n_target_train=40,
+                                         n_target_val=10, n_target_test=10).to_dict(),
+            "source_train": str(data / "source.csv"),
+            "source_checkpoint": str(source / "source_checkpoint.json"),
+            "target_train": str(data / "target_train.csv"),
+            "target_val": str(data / "target_val.csv"),
+            "target_test": str(data / "target_test.csv"),
+            "epochs": 2, "bins": 20, "label_fraction": 0.5, "methods": ["craft", "tl", "naive"],
+        }))
+
+        def run_all() -> dict:
+            for command, out in [("synth", data), ("train-source", source),
+                                 ("adapt", tmp_path / "adapt"), ("sweep", tmp_path / "sweep")]:
+                assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            capsys.readouterr()
+            return {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+                    for p in tmp_path.rglob("*") if p.is_file()}
+
+        first = run_all()
+        assert set(first) == {
+            "cfg.json", "data/source.csv", "data/target_train.csv", "data/target_val.csv",
+            "data/target_test.csv", "data/scenario.json", "source/source_checkpoint.json",
+            "source/source_report.json", "adapt/report_craft_seed0.json", "sweep/runs.jsonl",
+            "sweep/runs.csv", "sweep/sweep_report.json",
+        }
+        assert run_all() == first
 
     def test_every_flag_sets_a_config_field(self):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
