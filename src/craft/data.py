@@ -4,9 +4,11 @@ A dataset bundles a feature matrix, a label vector, and a per-row labeled
 mask.  Labels are only meaningful where the mask is set; unlabeled slots hold
 NaN after loading (an empty CSV cell is the only file encoding of a missing
 label).  Every randomized operation here is a pure function of its inputs and
-a seed, so splits and masks are reproducible byte for byte.  The frozen
-value types that hold arrays compare and hash by identity (``eq=False``):
-field-by-field ``==`` is ambiguous on arrays.
+a seed, so splits and masks are reproducible byte for byte.  CSV I/O holds
+one row of Python objects at a time: the writer streams its rows, and the
+reader parses into flat float buffers.  The frozen value types that hold
+arrays compare and hash by identity (``eq=False``): field-by-field ``==`` is
+ambiguous on arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import numbers
 import os
+from array import array
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -147,7 +150,7 @@ def load_csv(path) -> Dataset:
     Without a ``labeled`` column every row counts as labeled.  An empty ``y``
     cell is allowed only on rows flagged unlabeled, and no cell may be non-finite.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -158,7 +161,7 @@ def load_csv(path) -> Dataset:
         expected = [f"f{j}" for j in range(d)] + ["y"] + (["labeled"] if has_mask else [])
         if d < 1 or header != expected:
             raise ValueError(f"{path}: malformed header {header!r}; expected f0,...,f{{d-1}},y[,labeled]")
-        feats, labels, mask = [], [], []
+        feats, labels, mask = array("d"), array("d"), bytearray()
         for lineno, row in enumerate(reader, start=2):
             if not row or all(c.strip() == "" for c in row):
                 continue
@@ -178,12 +181,13 @@ def load_csv(path) -> Dataset:
                 y_val = math.nan
             else:
                 y_val = _parse_cell(path, lineno, "y", y_cell)
-            feats.append([_parse_cell(path, lineno, f"f{j}", c) for j, c in enumerate(row[:d])])
+            feats.extend(_parse_cell(path, lineno, f"f{j}", c) for j, c in enumerate(row[:d]))
             labels.append(y_val)
             mask.append(is_labeled)
-    if not feats:
+    if not labels:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(feats), np.array(labels), np.array(mask, dtype=bool))
+    return Dataset(np.frombuffer(feats).reshape(-1, d), np.frombuffer(labels),
+                   np.frombuffer(mask, dtype=bool))
 
 
 def write_csv(ds: Dataset, path) -> None:
@@ -194,14 +198,17 @@ def write_csv(ds: Dataset, path) -> None:
     labeled.
     """
     include_mask = not bool(ds.labeled.all())
-    rows = [[f"f{j}" for j in range(ds.d)] + ["y"] + (["labeled"] if include_mask else [])]
-    for i in range(ds.n):
-        row = [repr(float(v)) for v in ds.features[i]]
-        row.append(repr(float(ds.labels[i])) if ds.labeled[i] else "")
-        if include_mask:
-            row.append("1" if ds.labeled[i] else "0")
-        rows.append(row)
-    write_file(path, lambda fh: csv.writer(fh).writerows(rows))
+
+    def rows():
+        yield [f"f{j}" for j in range(ds.d)] + ["y"] + (["labeled"] if include_mask else [])
+        for x, y, kept in zip(ds.features, ds.labels.tolist(), ds.labeled.tolist()):
+            row = [repr(v) for v in x.tolist()]
+            row.append(repr(y) if kept else "")
+            if include_mask:
+                row.append("1" if kept else "0")
+            yield row
+
+    write_file(path, lambda fh: csv.writer(fh).writerows(rows()))
 
 
 def write_file(path, fill) -> None:
@@ -332,8 +339,9 @@ def _check_number(name: str, value):
 class GeneratorSpec:
     """Synthetic covariate-shift scenario: one response surface, two domains.
 
-    Each shift is a finite number or ``d`` of them, and ``noise_std`` a finite
-    number of at least 0; a bool is not a number.
+    ``scenario`` is a nonempty name.  Each shift is a finite number or ``d``
+    of them, and ``noise_std`` a finite number of at least 0; a bool is not a
+    number.
     """
 
     scenario: str
@@ -348,6 +356,8 @@ class GeneratorSpec:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.scenario, str) or not self.scenario:
+            raise ValueError(f"scenario must be a nonempty string, got {self.scenario!r}")
         for name in ("d", "n_source", "n_target_train", "n_target_val", "n_target_test"):
             _check_integer(name, getattr(self, name), minimum=1)
         _check_integer("seed", self.seed, minimum=0)

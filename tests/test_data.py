@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,56 @@ class TestCsv:
         assert path.read_text().splitlines()[0] == "f0,f1,y"
         back = load_csv(path)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize("labeled,text", [
+        ([True, False, True],
+         "f0,f1,y,labeled\r\n-0.0,1e-07,0.30000000000000004,1\r\n"
+         "1e+16,0.30000000000000004,,0\r\n2.5,-3.0,1e-07,1\r\n"),
+        ([True, True, True],
+         "f0,f1,y\r\n-0.0,1e-07,0.30000000000000004\r\n"
+         "1e+16,0.30000000000000004,-0.0\r\n2.5,-3.0,1e-07\r\n"),
+    ], ids=["with-mask-column", "fully-labeled"])
+    def test_written_text_is_pinned(self, tmp_path, labeled, text):
+        features = np.array([[-0.0, 1e-07], [1e+16, 0.1 + 0.2], [2.5, -3.0]])
+        ds = Dataset(features, np.array([0.1 + 0.2, -0.0, 1e-07]), np.array(labeled))
+        path = tmp_path / "d.csv"
+        write_csv(ds, path)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "f0,f1,y,labeled\n0.1,0.2,,0\n0.3,0.4,1.0,1\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        a, b = load_csv(plain), load_csv(marked)
+        np.testing.assert_array_equal(b.features, a.features)
+        np.testing.assert_array_equal(b.labels, a.labels)
+        np.testing.assert_array_equal(b.labeled, a.labeled)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates while it runs, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvMemory:
+    """The CSV path holds one row of Python objects at a time, not the whole
+    table (4000x16: 0.49 MB of features)."""
+
+    def test_write_peak_stays_below_the_feature_bytes(self, tmp_path):
+        ds = make_dataset(n=4000, d=16, labeled=np.arange(4000) % 3 > 0)
+        assert _traced_peak(write_csv, ds, tmp_path / "d.csv") < 1.0 * ds.features.nbytes
+
+    def test_load_peak_stays_below_three_times_the_feature_bytes(self, tmp_path):
+        ds = make_dataset(n=4000, d=16, labeled=np.arange(4000) % 3 > 0)
+        path = tmp_path / "d.csv"
+        write_csv(ds, path)
+        assert _traced_peak(load_csv, path) < 3.0 * ds.features.nbytes
 
 
 class TestScaler:
@@ -290,6 +341,11 @@ class TestGenerator:
         values[field] = value
         with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
             GeneratorSpec(**values)
+
+    @pytest.mark.parametrize("value", [5, ""], ids=["number", "empty"])
+    def test_scenario_must_be_a_nonempty_string(self, value):
+        with pytest.raises(ValueError, match="^scenario must be a nonempty string"):
+            GeneratorSpec(value, 2, 10, 10, 10, 10, 0.0, 1.0, 0.1, 0)
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="^seed must be at least 0"):
