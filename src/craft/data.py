@@ -65,6 +65,9 @@ class ScalerParams:
         object.__setattr__(self, "feature_std", _frozen_array(self.feature_std))
         object.__setattr__(self, "label_lo", float(self.label_lo))
         object.__setattr__(self, "label_hi", float(self.label_hi))
+        for name in ("feature_mean", "feature_std", "label_lo", "label_hi"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.feature_mean.ndim != 1 or self.feature_mean.shape != self.feature_std.shape:
             raise ValueError("feature_mean and feature_std must be 1-d and equally long")
         if np.any(self.feature_std <= 0):
@@ -147,8 +150,9 @@ def _parse_cell(path, lineno, name, cell):
 def load_csv(path) -> Dataset:
     """Read a dataset from a ``f0,...,f{d-1},y[,labeled]`` CSV file.
 
-    Without a ``labeled`` column every row counts as labeled.  An empty ``y``
-    cell is allowed only on rows flagged unlabeled, and no cell may be non-finite.
+    Without a ``labeled`` column every row counts as labeled.  A row flagged
+    unlabeled must have an empty ``y`` cell, any other row a label, and no cell
+    may be non-finite.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -175,12 +179,14 @@ def load_csv(path) -> Dataset:
             else:
                 is_labeled = True
             y_cell = (row[-2] if has_mask else row[-1]).strip()
-            if y_cell == "":
-                if is_labeled:
+            if is_labeled:
+                if y_cell == "":
                     raise ValueError(f"{path}:{lineno}: labeled sample missing label")
+                y_val = _parse_cell(path, lineno, "y", y_cell)
+            elif y_cell == "":
                 y_val = math.nan
             else:
-                y_val = _parse_cell(path, lineno, "y", y_cell)
+                raise ValueError(f"{path}:{lineno}: unlabeled row carries a label in column y")
             feats.extend(_parse_cell(path, lineno, f"f{j}", c) for j, c in enumerate(row[:d]))
             labels.append(y_val)
             mask.append(is_labeled)
@@ -333,6 +339,20 @@ def _check_number(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return value
+
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def _check_finite(name: str, nested) -> None:
+    """Fail unless ``nested``, a JSON number or nested lists of them, holds
+    only finite numbers (a bool or a string is not one), naming the setting."""
+    for entry in nested if isinstance(nested, list) else [nested]:
+        if isinstance(entry, list):
+            _check_finite(name, entry)
+        # written so that NaN, infinities and integers beyond float range fail
+        elif type(entry) not in (int, float) or not abs(entry) <= _FLOAT_MAX:
+            raise ValueError(f"{name} holds {entry!r}, not a finite number")
 
 
 @dataclass(frozen=True, eq=False)

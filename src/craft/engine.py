@@ -187,7 +187,9 @@ def joint_log_scores(predictions, grid: BinGrid, prior, c: float) -> np.ndarray:
 
 def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float) -> np.ndarray:
     """Index of the highest-scoring bin per sample (see :func:`joint_log_scores`);
-    ``grid.midpoints`` at these indices are the pseudo-labels."""
+    ``grid.midpoints`` at these indices are the pseudo-labels.  A row whose
+    every bin scores -inf, because the prior puts no mass on any of them, is
+    a ``ValueError``."""
     scores = joint_log_scores(predictions, grid, prior, c)
     f = np.asarray(predictions, dtype=np.float64)
     chosen = scores.argmax(axis=1)
@@ -195,6 +197,9 @@ def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float) -> np.ndar
     at_best = scores == best[:, None]
     # each row matches its own winner unless that is NaN, so a count above n means a tie
     if np.count_nonzero(at_best) > f.size or np.isnan(best).any():
+        # a row of all -inf ties on every bin, so it is found only here
+        if np.isneginf(best).any():
+            raise ValueError("the label prior puts no mass on any candidate bin")
         # a NaN row matches nothing and takes bin 0
         chosen = at_best.argmax(axis=1)
         tied = np.flatnonzero(at_best.sum(axis=1) > 1)

@@ -113,8 +113,8 @@ class ExperimentConfig:
     ``engine.MIN_BINS`` whatever the method); the float settings and axis
     entries, which must be real numbers (a bool is not one);
     ``hidden_layers``, a list of integers of at least 1; the path settings,
-    each a string or None (``out_dir`` a string); and the prior's strata,
-    bins and component counts.
+    each a string or None (``out_dir`` a string); and the prior's form,
+    strata, bins and component counts.
     """
 
     # data: the scenario synth generates, and the CSV paths the other commands read
@@ -145,7 +145,7 @@ class ExperimentConfig:
     bias_threshold_quantile: float | None = None
     # prior
     prior_file: str | None = None  # CRAFT's prior when set, else fitted to the labeled rows
-    prior_form: str = "mixture"  # mixture | histogram | uniform
+    prior_form: str = "mixture"  # the shape fitted to the labels: mixture | histogram
     prior_bins: int = 10
     prior_gaussians: int = 2
     prior_exponentials: int = 1
@@ -173,7 +173,7 @@ class ExperimentConfig:
         for method in [self.method, *(self.methods or [])]:
             if method not in ("craft", "tl", "naive"):
                 raise ValueError(f"unknown method {method!r}")
-        if self.prior_form not in ("mixture", "histogram", "uniform"):
+        if self.prior_form not in ("mixture", "histogram"):
             raise ValueError(f"unknown prior_form {self.prior_form!r}")
         for fraction in [self.label_fraction, *(self.label_fractions or [])]:
             if not 0.0 < _check_number("label_fraction", fraction) <= 1.0:
@@ -293,11 +293,8 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
     return params, scaler, report
 
 
-def _fit_prior(cfg: ExperimentConfig, labels: np.ndarray, seed: int, lo: float, hi: float):
-    """The configured prior form fitted to ``labels``; a uniform prior is the
-    one-bin histogram over [lo, hi], widened as any histogram when they coincide."""
-    if cfg.prior_form == "uniform":
-        return fit_histogram_prior(np.array([lo, hi]), 1)
+def _fit_prior(cfg: ExperimentConfig, labels: np.ndarray, seed: int):
+    """The configured prior form, a histogram or an EM mixture, fitted to ``labels``."""
     if labels.size == 0:
         raise ValueError("no labels available to fit the prior")
     if cfg.prior_form == "histogram":
@@ -344,7 +341,7 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
             spans = labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min()
             grid = make_bin_grid(cfg.bins, labeled_scaled if spans else (-1.0, 1.0))  # scaler's range
             if prior is None:
-                model_prior = _fit_prior(cfg, labeled_scaled, seed, grid.lo, grid.hi)
+                model_prior = _fit_prior(cfg, labeled_scaled, seed)
             else:  # a given prior lives in label units; move it into model space
                 model_prior = affine_transform_prior(prior, *scaler.label_map())
         config = _craft_config(cfg, grid=grid, prior=model_prior, seed=seed)
@@ -513,13 +510,11 @@ def run_fit_prior(cfg: ExperimentConfig) -> dict:
         raise ValueError("fit-prior needs a labels CSV via target_train")
     ds = load_csv(cfg.target_train)
     labels = ds.labels[ds.labeled]
-    if labels.size == 0:
-        raise ValueError("no labeled rows to fit a prior on")
-    lo, hi = float(labels.min()), float(labels.max())
-    prior = _fit_prior(cfg, labels, cfg.seed, lo, hi)
+    prior = _fit_prior(cfg, labels, cfg.seed)
     out = Path(cfg.out_dir)
     prior_path = out / "prior.json"
     write_json(prior_path, prior_to_dict(prior), indent=2)
+    lo, hi = float(labels.min()), float(labels.max())
     pad = 0.1 * (hi - lo) if hi > lo else 1.0
     ys = np.linspace(lo - pad, hi + pad, 256)
     logd = prior_log_density(prior, ys)

@@ -10,11 +10,11 @@ the batch from the activations its forward pass kept at the same parameters,
 rows first.  A checkpoint holds the parameters and the scaler they were
 trained under, since a model is only usable with its scaler; it serializes
 to JSON with full float precision, so a save/load round trip is bitwise
-exact.  The file keeps per-layer lists, whose shapes are checked against the
-spec at load: a flat list could not tell layers [2, 3, 1] from [4, 2, 1],
-which both have 13 parameters.  It also keeps ``"activation": "tanh"``, so
-format version 1 is unchanged; a checkpoint naming any other activation is
-rejected at load.
+exact.  The file keeps per-layer lists of finite numbers, whose shapes are
+checked against the spec at load: a flat list could not tell layers
+[2, 3, 1] from [4, 2, 1], which both have 13 parameters.  It also keeps
+``"activation": "tanh"``, so format version 1 is unchanged; a checkpoint
+naming any other activation is rejected at load.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScalerParams, _check_integer, write_json
+from .data import ScalerParams, _check_finite, _check_integer, write_json
 
 __all__ = [
     "MlpSpec",
@@ -229,10 +229,16 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"checkpoint {path} has no key {exc.args[0]!r}") from None
     if activation != "tanh":
         raise ValueError(f"unsupported checkpoint activation {activation!r}; only tanh is supported")
-    if not payload.get("scaler"):
+    scaler = payload.get("scaler")
+    if not scaler:
         raise ValueError(f"checkpoint {path} carries no scaler; retrain the source model")
     try:
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            _check_finite(f"layer {i} weights", w)
+            _check_finite(f"layer {i} biases", b)
+        for key, value in scaler.items() if isinstance(scaler, dict) else ():
+            _check_finite(f"scaler {key}", value)
         return Checkpoint(RegressorParams.from_blocks(MlpSpec(tuple(layers)), weights, biases),
-                          ScalerParams(**payload["scaler"]))
+                          ScalerParams(**scaler))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None

@@ -1,11 +1,11 @@
 """Label-marginal priors and their shared log-density interface.
 
 Two prior shapes are supported: a histogram density, and a mixture of
-Gaussians and exponentials fitted by EM.  A uniform density over [lo, hi] is
-the one-bin histogram on those edges, and a prior file holds either shape
-as :func:`prior_to_dict` writes it.  The mixture acts on data shifted by a
-constant offset so exponential components see strictly positive values; the
-offset is part of the fitted parameters.
+Gaussians and exponentials fitted by EM.  A prior file holds either shape as
+:func:`prior_to_dict` writes it, and every number in it is finite and real;
+a flat prior over [lo, hi] is the one-bin histogram file on those edges.  The
+mixture acts on data shifted by a constant offset so exponential components
+see strictly positive values; the offset is part of the fitted parameters.
 The array-holding priors compare and hash by identity, as in :mod:`craft.data`.
 
 A mixture computes its density constants once, when it is built: the log
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _frozen_array
+from .data import _check_finite, _frozen_array
 
 __all__ = [
     "HistogramPrior",
@@ -59,6 +59,9 @@ class MixturePrior:
         object.__setattr__(self, "variances", _frozen_array(self.variances))
         object.__setattr__(self, "rates", _frozen_array(self.rates))
         object.__setattr__(self, "offset", float(self.offset))
+        for name in ("weights", "means", "variances", "rates", "offset"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         k = self.means.size + self.rates.size
         if self.weights.shape != (k,):
             raise ValueError("weights must have one entry per component")
@@ -216,6 +219,9 @@ class HistogramPrior:
         probs = np.array(self.probs, dtype=np.float64)
         if edges.ndim != 1 or edges.size != probs.size + 1:
             raise ValueError("need len(edges) == len(probs) + 1")
+        for name, values in (("edges", edges), ("probs", probs)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing")
         if np.any(probs < 0):
@@ -311,24 +317,31 @@ def prior_to_dict(prior) -> dict:
 
 def prior_from_dict(d: dict):
     """The prior a :func:`prior_to_dict` dict describes: kind ``histogram``
-    or ``mixture``.  Anything else, or a missing key, is a ``ValueError``."""
+    or ``mixture``.  Anything else, a missing key, or an entry that is not a
+    finite real number, is a ``ValueError``."""
     if not isinstance(d, dict):
         raise ValueError(f"a prior is a JSON object, not a {type(d).__name__}")
     kind = d.get("kind")
     try:
         if kind == "histogram":
+            _check_finite("edges", d["edges"])
+            _check_finite("probs", d["probs"])
             return HistogramPrior(d["edges"], d["probs"])
         if kind == "mixture":
             gaussians = d.get("gaussians", [])
             if not (isinstance(gaussians, list)
                     and all(isinstance(g, list) and len(g) == 2 for g in gaussians)):
                 raise ValueError("mixture prior gaussians must be [mean, variance] pairs")
+            rates, offset = d.get("exponentials", []), d.get("offset", 0.0)
+            for key, value in (("weights", d["weights"]), ("gaussians", gaussians),
+                               ("exponentials", rates), ("offset", offset)):
+                _check_finite(key, value)
             return MixturePrior(
                 weights=d["weights"],
                 means=[g[0] for g in gaussians],
                 variances=[g[1] for g in gaussians],
-                rates=d.get("exponentials", []),
-                offset=d.get("offset", 0.0),
+                rates=rates,
+                offset=offset,
             )
     except KeyError as exc:
         raise ValueError(f"{kind} prior has no key {exc.args[0]!r}") from None

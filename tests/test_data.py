@@ -76,6 +76,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="labeled sample missing label"):
             load_csv(path)
 
+    def test_unlabeled_row_carrying_a_label_errors(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,y,labeled\n0.5,1.0,1\n1.0,3.0,0\n")
+        message = rf"^{re.escape(str(path))}:3: unlabeled row carries a label in column y$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+
     def test_malformed_header_errors(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,y\n1,2,3\n")

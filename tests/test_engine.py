@@ -468,6 +468,12 @@ class TestFitLoops:
             fit_craft(params, ds, config)
         assert str(craft_error.value) == str(tl_error.value)
 
+    def test_craft_fails_on_a_prior_with_no_mass_on_the_grid(self):
+        target = small_target()
+        config = replace(craft_config(target, epochs=1), prior=uniform_prior(100.0, 101.0))
+        with pytest.raises(ValueError, match="prior puts no mass on any candidate bin"):
+            fit_craft(init_params(MlpSpec((3, 6, 1)), seed=5), target, config)
+
     def test_tl_report_echoes_the_alpha_it_trained_at(self):
         target = small_target()
         params = init_params(MlpSpec((3, 8, 1)), seed=1)

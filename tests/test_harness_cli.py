@@ -63,6 +63,8 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
 
 
 SCENARIO = default_scenario(seed=1, d=2).to_dict()
+# a flat prior, as a one-bin histogram prior file holds it, wider than any label here
+FLAT_PRIOR = prior_from_dict({"kind": "histogram", "edges": [-50.0, 50.0], "probs": [1.0]})
 
 
 @pytest.mark.parametrize("overrides,field", [
@@ -138,6 +140,7 @@ SCENARIO = default_scenario(seed=1, d=2).to_dict()
     ({"scenario": {**SCENARIO, "shift_scale": math.nan}}, "shift_scale"),
     ({"scenario": {**SCENARIO, "shift_mean": [0, 1, 2]}}, "shift_mean"),
     ({"scenario": {**SCENARIO, "shift_mean": math.inf}}, "shift_mean"),
+    ({"prior_form": "uniform"}, "prior_form"),
 ], ids=["alpha", "c", "batch_size", "epochs", "model_selection", "naive-alpha",
         "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
         "c-nan", "epochs-float", "batch_size-float", "bins-float", "bin_counts-float",
@@ -155,7 +158,7 @@ SCENARIO = default_scenario(seed=1, d=2).to_dict()
         "bin_counts-floor", "tl-bin_counts-floor", "seed-negative", "seeds-negative",
         "scenario-list", "methods-empty", "label_fractions-empty", "alphas-empty",
         "bin_counts-empty", "seeds-empty", "noise_std-nan", "noise_std-string", "shift_scale-nan",
-        "shift_mean-not-d-entries", "shift_mean-inf"])
+        "shift_mean-not-d-entries", "shift_mean-inf", "prior_form-uniform"])
 def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         ExperimentConfig(**overrides)
@@ -337,14 +340,14 @@ class TestAdapt:
         assert math.isfinite(report["rmse"]) and sum(report["pseudo_label_hist"]) > 0
         assert opened == []
 
-    @pytest.mark.parametrize("method,prior_form,labeled_rows", [
-        ("tl", "mixture", [4]),
-        ("tl", "mixture", [4, 9]),
-        ("craft", "uniform", [4]),
-        ("craft", "uniform", [4, 9]),
-    ])
+    @pytest.mark.parametrize("method,prior,labeled_rows", [
+        ("tl", None, [4]),
+        ("tl", None, [4, 9]),
+        ("craft", FLAT_PRIOR, [4]),
+        ("craft", FLAT_PRIOR, [4, 9]),
+    ], ids=["tl-one-row", "tl-one-value", "craft-flat-one-row", "craft-flat-one-value"])
     def test_labels_without_a_range_fall_back_to_the_scaler_range(
-            self, tiny_workspace, tmp_path, method, prior_form, labeled_rows):
+            self, tiny_workspace, tmp_path, method, prior, labeled_rows):
         # one labeled row, or labeled rows sharing one label, span no grid
         train = load_csv(tiny_workspace["paths"]["target_train"])
         labels = train.labels.copy()
@@ -352,11 +355,11 @@ class TestAdapt:
         labeled = np.zeros(train.n, dtype=bool)
         labeled[labeled_rows] = True
         partial = Dataset(train.features, labels, labeled)
-        cfg = adapt_config(tiny_workspace, tmp_path, method=method, prior_form=prior_form,
-                           label_fraction=1.0)
+        cfg = adapt_config(tiny_workspace, tmp_path, method=method, label_fraction=1.0)
         report = adapt_in_memory(load_checkpoint(tiny_workspace["checkpoint"]), partial,
                                  load_csv(tiny_workspace["paths"]["target_val"]),
-                                 load_csv(tiny_workspace["paths"]["target_test"]), cfg)
+                                 load_csv(tiny_workspace["paths"]["target_test"]), cfg,
+                                 prior=prior)
         assert math.isfinite(report["rmse"])
         assert report["bins"] == (cfg.bins if method == "craft" else None)
 
@@ -372,11 +375,10 @@ class TestAdapt:
             return fit_craft(params, target, config, val=val)
 
         monkeypatch.setattr("craft.harness.fit_craft", capture)
-        cfg = adapt_config(tiny_workspace, tmp_path, prior_form="uniform", label_fraction=1.0,
-                           bins=12, epochs=1)
+        cfg = adapt_config(tiny_workspace, tmp_path, label_fraction=1.0, bins=12, epochs=1)
         adapt_in_memory(load_checkpoint(tiny_workspace["checkpoint"]),
                         Dataset(train.features, train.labels, labeled), None,
-                        load_csv(tiny_workspace["paths"]["target_test"]), cfg)
+                        load_csv(tiny_workspace["paths"]["target_test"]), cfg, prior=FLAT_PRIOR)
         # the scaler's label range [-1, 1] with one 0.2-wide bin on each side
         [grid] = grids
         assert (grid.lo, grid.hi, grid.count) == (pytest.approx(-1.2), pytest.approx(1.2), 12)
@@ -409,6 +411,24 @@ class TestAdapt:
          "mixture prior gaussians must be [mean, variance] pairs"),
         ({"kind": "mixture", "weights": [1.0], "gaussians": [0.0]},
          "mixture prior gaussians must be [mean, variance] pairs"),
+        ({"kind": "mixture", "weights": [math.nan], "gaussians": [[0.0, 1.0]]},
+         "weights holds nan, not a finite number"),
+        ({"kind": "mixture", "weights": [1.0], "gaussians": [[math.nan, 1.0]]},
+         "gaussians holds nan, not a finite number"),
+        ({"kind": "mixture", "weights": [1.0], "gaussians": [[0.0, math.inf]]},
+         "gaussians holds inf, not a finite number"),
+        ({"kind": "mixture", "weights": [1.0], "gaussians": [[0.0, 1.0]], "offset": math.nan},
+         "offset holds nan, not a finite number"),
+        ({"kind": "mixture", "weights": [1.0], "gaussians": [[0.0, 1.0]], "offset": "2"},
+         "offset holds '2', not a finite number"),
+        ({"kind": "mixture", "weights": [True], "gaussians": [[0.0, 1.0]]},
+         "weights holds True, not a finite number"),
+        ({"kind": "histogram", "edges": [0.0, math.nan], "probs": [1.0]},
+         "edges holds nan, not a finite number"),
+        ({"kind": "histogram", "edges": [0.0, math.inf], "probs": [1.0]},
+         "edges holds inf, not a finite number"),
+        ({"kind": "histogram", "edges": [0.0, 1.0], "probs": [math.inf]},
+         "probs holds inf, not a finite number"),
     ])
     def test_a_malformed_prior_file_fails_naming_the_file(self, tiny_workspace, tmp_path,
                                                           payload, named):
@@ -573,7 +593,7 @@ class TestNonFiniteGradient:
 
 
 class TestFitPrior:
-    @pytest.mark.parametrize("prior_form", ["mixture", "histogram", "uniform"])
+    @pytest.mark.parametrize("prior_form", ["mixture", "histogram"])
     def test_density_curve_matches_log_density(self, tiny_workspace, tmp_path, prior_form):
         cfg = ExperimentConfig(target_train=tiny_workspace["paths"]["target_train"],
                                out_dir=str(tmp_path), prior_form=prior_form,
@@ -587,16 +607,12 @@ class TestFitPrior:
             expected = prior_log_density(prior, y)
             assert logd == expected or abs(expected - logd) < 1e-12  # equal when both are -inf
             assert abs(math.exp(logd) - dens) < 1e-12
-        if prior_form == "uniform":
-            labels = load_csv(tiny_workspace["paths"]["target_train"]).labels
-            assert prior.edges.tolist() == [labels.min(), labels.max()]
 
-    @pytest.mark.parametrize("prior_form", ["uniform", "histogram"])
-    def test_labels_sharing_one_value_get_a_unit_width_span(self, tmp_path, prior_form):
+    def test_labels_sharing_one_value_get_a_unit_width_span(self, tmp_path):
         data = tmp_path / "labels.csv"
         data.write_text("f0,y,labeled\n0.1,2.0,1\n0.2,2.0,1\n0.3,,0\n")
         run_fit_prior(ExperimentConfig(target_train=str(data), out_dir=str(tmp_path / "out"),
-                                       prior_form=prior_form))
+                                       prior_form="histogram"))
         prior = prior_from_dict(json.loads((tmp_path / "out" / "prior.json").read_text()))
         assert prior_log_density(prior, np.array([1.5, 2.0, 2.5])).tolist() == [0.0, 0.0, 0.0]
         assert prior_log_density(prior, 1.49) == prior_log_density(prior, 2.51) == -np.inf
@@ -800,6 +816,23 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_path)]) == 1
         assert f"prior file {bad}" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "s" / "runs.jsonl").exists()
+
+    def test_a_prior_with_no_mass_on_the_grid_fails_the_run(self, tiny_workspace, tmp_path,
+                                                            capsys):
+        # labels lie within a few units of 0, so the grid's midpoints all fall off this prior
+        far = tmp_path / "prior.json"
+        far.write_text(json.dumps({"kind": "histogram", "edges": [100.0, 101.0], "probs": [1.0]}))
+        cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=2,
+                           prior_file=str(far), methods=["craft", "tl"])
+        craft_row, tl_row = run_sweep(cfg)["rows"]
+        message = "the label prior puts no mass on any candidate bin"
+        assert craft_row["error"] == f"ValueError: {message}"
+        assert "error" not in tl_row
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({k: v for k, v in dataclasses.asdict(cfg).items()
+                                        if v is not None}))
+        assert main(["adapt", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == message
 
     @pytest.mark.parametrize("split,named", [("target_test", "the run is scored on it"),
                                              ("target_train", "label_fraction 0.5"),

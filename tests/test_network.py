@@ -280,7 +280,18 @@ class TestCheckpoint:
         ({"scaler": {k: v for k, v in SCALER.to_dict().items() if k != "label_hi"}}, "label_hi"),
         ({"spec": [2, 4, 1]}, "spec"),
         ({"weights": 3}, "weights"),
-    ], ids=["scaler-without-label_hi", "spec-list", "weights-number"])
+        ({"weights": [[[math.nan] * 4] * 2, [[0.5]] * 4]}, "layer 0 weights"),
+        ({"weights": [[[0.5] * 4] * 2, [["0.5"]] * 4]}, "layer 1 weights"),
+        ({"biases": [[0.0] * 4, [math.inf]]}, "layer 1 biases"),
+        ({"biases": [[True] + [0.0] * 3, [0.0]]}, "layer 0 biases"),
+        ({"biases": [[0.0] * 3 + [10**400], [0.0]]}, "layer 0 biases"),
+        ({"scaler": {**SCALER.to_dict(), "feature_mean": [0.0, math.nan]}}, "feature_mean"),
+        ({"scaler": {**SCALER.to_dict(), "feature_std": [True, 2.0]}}, "feature_std"),
+        ({"scaler": {**SCALER.to_dict(), "label_hi": math.inf}}, "label_hi"),
+        ({"scaler": {**SCALER.to_dict(), "label_lo": "-1.0"}}, "label_lo"),
+    ], ids=["scaler-without-label_hi", "spec-list", "weights-number", "weight-nan",
+            "weight-string", "bias-inf", "bias-bool", "bias-huge-int", "feature_mean-nan",
+            "feature_std-bool", "label_hi-inf", "label_lo-string"])
     def test_malformed_checkpoint_fails_naming_the_file_and_the_field(self, tmp_path, change,
                                                                        named):
         import json
@@ -295,6 +306,13 @@ class TestCheckpoint:
         path.write_text('{"version": 1,')
         with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}: "):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [("feature_mean", [0.0, math.nan]),
+                                             ("feature_std", [1.0, math.inf]),
+                                             ("label_lo", -math.inf), ("label_hi", math.inf)])
+    def test_scaler_params_reject_a_non_finite_entry_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            ScalerParams(**{**SCALER.to_dict(), field: value})
 
     def test_missing_key_fails_naming_the_file_and_the_key(self, tmp_path):
         path = tmp_path / "c.json"

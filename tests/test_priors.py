@@ -254,6 +254,19 @@ class TestSerialization:
         np.testing.assert_array_equal(back.rates, params.rates)
         assert back.offset == params.offset
 
+    @pytest.mark.parametrize("build,field", [
+        (lambda: MixturePrior([math.nan], [0.0], [1.0], [], 0.0), "weights"),
+        (lambda: MixturePrior([1.0], [math.nan], [1.0], [], 0.0), "means"),
+        (lambda: MixturePrior([1.0], [0.0], [math.inf], [], 0.0), "variances"),
+        (lambda: MixturePrior([1.0], [], [], [math.inf], 0.0), "rates"),
+        (lambda: MixturePrior([1.0], [0.0], [1.0], [], math.nan), "offset"),
+        (lambda: HistogramPrior([0.0, math.inf], [1.0]), "edges"),
+        (lambda: HistogramPrior([0.0, 1.0], [math.inf]), "probs"),
+    ], ids=["weights", "means", "variances", "rates", "offset", "edges", "probs"])
+    def test_a_non_finite_entry_fails_naming_the_field(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            build()
+
     def test_uniform_dict_is_an_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown prior kind 'uniform'"):
             prior_from_dict({"kind": "uniform", "lo": -2.0, "hi": 3.0})
