@@ -15,13 +15,16 @@ file: the two are merged before the config is built and checked, so a flag
 can replace a bad file value, and a bad method, label fraction or fit
 setting fails before any work starts.  ``--prior file:PATH`` sets
 ``prior_file``, and ``--prior fit`` clears one the file names, so the prior
-is fitted to the labeled rows.  A flag for a swept field also drops
-the file's axis for it (``harness.SWEEP_AXES``): ``--method`` drops
-``methods``, ``--label-fraction`` ``label_fractions``, ``--alpha``
-``alphas``, ``--bins`` ``bin_counts`` and ``--seed`` ``seeds``.  When the
-config cannot be built or the command fails, the process exits 1 with a
-one-line error JSON on stderr.  Errors argparse itself catches, such as an
-unknown flag or a non-numeric ``--seed``, exit 2 with its usage message.
+is fitted to the labeled rows.  Priors are in label units: the file
+``fit-prior`` writes, passed back with ``--prior file:``, is the prior adapt
+fits itself to the same labeled rows with the same seed.  A flag for a swept
+field also drops the file's axis for it (``harness.SWEEP_AXES``):
+``--method`` drops ``methods``, ``--label-fraction`` ``label_fractions``,
+``--alpha`` ``alphas``, ``--bins`` ``bin_counts`` and ``--seed`` ``seeds``.
+When the config cannot be built or the command fails, the process exits 1
+with a one-line error JSON on stderr.  Errors argparse itself catches, such
+as an unknown flag or a non-numeric ``--seed``, exit 2 with its usage
+message.
 """
 
 from __future__ import annotations

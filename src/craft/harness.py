@@ -294,7 +294,8 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
 
 
 def _fit_prior(cfg: ExperimentConfig, labels: np.ndarray, seed: int):
-    """The configured prior form, a histogram or an EM mixture, fitted to ``labels``."""
+    """The configured prior form, a histogram or an EM mixture, fitted to raw
+    ``labels``; the prior is in label units, as a prior file holds it."""
     if labels.size == 0:
         raise ValueError("no labels available to fit the prior")
     if cfg.prior_form == "histogram":
@@ -311,9 +312,11 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
     raw target train set when a label-dropping protocol (bias injection,
     stratified masking) is configured.  ``prior``, in label units as a prior
     file holds it, is CRAFT's label prior; without one, the prior is fitted
-    to the labeled rows.  The validation set, when given, picks the kept
-    epoch under 'best_val' model selection, scored on its labeled rows, and
-    must then hold at least one; it is unused under 'final'.
+    to the raw labeled rows, so it is the prior ``run_fit_prior`` writes for
+    them and the same seed.  Either is moved into model units in one place,
+    by the checkpoint scaler's label map.  The validation set, when given,
+    picks the kept epoch under 'best_val' model selection, scored on its
+    labeled rows, and must then hold at least one; it is unused under 'final'.
     """
     _check_splits(checkpoint, cfg, [cfg.label_fraction], {},
                   target_train=train_raw, target_val=val_raw, target_test=test_raw)
@@ -341,9 +344,8 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
             spans = labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min()
             grid = make_bin_grid(cfg.bins, labeled_scaled if spans else (-1.0, 1.0))  # scaler's range
             if prior is None:
-                model_prior = _fit_prior(cfg, labeled_scaled, seed)
-            else:  # a given prior lives in label units; move it into model space
-                model_prior = affine_transform_prior(prior, *scaler.label_map())
+                prior = _fit_prior(cfg, work.labels[work.labeled], seed)
+            model_prior = affine_transform_prior(prior, *scaler.label_map())
         config = _craft_config(cfg, grid=grid, prior=model_prior, seed=seed)
         fit = fit_craft if cfg.method == "craft" else fit_tl
         params, report = fit(checkpoint.params, train_scaled, config, val=val_scaled)
@@ -431,7 +433,8 @@ def _median(values):
 
 
 def aggregate_sweep_rows(rows) -> list:
-    """Median metrics per (method, label_fraction, alpha, bins), recomputable from rows."""
+    """Median metrics per (method, label_fraction, alpha, bins), recomputable from
+    rows, in the order of those values (bins None first)."""
     groups: dict = {}
     for row in rows:
         if "error" in row:
@@ -439,7 +442,7 @@ def aggregate_sweep_rows(rows) -> list:
         key = (row["method"], row["label_fraction"], row["alpha"], row["bins"])
         groups.setdefault(key, []).append(row)
     out = []
-    for key in sorted(groups, key=lambda k: tuple(str(p) for p in k)):
+    for key in sorted(groups, key=lambda k: (*k[:3], k[3] is not None, k[3])):
         members = groups[key]
         out.append({
             "method": key[0],
@@ -504,8 +507,10 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
 
 
 def run_fit_prior(cfg: ExperimentConfig) -> dict:
-    """Fit a label prior to the labeled rows of a CSV (in its own label units)
-    and write the serialized prior plus a density curve CSV."""
+    """Fit a label prior to the labeled rows of a CSV, in its label units, and
+    write the serialized prior plus a density curve CSV.  Passed back as
+    ``prior_file``, it is the prior an adapt run fits itself to the same
+    labeled rows with the same seed."""
     if not cfg.target_train:
         raise ValueError("fit-prior needs a labels CSV via target_train")
     ds = load_csv(cfg.target_train)

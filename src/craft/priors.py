@@ -4,8 +4,10 @@ Two prior shapes are supported: a histogram density, and a mixture of
 Gaussians and exponentials fitted by EM.  A prior file holds either shape as
 :func:`prior_to_dict` writes it, and every number in it is finite and real;
 a flat prior over [lo, hi] is the one-bin histogram file on those edges.  The
-mixture acts on data shifted by a constant offset so exponential components
-see strictly positive values; the offset is part of the fitted parameters.
+mixture acts on data shifted by a constant offset, part of the fitted
+parameters, that places the exponentials' origin just below the smallest
+label, so a fit does not depend on the label units: fitting ``a * y + b`` for
+any ``a > 0`` gives the fit of ``y`` moved by :func:`affine_transform_prior`.
 The array-holding priors compare and hash by identity, as in :mod:`craft.data`.
 
 A mixture computes its density constants once, when it is built: the log
@@ -128,7 +130,10 @@ def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int, *,
     densities; the M-step re-estimates weights as responsibility means,
     Gaussian moments as responsibility-weighted means and (floored) variances,
     and exponential rates as responsibility mass over responsibility-weighted
-    sums, all on offset-shifted data.  Iteration stops once the log-likelihood
+    sums, all on offset-shifted data.  With exponentials, the offset is
+    ``1e-6 * range - min(labels)``, which places their origin just below the
+    smallest label whatever its sign, so the fit does not depend on the label
+    units; without them it is 0.  Iteration stops once the log-likelihood
     improves by less than ``tol`` or after ``max_iters`` iterations; the
     likelihood path is monotone nondecreasing up to rounding.  ``var_floor``
     is a hard lower bound on Gaussian variances; None means 1e-4 times the
@@ -156,7 +161,7 @@ def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int, *,
     if data_range == 0.0:
         raise ValueError("degenerate data: all labels identical")
     var_floor = 1e-4 * data_range**2 if var_floor is None else var_floor
-    offset = (max(0.0, -float(x.min())) + 1e-6 * data_range) if k2 > 0 else 0.0
+    offset = 1e-6 * data_range - float(x.min()) if k2 > 0 else 0.0
     z = x + offset
     n = z.size
 

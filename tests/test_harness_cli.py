@@ -16,6 +16,7 @@ from craft.harness import (
     ExperimentConfig,
     RUN_REPORT_SCHEMA,
     adapt_in_memory,
+    aggregate_sweep_rows,
     default_scenario,
     run_adapt,
     run_evaluate,
@@ -25,7 +26,7 @@ from craft.harness import (
     run_train_source,
 )
 from craft.network import RegressorParams, backward, load_checkpoint
-from craft.priors import prior_from_dict, prior_log_density
+from craft.priors import prior_from_dict, prior_log_density, prior_to_dict
 
 
 def inputs(ws):
@@ -325,6 +326,33 @@ class TestAdapt:
         assert report == given
         assert given["pseudo_label_hist"] != fitted["pseudo_label_hist"]
 
+    def test_a_fit_prior_file_reproduces_the_runs_own_prior(self, tiny_workspace, tmp_path,
+                                                             monkeypatch):
+        # every label positive, so the fit cannot lean on where zero falls
+        shifted = {}
+        for split in ("target_train", "target_val", "target_test"):
+            ds = load_csv(tiny_workspace["paths"][split])
+            shifted[split] = str(tmp_path / f"{split}.csv")
+            write_csv(Dataset(ds.features, ds.labels + 10.0, ds.labeled), shifted[split])
+        produced = run_fit_prior(ExperimentConfig(target_train=shifted["target_train"],
+                                                  out_dir=str(tmp_path / "prior"), seed=3))
+        model_priors = []
+
+        def capture(params, train, config, val=None):
+            model_priors.append(prior_to_dict(config.prior))
+            return fit_craft(params, train, config, val=val)
+
+        monkeypatch.setattr("craft.harness.fit_craft", capture)
+        reports = []
+        for prior_file in (produced["prior"], None):
+            cfg = adapt_config(tiny_workspace, tmp_path, **shifted, label_fraction=1.0,
+                               prior_file=prior_file)
+            report = run_adapt(cfg)
+            del report["files_opened"], report["report_path"]
+            reports.append(report)
+        assert model_priors[0] == model_priors[1]
+        assert reports[0] == reports[1]
+
     def test_a_given_prior_opens_no_file(self, tiny_workspace, tmp_path, monkeypatch):
         prior = prior_from_dict({"kind": "histogram", "edges": [-3.0, 3.0], "probs": [1.0]})
         loaded = inputs(tiny_workspace)
@@ -451,12 +479,18 @@ class TestSweep:
         report_b, out_b = sweep_into(tmp_path / "s2")
         assert report_a == report_b
         # aggregates equal a recomputation from the row data
-        from craft.harness import aggregate_sweep_rows
         assert report_a["aggregates"] == aggregate_sweep_rows(report_a["rows"])
         lines = (out_a / "runs.jsonl").read_text().splitlines()
         assert len(lines) == len(report_a["rows"]) + 1
         assert "aggregates" in json.loads(lines[-1])
         assert (out_a / "runs.csv").read_text().splitlines()[0].startswith("method,seed,alpha")
+
+    def test_aggregates_sort_by_value(self):
+        rows = [{"method": "craft", "seed": 0, "label_fraction": 0.1, "alpha": alpha,
+                 "bins": bins, "rmse": 1.0, "pbcor": 0.5}
+                for alpha, bins in [(10.0, 200), (10.0, 50), (5.0, 200), (5.0, 50), (0.0, None)]]
+        assert [(a["alpha"], a["bins"]) for a in aggregate_sweep_rows(rows)] == [
+            (0.0, None), (5.0, 50), (5.0, 200), (10.0, 50), (10.0, 200)]
 
     def test_partial_failures_recorded(self, tiny_workspace, tmp_path):
         # 1% of 30-row label strata rounds to no labeled row, so that cell has

@@ -82,6 +82,18 @@ class TestEmFit:
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("max_iters", [1, 20, 500])
+    def test_fit_commutes_with_a_positive_affine_map(self, max_iters):
+        # age-like labels, all positive, mapped onto a range that crosses zero
+        ages = 18.0 + np.random.default_rng(11).gamma(4.0, 8.0, 400)
+        a, b = 0.05, -2.5
+        raw = em_fit(ages, 2, 1, seed=4, max_iters=max_iters)
+        fitted = em_fit(a * ages + b, 2, 1, seed=4, max_iters=max_iters)
+        moved = affine_transform_prior(raw, a, b)
+        for name in ("weights", "means", "variances", "rates", "offset"):
+            np.testing.assert_allclose(getattr(fitted, name), getattr(moved, name), rtol=1e-12)
+        assert len(fitted.loglik_path) == len(raw.loglik_path)
+
     def test_degenerate_data_errors(self):
         with pytest.raises(ValueError, match="identical|distinct"):
             em_fit(np.full(10, 3.0), 1, 0, seed=0)
