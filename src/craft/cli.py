@@ -15,9 +15,10 @@ file: the two are merged before the config is built and checked, so a flag
 can replace a bad file value, and a bad method, label fraction or fit
 setting fails before any work starts.  ``--prior file:PATH`` sets
 ``prior_file``, and ``--prior fit`` clears one the file names, so the prior
-is fitted to the labeled rows.  Priors are in label units: the file
-``fit-prior`` writes, passed back with ``--prior file:``, is the prior adapt
-fits itself to the same labeled rows with the same seed.  A flag for a swept
+is fitted to the labels of the run's budget.  Priors are in label units: the
+file ``fit-prior`` writes, passed back with ``--prior file:``, is adapt's
+own prior at the same ``label_fraction``, ``bias_keep_above`` (which
+thresholds at the label mean), ``n_strata`` and seed.  A flag for a swept
 field also drops the file's axis for it (``harness.SWEEP_AXES``):
 ``--method`` drops ``methods``, ``--label-fraction`` ``label_fractions``,
 ``--alpha`` ``alphas``, ``--bins`` ``bin_counts`` and ``--seed`` ``seeds``.

@@ -294,26 +294,19 @@ def stratified_label_mask(ds: Dataset, keep_fraction: float, n_strata: int, seed
     return replace(ds, labeled=keep)
 
 
-def inject_marginal_bias(ds: Dataset, keep_fraction_above: float, threshold_quantile: float | None,
-                         seed: int) -> Dataset:
-    """Subsample rows whose label exceeds a threshold, biasing the marginal.
+def inject_marginal_bias(ds: Dataset, keep_fraction_above: float, seed: int) -> Dataset:
+    """Subsample rows whose label exceeds the label mean, biasing the marginal.
 
-    The threshold is the given label quantile, or the label mean when
-    ``threshold_quantile`` is None.  Rows at or below the threshold are kept in
-    full; rows above it are kept with probability mass ``keep_fraction_above``
-    (an exact count, chosen uniformly by seed).  Output rows are a subset of
-    the input rows in their original order.
+    Rows at or below the mean are kept in full; rows above it are kept with
+    probability mass ``keep_fraction_above`` (an exact count, chosen uniformly
+    by seed).  Output rows are a subset of the input rows in their original
+    order.
     """
     if not 0.0 <= keep_fraction_above <= 1.0:
         raise ValueError("keep_fraction_above must lie in [0, 1]")
     if not ds.labeled.all():
         raise ValueError("inject_marginal_bias expects a fully labeled dataset")
-    if threshold_quantile is None:
-        threshold = float(ds.labels.mean())
-    else:
-        if not 0.0 <= threshold_quantile <= 1.0:
-            raise ValueError("threshold_quantile must lie in [0, 1]")
-        threshold = float(np.quantile(ds.labels, threshold_quantile))
+    threshold = float(ds.labels.mean())
     rng = np.random.default_rng(seed)
     above = np.flatnonzero(ds.labels > threshold)
     k = _round_half_up(keep_fraction_above * above.size)

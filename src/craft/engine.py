@@ -293,6 +293,8 @@ class RunReport:
     pbcor: float | None = None
     epochs: list = field(default_factory=list)
     pseudo_label_hist: list = field(default_factory=list)
+    em_iters: int | None = None  # EM iterations of a prior the run fitted itself
+    em_converged: bool | None = None  # whether that fit stopped on its tolerance
 
     def to_dict(self) -> dict:
         return asdict(self)

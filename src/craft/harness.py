@@ -37,6 +37,7 @@ from .engine import MIN_BINS, CraftConfig, RunReport, fit_craft, fit_tl, make_bi
 from .metrics import evaluate, rmse
 from .network import Checkpoint, MlpSpec, init_params, load_checkpoint, save_checkpoint
 from .priors import (
+    EM_TOL,
     affine_transform_prior,
     em_fit,
     fit_histogram_prior,
@@ -64,7 +65,7 @@ __all__ = [
 RUN_REPORT_SCHEMA = {
     "type": "object",
     "required": ["method", "seed", "alpha", "c", "bins", "label_fraction",
-                 "rmse", "pbcor", "epochs", "pseudo_label_hist"],
+                 "rmse", "pbcor", "epochs", "pseudo_label_hist", "em_iters", "em_converged"],
     "properties": {
         "method": {"enum": ["craft", "tl", "naive"]},
         "seed": {"type": "integer"},
@@ -87,6 +88,8 @@ RUN_REPORT_SCHEMA = {
             },
         },
         "pseudo_label_hist": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        "em_iters": {"type": ["integer", "null"], "minimum": 1},
+        "em_converged": {"type": ["boolean", "null"]},
         "files_opened": {"type": "array", "items": {"type": "string"}},
     },
 }
@@ -108,13 +111,15 @@ class ExperimentConfig:
     config is built, naming the field: the method, label fraction and fit
     settings, sweep axes included (each axis a nonempty list, and the fit
     settings by the same :class:`CraftConfig` rules a fit applies); the model
-    selection, validation fraction and bias settings; the count settings,
+    selection, validation fraction and bias setting; the count settings,
     which must be integers (the seeds at least 0, and the bin counts at least
     ``engine.MIN_BINS`` whatever the method); the float settings and axis
     entries, which must be real numbers (a bool is not one);
     ``hidden_layers``, a list of integers of at least 1; the path settings,
     each a string or None (``out_dir`` a string); and the prior's form,
-    strata, bins and component counts.
+    strata, bins and component counts.  A fit-prior file is adapt's own prior
+    at the same ``label_fraction``, ``bias_keep_above`` (which thresholds at
+    the label mean), ``n_strata`` and seed.
     """
 
     # data: the scenario synth generates, and the CSV paths the other commands read
@@ -141,8 +146,7 @@ class ExperimentConfig:
     # label availability protocol
     label_fraction: float = 1.0
     n_strata: int = 10
-    bias_keep_above: float | None = None
-    bias_threshold_quantile: float | None = None
+    bias_keep_above: float | None = None  # keeps this share of the rows above the label mean
     # prior
     prior_file: str | None = None  # CRAFT's prior when set, else fitted to the labeled rows
     prior_form: str = "mixture"  # the shape fitted to the labels: mixture | histogram
@@ -184,10 +188,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown model_selection {self.model_selection!r}")
         if not 0.0 < _check_number("val_fraction", self.val_fraction) < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
-        for name in ("bias_keep_above", "bias_threshold_quantile"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= _check_number(name, value) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        bias = self.bias_keep_above
+        if bias is not None and not 0.0 <= _check_number("bias_keep_above", bias) <= 1.0:
+            raise ValueError("bias_keep_above must lie in [0, 1]")
         if not isinstance(self.hidden_layers, (list, tuple)):
             raise ValueError(f"hidden_layers must be a list of integers, got {self.hidden_layers!r}")
         for width in self.hidden_layers:
@@ -249,13 +252,9 @@ def _check_splits(checkpoint: Checkpoint, cfg: ExperimentConfig, fractions, path
     """Fail on the first given split that runs at the label ``fractions`` cannot
     use, naming it and its path in ``paths``: a feature count the checkpoint
     does not take; an unlabeled row in ``target_test``, which every run
-    scores, or in ``target_train`` when a setting drops labels from it; or a
-    ``target_val`` without a labeled row to select an epoch on."""
+    scores, or in ``target_train`` when the label budget at a fraction drops
+    labels; or a ``target_val`` without a labeled row to select an epoch on."""
     expected = checkpoint.params.spec.input_dim
-    drop = (f"bias_keep_above {cfg.bias_keep_above}" if cfg.bias_keep_above is not None
-            else next((f"label_fraction {f}" for f in fractions if f < 1.0), None))
-    needs = {"target_test": "the run is scored on it",
-             "target_train": drop and f"{drop} drops its labels"}
     for name, ds in splits.items():
         if ds is None:
             continue
@@ -264,9 +263,33 @@ def _check_splits(checkpoint: Checkpoint, cfg: ExperimentConfig, fractions, path
         where = f"{name} {paths[name]}" if name in paths else name
         if name == "target_val" and cfg.model_selection == "best_val" and not ds.labeled.any():
             raise ValueError(f"{where} has no labeled row to select an epoch on")
-        if needs.get(name) and not ds.labeled.all():
-            raise ValueError(f"{where} has {ds.n - ds.n_labeled} of {ds.n} rows unlabeled, but "
-                             f"must be fully labeled: {needs[name]}")
+        if name == "target_test":
+            _require_labels(ds, where, "the run is scored on it")
+        if name == "target_train" and not ds.labeled.all():  # it fails before any budget work
+            for fraction in fractions:
+                _label_budget(ds, dataclasses.replace(cfg, label_fraction=fraction), 0, where)
+
+
+def _require_labels(ds: Dataset, where: str, reason: str):
+    if not ds.labeled.all():
+        raise ValueError(f"{where} has {ds.n - ds.n_labeled} of {ds.n} rows unlabeled, but "
+                         f"must be fully labeled: {reason}")
+
+
+def _label_budget(train_raw: Dataset, cfg: ExperimentConfig, seed: int, where="target_train"):
+    """The target train rows and labels a run or a ``fit-prior`` file may read:
+    bias first (rows above the label mean), then the stratified label mask,
+    both drawn from ``seed``.  A setting that drops labels fails on a partly
+    labeled ``train_raw`` before any work, naming ``where`` and itself."""
+    drop = (f"bias_keep_above {cfg.bias_keep_above}" if cfg.bias_keep_above is not None
+            else f"label_fraction {cfg.label_fraction}" if cfg.label_fraction < 1.0 else None)
+    if drop:
+        _require_labels(train_raw, where, f"{drop} drops its labels")
+    if cfg.bias_keep_above is not None:
+        train_raw = inject_marginal_bias(train_raw, cfg.bias_keep_above, seed)
+    if cfg.label_fraction < 1.0:
+        train_raw = stratified_label_mask(train_raw, cfg.label_fraction, cfg.n_strata, seed)
+    return train_raw
 
 
 def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
@@ -308,26 +331,22 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
                     prior=None) -> dict:
     """One adaptation run against in-memory data; returns the report dict.
 
-    It reads no file.  The test set must be fully labeled, and so must the
-    raw target train set when a label-dropping protocol (bias injection,
-    stratified masking) is configured.  ``prior``, in label units as a prior
-    file holds it, is CRAFT's label prior; without one, the prior is fitted
-    to the raw labeled rows, so it is the prior ``run_fit_prior`` writes for
-    them and the same seed.  Either is moved into model units in one place,
-    by the checkpoint scaler's label map.  The validation set, when given,
-    picks the kept epoch under 'best_val' model selection, scored on its
-    labeled rows, and must then hold at least one; it is unused under 'final'.
+    It reads no file.  The test set must be fully labeled, and the train set
+    is cut to its label budget (:func:`_label_budget`).  ``prior``, in label
+    units as a prior file holds it, is CRAFT's label prior; without one, the
+    prior is fitted to the budget's labels, so it is the prior
+    ``run_fit_prior`` writes at the same ``label_fraction``,
+    ``bias_keep_above``, ``n_strata`` and seed, and a mixture's EM iterations
+    and convergence are reported.  Either is moved into model units by the
+    checkpoint scaler's label map.  The validation set, when given, picks the
+    kept epoch under 'best_val' model selection, scored on its labeled rows,
+    and must then hold at least one; it is unused under 'final'.
     """
     _check_splits(checkpoint, cfg, [cfg.label_fraction], {},
                   target_train=train_raw, target_val=val_raw, target_test=test_raw)
     seed = cfg.seed if seed is None else seed
     scaler = checkpoint.scaler
-
-    work = train_raw
-    if cfg.bias_keep_above is not None:
-        work = inject_marginal_bias(work, cfg.bias_keep_above, cfg.bias_threshold_quantile, seed)
-    if cfg.label_fraction < 1.0:
-        work = stratified_label_mask(work, cfg.label_fraction, cfg.n_strata, seed)
+    work = _label_budget(train_raw, cfg, seed)
     train_scaled = apply_scaler(work, scaler)
     use_val = val_raw is not None and cfg.model_selection == "best_val"
     val_scaled = apply_scaler(val_raw, scaler) if use_val else None
@@ -338,13 +357,14 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
         report = RunReport(method="naive", seed=seed, alpha=0.0, c=cfg.c, bins=None)
         report.rmse = rmse(np.full(test_raw.n, mean), test_raw.labels)
     else:
-        grid = model_prior = None
+        grid = model_prior = loglik = None
         if cfg.method == "craft" and cfg.alpha > 0.0:
             labeled_scaled = train_scaled.labels[train_scaled.labeled]
             spans = labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min()
             grid = make_bin_grid(cfg.bins, labeled_scaled if spans else (-1.0, 1.0))  # scaler's range
             if prior is None:
                 prior = _fit_prior(cfg, work.labels[work.labeled], seed)
+                loglik = getattr(prior, "loglik_path", None)  # a histogram has none
             model_prior = affine_transform_prior(prior, *scaler.label_map())
         config = _craft_config(cfg, grid=grid, prior=model_prior, seed=seed)
         fit = fit_craft if cfg.method == "craft" else fit_tl
@@ -352,6 +372,8 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
         metrics = evaluate(params, test_raw, scaler)
         report.rmse = metrics.rmse
         report.pbcor = metrics.pbcor
+        if loglik:  # em_fit's path holds at least two steps
+            report.em_iters, report.em_converged = len(loglik), loglik[-1] - loglik[-2] < EM_TOL
     report.label_fraction = cfg.label_fraction
     return report.to_dict()
 
@@ -507,13 +529,14 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
 
 
 def run_fit_prior(cfg: ExperimentConfig) -> dict:
-    """Fit a label prior to the labeled rows of a CSV, in its label units, and
-    write the serialized prior plus a density curve CSV.  Passed back as
-    ``prior_file``, it is the prior an adapt run fits itself to the same
-    labeled rows with the same seed."""
+    """Fit a label prior to the labels of the ``target_train`` CSV that the
+    label budget leaves, in their units, and write the serialized prior plus
+    a density curve CSV.  Passed back as ``prior_file``, it is the prior an
+    adapt run on that CSV fits itself at the same ``label_fraction``,
+    ``bias_keep_above``, ``n_strata`` and seed."""
     if not cfg.target_train:
         raise ValueError("fit-prior needs a labels CSV via target_train")
-    ds = load_csv(cfg.target_train)
+    ds = _label_budget(load_csv(cfg.target_train), cfg, cfg.seed, f"target_train {cfg.target_train}")
     labels = ds.labels[ds.labeled]
     prior = _fit_prior(cfg, labels, cfg.seed)
     out = Path(cfg.out_dir)

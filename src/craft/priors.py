@@ -30,6 +30,7 @@ from .data import _check_finite, _frozen_array
 __all__ = [
     "HistogramPrior",
     "MixturePrior",
+    "EM_TOL",
     "em_fit",
     "prior_log_density",
     "fit_histogram_prior",
@@ -37,6 +38,8 @@ __all__ = [
     "prior_to_dict",
     "prior_from_dict",
 ]
+
+EM_TOL = 1e-6  # em_fit's default: it stops once a step gains less log-likelihood
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +125,7 @@ def _logsumexp_rows(a):
 
 
 def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int, *,
-           max_iters: int = 500, tol: float = 1e-6, var_floor: float | None = None) -> MixturePrior:
+           max_iters: int = 500, tol: float = EM_TOL, var_floor: float | None = None) -> MixturePrior:
     """Fit a mixture of ``n_gaussians`` Gaussians and ``n_exponentials``
     exponentials to 1-d samples by EM; ``seed`` jitters the initial rates.
 

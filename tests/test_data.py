@@ -263,21 +263,22 @@ class TestStratifiedMask:
 
 class TestMarginalBias:
     def test_counts_with_median_threshold(self):
+        # the threshold is the label mean, which on arange(100) is also its median, 49.5
         ds = Dataset(np.ones((100, 1)), np.arange(100.0), np.ones(100, dtype=bool))
-        biased = inject_marginal_bias(ds, keep_fraction_above=0.2, threshold_quantile=0.5, seed=0)
+        biased = inject_marginal_bias(ds, keep_fraction_above=0.2, seed=0)
         assert biased.n == 60
         assert (biased.labels <= 49.5).sum() == 50
         assert (biased.labels > 49.5).sum() == 10
 
     def test_keep_all_is_identity(self):
         ds = make_dataset(n=30)
-        biased = inject_marginal_bias(ds, 1.0, threshold_quantile=None, seed=0)
+        biased = inject_marginal_bias(ds, 1.0, seed=0)
         np.testing.assert_array_equal(biased.features, ds.features)
         np.testing.assert_array_equal(biased.labels, ds.labels)
 
     def test_output_is_row_subset(self):
         ds = make_dataset(n=50, seed=2)
-        biased = inject_marginal_bias(ds, 0.3, threshold_quantile=None, seed=4)
+        biased = inject_marginal_bias(ds, 0.3, seed=4)
         rows = {tuple(r) for r in ds.features}
         assert all(tuple(r) in rows for r in biased.features)
         assert biased.n < ds.n
@@ -287,7 +288,7 @@ class TestMarginalBias:
         rng = np.random.default_rng(0)
         y = rng.normal(60.0, 10.0, 400)
         ds = Dataset(rng.normal(size=(400, 2)), y, np.ones(400, dtype=bool))
-        biased = inject_marginal_bias(ds, keep_fraction_above=0.2, threshold_quantile=None, seed=1)
+        biased = inject_marginal_bias(ds, keep_fraction_above=0.2, seed=1)
         n_above_before = int((y > y.mean()).sum())
         n_above_after = int((biased.labels > y.mean()).sum())
         assert n_above_after == int(math.floor(0.2 * n_above_before + 0.5))
@@ -298,9 +299,9 @@ class TestMarginalBias:
     def test_fraction_domain(self):
         ds = make_dataset()
         with pytest.raises(ValueError):
-            inject_marginal_bias(ds, -0.01, threshold_quantile=None, seed=0)
+            inject_marginal_bias(ds, -0.01, seed=0)
         with pytest.raises(ValueError):
-            inject_marginal_bias(ds, 1.01, threshold_quantile=None, seed=0)
+            inject_marginal_bias(ds, 1.01, seed=0)
 
 
 class TestGenerator:

@@ -26,7 +26,7 @@ from craft.harness import (
     run_train_source,
 )
 from craft.network import RegressorParams, backward, load_checkpoint
-from craft.priors import prior_from_dict, prior_log_density, prior_to_dict
+from craft.priors import em_fit, prior_from_dict, prior_log_density, prior_to_dict
 
 
 def inputs(ws):
@@ -101,8 +101,6 @@ FLAT_PRIOR = prior_from_dict({"kind": "histogram", "edges": [-50.0, 50.0], "prob
     ({"val_fraction": -0.5}, "val_fraction"),
     ({"val_fraction": 1.0}, "val_fraction"),
     ({"bias_keep_above": 1.5}, "bias_keep_above"),
-    ({"bias_keep_above": 0.5, "bias_threshold_quantile": -0.1}, "bias_threshold_quantile"),
-    ({"bias_threshold_quantile": math.nan}, "bias_threshold_quantile"),
     ({"seeds": 3}, "seeds"),
     ({"alphas": 0.1}, "alphas"),
     ({"methods": "craft"}, "methods"),
@@ -112,7 +110,6 @@ FLAT_PRIOR = prior_from_dict({"kind": "histogram", "edges": [-50.0, 50.0], "prob
     ({"label_fraction": "0.5"}, "label_fraction"),
     ({"val_fraction": "0.2"}, "val_fraction"),
     ({"bias_keep_above": "0.5"}, "bias_keep_above"),
-    ({"bias_keep_above": 0.5, "bias_threshold_quantile": "0.5"}, "bias_threshold_quantile"),
     ({"alpha": True}, "alpha"),
     ({"label_fraction": True}, "label_fraction"),
     ({"alphas": [0.1, "1"]}, "alpha"),
@@ -148,11 +145,10 @@ FLAT_PRIOR = prior_from_dict({"kind": "histogram", "edges": [-50.0, 50.0], "prob
         "seed-float", "seeds-float", "epochs-bool", "n_strata", "prior_bins",
         "prior_gaussians", "prior_exponentials", "no-mixture-component", "hidden_layers-float",
         "hidden_layers-number", "hidden_layers-zero", "val_fraction-zero",
-        "val_fraction-negative", "val_fraction-one", "bias_keep_above",
-        "bias_threshold_quantile", "bias_threshold_quantile-nan",
-        "seeds-number", "alphas-number", "methods-string", "alpha-string", "c-string",
+        "val_fraction-negative", "val_fraction-one", "bias_keep_above", "seeds-number",
+        "alphas-number", "methods-string", "alpha-string", "c-string",
         "learning_rate-string", "label_fraction-string", "val_fraction-string",
-        "bias_keep_above-string", "bias_threshold_quantile-string", "alpha-bool",
+        "bias_keep_above-string", "alpha-bool",
         "label_fraction-bool", "alphas-string", "label_fractions-bool", "source_train-number",
         "source_checkpoint-number", "target_train-number", "target_val-float",
         "target_test-list", "out_dir-number", "prior_file-bool", "out_dir-null", "bins-floor",
@@ -166,8 +162,10 @@ def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
 
 
 @pytest.mark.parametrize("key,value", [("pseudo_source", "true_labels_for_labeled"),
-                                       ("activation", "tanh"), ("prior_source", "file")],
-                         ids=["pseudo_source", "activation", "prior_source"])
+                                       ("activation", "tanh"), ("prior_source", "file"),
+                                       ("bias_threshold_quantile", 0.5)],
+                         ids=["pseudo_source", "activation", "prior_source",
+                              "bias_threshold_quantile"])
 def test_config_rejects_a_removed_key(key, value):
     with pytest.raises(TypeError, match=rf"\b{key}\b"):
         ExperimentConfig(**{key: value})
@@ -326,16 +324,22 @@ class TestAdapt:
         assert report == given
         assert given["pseudo_label_hist"] != fitted["pseudo_label_hist"]
 
+    @pytest.mark.parametrize("label_fraction,bias_keep_above", [(1.0, None), (0.3, None),
+                                                                (1.0, 0.3), (0.3, 0.3)],
+                             ids=["all-labels", "fraction", "bias", "bias-then-fraction"])
     def test_a_fit_prior_file_reproduces_the_runs_own_prior(self, tiny_workspace, tmp_path,
-                                                             monkeypatch):
+                                                             monkeypatch, label_fraction,
+                                                             bias_keep_above):
         # every label positive, so the fit cannot lean on where zero falls
         shifted = {}
         for split in ("target_train", "target_val", "target_test"):
             ds = load_csv(tiny_workspace["paths"][split])
             shifted[split] = str(tmp_path / f"{split}.csv")
             write_csv(Dataset(ds.features, ds.labels + 10.0, ds.labeled), shifted[split])
+        budget = {"label_fraction": label_fraction, "bias_keep_above": bias_keep_above}
         produced = run_fit_prior(ExperimentConfig(target_train=shifted["target_train"],
-                                                  out_dir=str(tmp_path / "prior"), seed=3))
+                                                  out_dir=str(tmp_path / "prior"), seed=3,
+                                                  **budget))
         model_priors = []
 
         def capture(params, train, config, val=None):
@@ -345,13 +349,38 @@ class TestAdapt:
         monkeypatch.setattr("craft.harness.fit_craft", capture)
         reports = []
         for prior_file in (produced["prior"], None):
-            cfg = adapt_config(tiny_workspace, tmp_path, **shifted, label_fraction=1.0,
-                               prior_file=prior_file)
+            cfg = adapt_config(tiny_workspace, tmp_path, **shifted, **budget, prior_file=prior_file)
             report = run_adapt(cfg)
             del report["files_opened"], report["report_path"]
             reports.append(report)
+        # only a prior the run fits itself has an EM fit to report
+        assert [r.pop("em_iters") is None for r in reports] == [True, False]
+        assert [r.pop("em_converged") is None for r in reports] == [True, False]
         assert model_priors[0] == model_priors[1]
         assert reports[0] == reports[1]
+
+    def test_the_report_records_the_em_fit_of_the_prior_it_fits(self, tiny_workspace, tmp_path,
+                                                                monkeypatch):
+        fitted = []
+
+        def spy(*args, **kwargs):
+            fitted.append(em_fit(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr("craft.harness.em_fit", spy)
+        file_prior = prior_from_dict({"kind": "histogram", "edges": [-3.0, 3.0], "probs": [1.0]})
+        runs = {"capped": {"label_fraction": 1.0}, "converged": {},
+                "histogram": {"prior_form": "histogram"}, "tl": {"method": "tl"},
+                "naive": {"method": "naive"}, "file": {}}
+        reports = {name: adapt_in_memory(*inputs(tiny_workspace),
+                                         adapt_config(tiny_workspace, tmp_path, epochs=1, **change),
+                                         prior=file_prior if name == "file" else None)
+                   for name, change in runs.items()}
+        paths = [fit.loglik_path for fit in fitted]
+        assert [len(path) for path in paths] == [500, 320]  # the first hits em_fit's iteration cap
+        assert [(reports[name]["em_iters"], reports[name]["em_converged"])
+                for name in runs] == [(500, False), (320, True)] + [(None, None)] * 4
+        assert paths[0][-1] - paths[0][-2] >= 1e-6 > paths[1][-1] - paths[1][-2]
 
     def test_a_given_prior_opens_no_file(self, tiny_workspace, tmp_path, monkeypatch):
         prior = prior_from_dict({"kind": "histogram", "edges": [-3.0, 3.0], "probs": [1.0]})
@@ -651,6 +680,17 @@ class TestFitPrior:
         assert prior_log_density(prior, np.array([1.5, 2.0, 2.5])).tolist() == [0.0, 0.0, 0.0]
         assert prior_log_density(prior, 1.49) == prior_log_density(prior, 2.51) == -np.inf
 
+    def test_a_partly_labeled_csv_under_a_label_budget_fails_naming_it(self, tiny_workspace,
+                                                                        tmp_path):
+        path = partly_labeled(tiny_workspace, "target_train", tmp_path)
+        n = load_csv(path).n
+        cfg = ExperimentConfig(target_train=path, out_dir=str(tmp_path / "out"), label_fraction=0.3)
+        with pytest.raises(ValueError) as error:
+            run_fit_prior(cfg)
+        assert str(error.value) == (f"target_train {path} has 1 of {n} rows unlabeled, but must be "
+                                    "fully labeled: label_fraction 0.3 drops its labels")
+        assert not (tmp_path / "out" / "prior.json").exists()
+
     def test_failed_write_leaves_no_partial_file(self, tiny_workspace, tmp_path, monkeypatch):
         def failing_dump(obj, fh, **kwargs):
             fh.write('{"kind": ')
@@ -730,6 +770,26 @@ class TestCli:
                      "--data", ws["paths"]["target_test"]])
         assert code == 0
         assert "rmse" in json.loads(capsys.readouterr().out)
+
+    def test_a_fit_prior_file_reproduces_adapts_own_prior_under_a_biased_budget(
+            self, tiny_workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = adapt_config(tiny_workspace, tmp_path, label_fraction=0.05, bias_keep_above=0.3)
+        cfg_path.write_text(json.dumps({k: v for k, v in dataclasses.asdict(cfg).items()
+                                        if v is not None}))
+        prior_out = tmp_path / "prior"
+        assert main(["fit-prior", "--config", str(cfg_path), "--out", str(prior_out)]) == 0
+        reports = []
+        for prior in (f"file:{prior_out / 'prior.json'}", "fit"):
+            capsys.readouterr()
+            assert main(["adapt", "--config", str(cfg_path), "--prior", prior,
+                         "--out", str(tmp_path / prior[:3])]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["files_opened"], report["report_path"]
+            reports.append(report)
+        assert [r.pop("em_iters") is None for r in reports] == [True, False]
+        assert [r.pop("em_converged") is None for r in reports] == [True, False]
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("change,named", [({"n_source": 12.5}, "n_source"),
                                               ({"seed": "1"}, "seed"),
