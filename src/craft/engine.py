@@ -20,11 +20,14 @@ reduces the method to plain supervised fine-tuning on the labeled rows.
 
 Both steps run at the same parameters, so a training step makes one forward
 pass over its batch, labeled rows first, and keeps the activations:
-selection, both loss terms and the backward pass read them.  Each stage of a
-step is one public function, called by the training loop itself:
-``forward_batch``, :func:`select_pseudo_labels` (winning bin indices),
-:func:`craft_loss_and_grad` (both loss terms and the backward pass) and
-``adam_step``.
+selection, both loss terms and the backward pass read them.  It also builds
+one Gaussian kernel, exp(min_l' d_bl' - d_bl) for bin b and prediction l:
+every pseudo-label is a midpoint, and both steps use one c and one shift,
+so the self-identification matches are the kernel's rows at the chosen
+bins, bit for bit.  Each stage of a step is one public function, called by
+the training loop itself: ``forward_batch``, :func:`select_pseudo_labels`
+(winning bins and the kernel), :func:`craft_loss_and_grad` (both loss terms
+and the backward pass) and ``adam_step``.
 """
 
 from __future__ import annotations
@@ -150,13 +153,15 @@ class LossBreakdown:
     total: float
 
 
-def joint_log_scores(predictions, grid: BinGrid, prior, c: float) -> np.ndarray:
+def joint_log_scores(predictions, grid: BinGrid, prior, c: float, kernel: list | None = None) -> np.ndarray:
     """Log joint score of every (sample, candidate midpoint) pair, shape (n, B).
 
     Entry (i, b) is the negated scaled squared distance between midpoint b and
     prediction i, minus the log-sum-exp over the batch of the same distances
     to midpoint b, plus the midpoint's prior log density.  The Gaussian
     normalizing constant cancels between the match term and the batch total.
+    Pass an empty list as ``kernel`` to keep the batch kernel they are normalized
+    by: (B, n) rows exp(min_l' d_bl' - d_bl), their sums and shifts -min_l' d_bl'.
     """
     f = np.asarray(predictions, dtype=np.float64)
     if f.ndim != 1 or f.size < 1:
@@ -172,12 +177,15 @@ def joint_log_scores(predictions, grid: BinGrid, prior, c: float) -> np.ndarray:
     np.square(scores, out=scores)
     scores /= -(2.0 * c)
     batch_max = scores.max(axis=0)
-    shifted = scores - batch_max
-    np.exp(shifted, out=shifted)
-    # the batch sum runs over a candidate-major copy, so each bin's total keeps
-    # numpy's pairwise order over one contiguous row; summing down axis 0 would
-    # add in another order and change the last bits
-    batch_lse = batch_max + np.log(shifted.T.copy().sum(axis=1))
+    # candidate-major, so each bin's total keeps numpy's pairwise order over one
+    # contiguous row; summing down axis 0 would change the last bits
+    rows = scores.T.copy()
+    rows -= batch_max[:, None]
+    np.exp(rows, out=rows)
+    sums = rows.sum(axis=1)
+    if kernel is not None:
+        kernel += [rows, sums, batch_max]
+    batch_lse = batch_max + np.log(sums)
     # grouping matters: normalizing the match term first keeps a singleton
     # batch exactly tied across bins, so the distance tie-break can apply
     scores -= batch_lse
@@ -185,12 +193,12 @@ def joint_log_scores(predictions, grid: BinGrid, prior, c: float) -> np.ndarray:
     return scores
 
 
-def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float) -> np.ndarray:
-    """Index of the highest-scoring bin per sample (see :func:`joint_log_scores`);
-    ``grid.midpoints`` at these indices are the pseudo-labels.  A row whose
-    every bin scores -inf, because the prior puts no mass on any of them, is
-    a ``ValueError``."""
-    scores = joint_log_scores(predictions, grid, prior, c)
+def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float, kernel: list | None = None) -> np.ndarray:
+    """Index of the highest-scoring bin per sample (see :func:`joint_log_scores`,
+    which fills ``kernel``); ``grid.midpoints`` at these indices are the
+    pseudo-labels.  A row whose every bin scores -inf, because the prior puts
+    no mass on any of them, is a ``ValueError``."""
+    scores = joint_log_scores(predictions, grid, prior, c, kernel)
     f = np.asarray(predictions, dtype=np.float64)
     chosen = scores.argmax(axis=1)
     best = scores[np.arange(f.size), chosen]
@@ -210,41 +218,37 @@ def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float) -> np.ndar
     return chosen
 
 
-def _unsup_terms(f: np.ndarray, targets: np.ndarray, c: float):
-    """Per-sample pieces of the self-identification loss, plus its prediction gradient.
-
-    Sample i contributes d_ii + log sum_l exp(-d_il), reported as a quadratic
-    excess over the row minimum (nonnegative) plus a crowding term in
-    [0, log n]; both are exactly zero for a singleton batch.
-    """
-    resid = f[None, :] - targets[:, None]
-    dmat = np.square(resid)
-    dmat /= 2.0 * c
-    row_min = dmat.min(axis=1)
-    # w holds exp(row min - d_il), then the row softmax, then softmax * (f_l - t_i)
-    w = row_min[:, None] - dmat
-    np.exp(w, out=w)
-    sums = w.sum(axis=1)
-    quad = np.diagonal(dmat) - row_min
-    crowding = np.log(sums)
-    w /= sums[:, None]
-    w *= resid
-    d_loss_d_f = np.diagonal(resid).copy()
-    d_loss_d_f -= w.sum(axis=0)
-    d_loss_d_f /= c
-    return quad, crowding, d_loss_d_f
+def _kernel_terms(f: np.ndarray, bins: np.ndarray, kernel: list, mids: np.ndarray, c: float):
+    """Per-sample pieces of the self-identification loss, plus its prediction
+    gradient, read off the batch kernel at ``bins``.  Sample i contributes
+    d_ii + log sum_l exp(-d_il), reported as a quadratic excess over the row
+    minimum (nonnegative) plus a crowding term in [0, log n]; both are exactly
+    zero for a singleton batch."""
+    rows, sums, shift = kernel
+    targets, row_sums = mids[bins], sums[bins]
+    own = f - targets
+    quad = np.square(own) / (2.0 * c) + shift[bins]
+    # w holds the row softmax, then softmax * (f_l - t_i)
+    w = rows[bins]
+    w /= row_sums[:, None]
+    w *= f[None, :] - targets[:, None]
+    return quad, np.log(row_sums), (own - w.sum(axis=0)) / c
 
 
-def craft_loss_and_grad(params: RegressorParams, y_sup, targets, config: CraftConfig, cache: list):
-    """Combined loss and its exact parameter gradient over one batch, at fixed targets.
+def craft_loss_and_grad(params: RegressorParams, y_sup, selection, config: CraftConfig, cache: list):
+    """Combined loss and its exact parameter gradient over one batch, at fixed pseudo-labels.
 
     ``cache`` is the activation list a :func:`forward_batch` call over the
     batch at ``params`` filled, the rows first; the predictions and the
     backward pass read it, and no forward pass runs here.  The supervised
-    rows are the first ``y_sup.size``; the unsupervised term, when
-    ``targets`` is given, covers the last ``targets.size`` with those frozen
-    targets, so a row may sit in both terms.  Both terms' upstream gradients
-    are added per row, and a row in both is backpropagated once.
+    rows are the first ``y_sup.size``.  ``selection``, when given, is the
+    ``(bins, kernel)`` :func:`select_pseudo_labels` gave over the last
+    ``bins.size`` rows on ``config.grid`` at ``config.c``; the unsupervised
+    term covers them with the midpoints at ``bins`` as frozen targets, so a
+    row may sit in both terms.  It reads its Gaussian matches off the kernel
+    rows at ``bins``, bit for bit what an n x n kernel over the targets
+    gives: midpoint targets, one ``c`` and one shift.  Both terms' upstream
+    gradients are added per row, and a row in both is backpropagated once.
     """
     y_sup = np.asarray(y_sup, dtype=np.float64)
     n, n_sup = len(cache[0]), y_sup.size
@@ -252,18 +256,17 @@ def craft_loss_and_grad(params: RegressorParams, y_sup, targets, config: CraftCo
         raise ValueError("the batch is empty")
     if n_sup > n:
         raise ValueError(f"y_sup has {n_sup} labels for a batch of {n} rows")
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.size > n:
-            raise ValueError(f"targets has {targets.size} entries for a batch of {n} rows")
+    if selection is not None and selection[0].size > n:
+        raise ValueError(f"the selection has {selection[0].size} targets for a batch of {n} rows")
     f = cache[-1][:, 0]
     upstream = np.zeros(n)
     residual = f[:n_sup] - y_sup
     supervised = float(residual @ residual)
     upstream[:n_sup] = 2.0 * residual
-    if targets is not None:
-        start = n - targets.size
-        quad, crowding, d_f = _unsup_terms(f[start:], targets, config.c)
+    if selection is not None:
+        bins, kernel = selection
+        start = n - bins.size
+        quad, crowding, d_f = _kernel_terms(f[start:], bins, kernel, config.grid.midpoints, config.c)
         unsup_quadratic = float(quad.sum())
         unsup_contrastive = float(crowding.sum())
         upstream[start:] += config.alpha * d_f
@@ -324,23 +327,26 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
     best_val_rmse = math.inf
     best_params = None
 
+    cut_l, cut_u = ([k * (m // n_batches) + min(k, m % n_batches) for k in range(n_batches + 1)]
+                    for m in (labeled_idx.size, unlabeled_idx.size))  # where np.array_split cuts
     for _ in range(config.epochs):
         sums = [0.0, 0.0, 0.0]
-        labeled_chunks = np.array_split(rng.permutation(labeled_idx), n_batches)
-        unlabeled_chunks = np.array_split(rng.permutation(unlabeled_idx), n_batches)
-        for chunk_l, chunk_u in zip(labeled_chunks, unlabeled_chunks):
+        perm_l, perm_u = rng.permutation(labeled_idx), rng.permutation(unlabeled_idx)
+        for lo_l, hi_l, lo_u, hi_u in zip(cut_l, cut_l[1:], cut_u, cut_u[1:]):
+            chunk_l, chunk_u = perm_l[lo_l:hi_l], perm_u[lo_u:hi_u]
             # labeled rows first, so the supervised rows lead the stacked batch
             members = np.concatenate([chunk_l, chunk_u]) if use_unsup else chunk_l
             if members.size == 0:
                 continue  # nothing contributes a gradient
             cache: list = []
             preds = forward_batch(params, X[members], cache)
-            targets = None
+            selection = None
             if use_unsup:
-                chosen = select_pseudo_labels(preds, config.grid, config.prior, config.c)
-                targets = config.grid.midpoints[chosen]
+                kernel: list = []
+                chosen = select_pseudo_labels(preds, config.grid, config.prior, config.c, kernel)
+                selection = (chosen, kernel)
                 hist += np.bincount(chosen, minlength=bins)
-            breakdown, grads = craft_loss_and_grad(params, y[chunk_l], targets, config, cache)
+            breakdown, grads = craft_loss_and_grad(params, y[chunk_l], selection, config, cache)
             params, state = adam_step(params, grads, state)
             sums[0] += breakdown.supervised
             sums[1] += breakdown.unsup_quadratic

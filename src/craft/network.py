@@ -137,8 +137,9 @@ def forward_batch(params: RegressorParams, X, cache: list | None = None) -> np.n
     acts.append(X)
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w + b
-        acts.append(np.tanh(z) if i < last else z)
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.tanh(z, out=z) if i < last else z)
     return acts[-1][:, 0]
 
 
@@ -159,7 +160,9 @@ def backward(params: RegressorParams, upstream, cache: list) -> RegressorParams:
         np.matmul(cache[i].T, delta, out=grads.weights[i])
         delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (1.0 - cache[i]**2)
+            slope = np.square(cache[i])
+            delta = delta @ params.weights[i].T
+            delta *= np.subtract(1.0, slope, out=slope)
     return grads
 
 

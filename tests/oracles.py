@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from craft.data import Dataset
-from craft.engine import craft_loss_and_grad, select_pseudo_labels
+from craft.engine import craft_loss_and_grad, joint_log_scores, select_pseudo_labels
 from craft.harness import ExperimentConfig, _craft_config
 from craft.network import RegressorParams, backward, forward_batch
 from craft.priors import HistogramPrior, MixturePrior, prior_log_density
@@ -24,11 +24,19 @@ def gradient(params, x, upstream):
     return backward(params, upstream, cache)
 
 
-def loss_and_grad(params, x, y_sup, targets, config):
-    """``craft_loss_and_grad`` over the activations of a fresh forward pass over ``x``."""
+def loss_and_grad(params, x, y_sup, bins, config):
+    """``craft_loss_and_grad`` over the activations of a fresh forward pass over ``x``;
+    the last ``len(bins)`` rows take the midpoints of ``config.grid`` at ``bins``
+    as targets, with the batch kernel built over their predictions."""
     cache: list = []
-    forward_batch(params, x, cache)
-    return craft_loss_and_grad(params, y_sup, targets, config, cache)
+    f = forward_batch(params, x, cache)
+    selection = None
+    if bins is not None:
+        bins, kernel = np.asarray(bins), []
+        grid = config.grid
+        joint_log_scores(f[f.size - bins.size:], grid, uniform_prior(grid.lo, grid.hi), config.c, kernel)
+        selection = (bins, kernel)
+    return craft_loss_and_grad(params, y_sup, selection, config, cache)
 
 
 def uniform_prior(lo, hi):
@@ -63,13 +71,37 @@ def batch_joint_log_density(params, x, targets, prior, c):
     return total, gradient(params, x, d_f)
 
 
-def stacked_loss_and_grad(params, x_labeled, y_labeled, x_unsup, unsup_targets, config):
+def stacked_loss_and_grad(params, x_labeled, y_labeled, x_unsup, unsup_bins, config):
     """:func:`loss_and_grad` over the labeled rows stacked above the unsupervised
-    rows; the unsupervised rows and their targets join only at positive alpha."""
+    rows; the unsupervised rows and their target bins join only at positive alpha."""
     if config.alpha > 0.0 and len(x_unsup):
         return loss_and_grad(params, np.vstack([x_labeled, x_unsup]), y_labeled,
-                             unsup_targets, config)
+                             unsup_bins, config)
     return loss_and_grad(params, x_labeled, y_labeled, None, config)
+
+
+def reference_unsup_terms(f, targets, c):
+    """The self-identification pieces over an n x n Gaussian kernel built from the
+    targets themselves: per sample the quadratic excess d_ii - min_l d_il, the
+    crowding log sum_l exp(min_l' d_il' - d_il), and the prediction gradient of
+    their sum.  The engine reads the same numbers off the batch kernel of
+    pseudo-label selection."""
+    resid = f[None, :] - targets[:, None]
+    dmat = np.square(resid)
+    dmat /= 2.0 * c
+    row_min = dmat.min(axis=1)
+    # w holds exp(row min - d_il), then the row softmax, then softmax * (f_l - t_i)
+    w = row_min[:, None] - dmat
+    np.exp(w, out=w)
+    sums = w.sum(axis=1)
+    quad = np.diagonal(dmat) - row_min
+    crowding = np.log(sums)
+    w /= sums[:, None]
+    w *= resid
+    d_loss_d_f = np.diagonal(resid).copy()
+    d_loss_d_f -= w.sum(axis=0)
+    d_loss_d_f /= c
+    return quad, crowding, d_loss_d_f
 
 
 def candidate_major_joint_log_scores(predictions, grid, prior, c):

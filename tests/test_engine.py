@@ -13,6 +13,7 @@ from oracles import (
     gradient,
     loss_and_grad,
     reference_fit,
+    reference_unsup_terms,
     stacked_loss_and_grad,
     uniform_prior,
 )
@@ -21,6 +22,7 @@ from craft.data import Dataset, apply_scaler, fit_scaler, generate_synthetic, st
 from craft.engine import (
     BinGrid,
     CraftConfig,
+    _kernel_terms,
     fit_craft,
     fit_tl,
     joint_log_scores,
@@ -247,16 +249,21 @@ class TestSelectPseudoLabels:
         np.testing.assert_array_equal(a, b)
 
 
+# midpoints -1, 0 and 1
+UNIT_GRID = BinGrid(-1.5, 1.5, 3)
+
+
 class TestCraftLoss:
-    def config(self, alpha=0.1):
-        return fit_config(alpha=alpha)
+    def config(self, alpha=0.1, grid=UNIT_GRID):
+        return fit_config(alpha=alpha, grid=grid)
 
     def test_alpha_zero_reduces_to_supervised(self):
         params = init_params(MlpSpec((2, 6, 1)), seed=0)
         rng = np.random.default_rng(1)
         x_l, y_l = rng.normal(size=(5, 2)), rng.normal(size=5)
         x_u = rng.normal(size=(4, 2))
-        breakdown, grads = stacked_loss_and_grad(params, x_l, y_l, x_u, np.zeros(4), self.config(alpha=0.0))
+        breakdown, grads = stacked_loss_and_grad(params, x_l, y_l, x_u, np.ones(4, dtype=int),
+                                                 self.config(alpha=0.0))
         residual = forward_batch(params, x_l) - y_l
         assert breakdown.total == breakdown.supervised == float(residual @ residual)
         assert breakdown.unsup_quadratic == 0.0 and breakdown.unsup_contrastive == 0.0
@@ -267,8 +274,9 @@ class TestCraftLoss:
     def test_singleton_unsupervised_batch_is_exactly_zero(self):
         params = init_params(MlpSpec((1, 4, 1)), seed=2)
         x_l, y_l = empty_batch()
-        breakdown, grads = stacked_loss_and_grad(params, x_l, y_l, np.array([[0.7]]), np.array([0.4]),
-                                                 self.config(alpha=1.0))
+        # the one target is bin 0's midpoint, 0.4
+        breakdown, grads = stacked_loss_and_grad(params, x_l, y_l, np.array([[0.7]]), np.array([0]),
+                                                 self.config(alpha=1.0, grid=BinGrid(0.0, 1.6, 2)))
         assert breakdown.total == 0.0
         assert breakdown.unsup_quadratic == 0.0 and breakdown.unsup_contrastive == 0.0
         for _, g in grads.blocks():
@@ -278,8 +286,8 @@ class TestCraftLoss:
         params = identity_net()
         x_l, y_l = empty_batch()
         x_u = np.array([[-1.0], [1.0]])
-        targets = np.array([-1.0, 1.0])
-        breakdown, _ = stacked_loss_and_grad(params, x_l, y_l, x_u, targets, self.config(alpha=1.0))
+        bins = np.array([0, 2])  # targets -1 and 1
+        breakdown, _ = stacked_loss_and_grad(params, x_l, y_l, x_u, bins, self.config(alpha=1.0))
         per_sample = math.log(1.0 + math.exp(-4.0))
         assert abs(per_sample - 0.0181499) < 1e-7
         assert abs(breakdown.total - 2.0 * per_sample) < 1e-12
@@ -289,13 +297,14 @@ class TestCraftLoss:
     def test_breakdown_invariants(self):
         rng = np.random.default_rng(3)
         params = init_params(MlpSpec((3, 8, 1)), seed=3)
+        grid = BinGrid(-3.0, 3.0, 60)
         for _ in range(20):
             n_l, n_u = int(rng.integers(0, 6)), int(rng.integers(1, 9))
             x_l, y_l = rng.normal(size=(n_l, 3)), rng.normal(size=n_l)
             x_u = rng.normal(size=(n_u, 3))
-            targets = rng.normal(size=n_u)
+            bins = rng.integers(0, grid.count, size=n_u)
             alpha = float(rng.uniform(0.01, 1.5))
-            bd, _ = stacked_loss_and_grad(params, x_l, y_l, x_u, targets, self.config(alpha=alpha))
+            bd, _ = stacked_loss_and_grad(params, x_l, y_l, x_u, bins, self.config(alpha=alpha, grid=grid))
             assert bd.supervised >= 0.0
             assert bd.unsup_quadratic >= 0.0
             assert 0.0 <= bd.unsup_contrastive <= n_u * math.log(n_u) + 1e-12
@@ -308,11 +317,11 @@ class TestCraftLoss:
         x_u = rng.normal(size=(7, 2))
         grid = BinGrid(-1.5, 1.5, 30)
         prior = uniform_prior(-1.5, 1.5)
-        targets = grid.midpoints[select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)]
-        config = self.config(alpha=0.1)
+        bins = select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)
+        config = self.config(alpha=0.1, grid=grid)
 
         def loss_fn(p):
-            bd, grads = stacked_loss_and_grad(p, x_l, y_l, x_u, targets, config)
+            bd, grads = stacked_loss_and_grad(p, x_l, y_l, x_u, bins, config)
             return bd.total, grads
 
         assert grad_check(loss_fn, params, h=1e-5) < 1e-4
@@ -320,8 +329,9 @@ class TestCraftLoss:
     def test_loss_finite_for_huge_residuals(self):
         params = identity_net()
         x_u = np.array([[900.0], [-900.0], [0.0]])
-        targets = np.array([-100.0, 100.0, 0.0])
-        bd, grads = stacked_loss_and_grad(params, *empty_batch(), x_u, targets, self.config(alpha=1.0))
+        bins = np.array([0, 2, 1])  # targets -100, 100 and 0
+        bd, grads = stacked_loss_and_grad(params, *empty_batch(), x_u, bins,
+                                          self.config(alpha=1.0, grid=BinGrid(-150.0, 150.0, 3)))
         assert math.isfinite(bd.total)
         assert bd.unsup_quadratic <= 2.0 * 1e6 + 10.0
         for _, g in grads.blocks():
@@ -332,14 +342,14 @@ class TestCraftLoss:
         with pytest.raises(ValueError, match="empty"):
             loss_and_grad(params, *empty_batch(), None, self.config())
 
-    @pytest.mark.parametrize("name,y_sup,targets", [
+    @pytest.mark.parametrize("name,y_sup,bins", [
         ("y_sup", np.zeros(3), None),
-        ("targets", np.zeros(1), np.zeros(3)),
+        ("targets", np.zeros(1), np.zeros(3, dtype=int)),
     ])
-    def test_more_labels_than_rows_errors(self, name, y_sup, targets):
+    def test_more_labels_than_rows_errors(self, name, y_sup, bins):
         x = np.array([[0.1], [0.2]])
         with pytest.raises(ValueError, match=name):
-            loss_and_grad(identity_net(), x, y_sup, targets, self.config())
+            loss_and_grad(identity_net(), x, y_sup, bins, self.config())
 
     def test_unsupervised_gradient_is_map_gradient(self):
         rng = np.random.default_rng(7)
@@ -348,14 +358,58 @@ class TestCraftLoss:
         for trial in range(5):
             params = init_params(MlpSpec((2, 6, 1)), seed=trial)
             x_u = rng.normal(size=(6, 2))
-            targets = grid.midpoints[select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)]
+            bins = select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)
             alpha = 0.37
-            _, unsup = stacked_loss_and_grad(params, *empty_batch(2), x_u, targets,
-                                             fit_config(alpha=alpha, c=0.5))
-            _, joint = batch_joint_log_density(params, x_u, targets, prior, 0.5)
+            _, unsup = stacked_loss_and_grad(params, *empty_batch(2), x_u, bins,
+                                             fit_config(alpha=alpha, c=0.5, grid=grid))
+            _, joint = batch_joint_log_density(params, x_u, grid.midpoints[bins], prior, 0.5)
             for (_, g1), (_, g2) in zip(unsup.blocks(), joint.blocks()):
                 err = np.abs(g1 - (-alpha) * g2) / np.maximum(1.0, np.abs(alpha * g2))
                 assert err.max() < 1e-10
+
+
+class TestKernelTerms:
+    """The self-identification term read off the selection kernel equals the
+    n x n reference built from the targets, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(preds, grid, c, bins=None):
+        kernel: list = []
+        chosen = select_pseudo_labels(preds, grid, SCORE_PRIORS["mixture"], c, kernel)
+        bins = chosen if bins is None else bins
+        ours = _kernel_terms(preds, bins, kernel, grid.midpoints, c)
+        reference = reference_unsup_terms(preds, grid.midpoints[bins], c)
+        for name, a, b in zip(("quad", "crowding", "d_f"), ours, reference):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("c", [0.5, 0.05, 0.005])
+    def test_selected_bins_of_tie_batches(self, c):
+        rng = np.random.default_rng(21)
+        grid = BinGrid(-3.0, 3.0, 200)
+        for n in (1, 2, 64, 97):
+            for preds in tie_batches(n, rng):
+                self.assert_matches_reference(preds, grid, c)
+
+    @pytest.mark.parametrize("c", [0.5, 0.05, 0.005])
+    def test_many_rows_in_one_bin(self, c):
+        rng = np.random.default_rng(22)
+        grid = BinGrid(-3.0, 3.0, 200)
+        for n in (2, 64, 97):
+            preds = 0.31 + 0.01 * rng.normal(size=n)
+            self.assert_matches_reference(preds, grid, c, np.full(n, 110))
+            self.assert_matches_reference(preds, grid, c, rng.integers(95, 98, size=n))
+
+    @pytest.mark.parametrize("c", [0.5, 0.05, 0.005])
+    def test_far_predictions_underflow_the_kernel(self, c):
+        rng = np.random.default_rng(23)
+        grid = BinGrid(-150.0, 150.0, 200)
+        for n in (2, 64, 97):
+            preds = rng.choice([-140.0, 0.0, 140.0], size=n) + rng.normal(size=n)
+            kernel: list = []
+            select_pseudo_labels(preds, grid, SCORE_PRIORS["mixture"], c, kernel)
+            assert (kernel[0] == 0.0).any()
+            self.assert_matches_reference(preds, grid, c)
+            self.assert_matches_reference(preds, grid, c, rng.integers(0, grid.count, size=n))
 
 
 def small_target(n=120, d=3, frac=0.3, seed=0):
@@ -530,6 +584,7 @@ class TestFusedStep:
         (0.1, 0.3),
         (0.0, 0.3),
         (0.1, 1.0),  # no unlabeled rows in any batch
+        (0.1, 0.05),  # neither split into equal batches
     ])
     def test_fit_craft_tracks_unfused_reference(self, alpha, frac):
         target = small_target(seed=13, frac=frac)
