@@ -4,11 +4,12 @@ A dataset bundles a feature matrix, a label vector, and a per-row labeled
 mask.  Labels are only meaningful where the mask is set; unlabeled slots hold
 NaN after loading (an empty CSV cell is the only file encoding of a missing
 label).  Every randomized operation here is a pure function of its inputs and
-a seed, so splits and masks are reproducible byte for byte.  CSV I/O holds
-one row of Python objects at a time: the writer streams its rows, and the
-reader parses into flat float buffers.  The frozen value types that hold
-arrays compare and hash by identity (``eq=False``): field-by-field ``==`` is
-ambiguous on arrays.
+a seed, so splits and masks are reproducible byte for byte.  The CSV writer
+holds one row of Python objects at a time.  The reader parses the body in
+numpy's C reader; a file that reader refuses is read again row by row in
+Python, which defines the format and names the bad cell.  The frozen value
+types that hold arrays compare and hash by identity (``eq=False``):
+field-by-field ``==`` is ambiguous on arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import numbers
 import os
+import warnings
 from array import array
 from dataclasses import asdict, dataclass, replace
 
@@ -147,24 +149,80 @@ def _parse_cell(path, lineno, name, cell):
     return value
 
 
+def _read_header(path, reader):
+    """``(header, d, has_mask)`` from a CSV reader's first record, once checked."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    has_mask = bool(header) and header[-1] == "labeled"
+    d = len(header) - (2 if has_mask else 1)
+    expected = [f"f{j}" for j in range(d)] + ["y"] + (["labeled"] if has_mask else [])
+    if d < 1 or header != expected:
+        raise ValueError(f"{path}: malformed header {header!r}; expected f0,...,f{{d-1}},y[,labeled]")
+    return header, d, has_mask
+
+
+def _label_cell(cell):
+    """A masked file's ``y`` cell: NaN when empty, else a finite number.  Text
+    such as ``nan`` fails, so that NaN in the parsed table means an empty cell."""
+    cell = cell.strip()
+    if cell == "":
+        return math.nan
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError("non-finite label")
+    return value
+
+
+def _flag_cell(cell):
+    """A ``labeled`` cell: 1.0 or 0.0 from a stripped ``1`` or ``0``."""
+    cell = cell.strip()
+    if cell not in ("0", "1"):
+        raise ValueError("labeled flag must be 0 or 1")
+    return float(cell)
+
+
 def load_csv(path) -> Dataset:
     """Read a dataset from a ``f0,...,f{d-1},y[,labeled]`` CSV file.
 
     Without a ``labeled`` column every row counts as labeled.  A row flagged
     unlabeled must have an empty ``y`` cell, any other row a label, and no cell
     may be non-finite.
+
+    The body is parsed in numpy's C reader (``np.loadtxt``) and the table
+    checked against these rules.  A file that the C reader refuses or that
+    breaks a rule is read again by :func:`_load_csv_rows`, which defines the
+    format: its result is the file's dataset, and its error names the line
+    and column of the bad cell.  The C reader accepts fewer spellings than
+    the row reader (no ``1_0``, no non-ASCII digits, no whitespace-only
+    lines), never more.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        header, d, has_mask = _read_header(path, csv.reader(fh))
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        has_mask = bool(header) and header[-1] == "labeled"
-        d = len(header) - (2 if has_mask else 1)
-        expected = [f"f{j}" for j in range(d)] + ["y"] + (["labeled"] if has_mask else [])
-        if d < 1 or header != expected:
-            raise ValueError(f"{path}: malformed header {header!r}; expected f0,...,f{{d-1}},y[,labeled]")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                                   converters={d: _label_cell, d + 1: _flag_cell} if has_mask else None)
+        except (ValueError, Warning):
+            table = None
+    if table is not None and table.shape[0] >= 1 and table.shape[1] == len(header):
+        features, labels = table[:, :d], table[:, d]
+        labeled = table[:, -1] == 1.0 if has_mask else np.ones(len(table), dtype=bool)
+        if (np.isfinite(features).all() and np.isfinite(labels[labeled]).all()
+                and np.isnan(labels[~labeled]).all()):
+            return Dataset(features, labels, labeled)
+    return _load_csv_rows(path)
+
+
+def _load_csv_rows(path) -> Dataset:
+    """:func:`load_csv` in Python, one row at a time: the definition of the
+    format, and the reader that names the first bad cell by file, line and
+    column."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header, d, has_mask = _read_header(path, reader)
         feats, labels, mask = array("d"), array("d"), bytearray()
         for lineno, row in enumerate(reader, start=2):
             if not row or all(c.strip() == "" for c in row):

@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from craft.data import (
     write_csv,
     write_file,
     write_json,
+    _load_csv_rows,
 )
 from craft.harness import default_scenario
 from craft.priors import HistogramPrior, MixturePrior
@@ -98,7 +100,8 @@ class TestCsv:
     @pytest.mark.parametrize("text,line,column", [
         ("f0,y\n0.1,1.0\nnan,2.0\n", 3, "f0"),
         ("f0,y,labeled\n0.1,inf,1\n", 2, "y"),
-    ], ids=["feature", "label"])
+        ("f0,y\n0.1,1.0\n\n   \r\nnan,2.0\n", 5, "f0"),
+    ], ids=["feature", "label", "after-blank-lines"])
     def test_non_finite_cell_errors_naming_file_line_and_column(self, tmp_path, text, line, column):
         path = tmp_path / "d.csv"
         path.write_text(text)
@@ -149,6 +152,104 @@ class TestCsv:
         np.testing.assert_array_equal(b.labels, a.labels)
         np.testing.assert_array_equal(b.labeled, a.labeled)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_unlabeled_row_with_a_non_finite_label_errors(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"f0,y,labeled\n0.5,1.0,1\n1.0,{cell},0\n")
+        message = rf"^{re.escape(str(path))}:3: unlabeled row carries a label in column y$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+
+    @pytest.mark.parametrize("flag", ["1.0", " 2", ""], ids=["1.0", "2", "empty"])
+    def test_labeled_flag_other_than_0_or_1_errors(self, tmp_path, flag):
+        path = tmp_path / "d.csv"
+        path.write_text(f"f0,y,labeled\n0.5,1.0,1\n1.0,2.0,{flag}\n")
+        message = rf"^{re.escape(str(path))}:3: labeled flag must be 0 or 1, got {re.escape(repr(flag.strip()))}$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+
+    def test_header_only_file_errors_without_a_warning(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,y\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r": no data rows$"):
+                load_csv(path)
+        assert caught == []
+
+    @pytest.mark.parametrize("labeled", [None, np.arange(300) % 4 == 0],
+                             ids=["fully-labeled", "with-mask-column"])
+    def test_written_files_load_without_the_row_reader(self, tmp_path, monkeypatch, labeled):
+        ds = make_dataset(n=300, d=8, labeled=labeled)
+        path = tmp_path / "d.csv"
+        write_csv(ds, path)
+        expected = _outcome(_load_csv_rows, path)
+        monkeypatch.setattr("craft.data._load_csv_rows", _decline)
+        assert _outcome(load_csv, path) == expected
+
+
+class _Declined(Exception):
+    pass
+
+
+def _decline(path):
+    raise _Declined(path)
+
+
+def _outcome(load, path):
+    """What ``load(path)`` gives: the dataset's shape and bytes, or the error's
+    type and message."""
+    try:
+        ds = load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), ds.labeled.tobytes()
+
+
+# Bodies on which the C reader and the row reader could part ways.
+_CSV_TEXTS = {
+    "quoted-cells": 'f0,f1,y\n"0.5","1.5","2.5"\n"3",4,"5"\n',
+    "doubled-quotes": 'f0,y\n"1""",2\n',
+    "text-after-closing-quote": 'f0,y\n"1"2,3\n',
+    "newline-inside-quotes": 'f0,y\n"1\n",2\n3,4\n',
+    "spaces-around-numbers": 'f0,f1,y\n 1.5 , -2 ,\t3 \n',
+    "crlf": "f0,y,labeled\r\n1,2,1\r\n3,,0\r\n",
+    "lone-cr": "f0,y\r1,2\r3,4\r",
+    "byte-order-mark": "\ufefff0,y\n1,2\n",
+    "blank-lines": "f0,y\n1,2\n\n\r\n3,4\n",
+    "whitespace-only-lines": "f0,y\n1,2\n   \n\t\n3,4\n",
+    "blank-lines-then-bad-cell": "f0,y\n1,2\n\n  \nx,4\n",
+    "all-blank-row": "f0,f1,y\n1,2,3\n,,\n4,5,6\n",
+    "hash-inside-cell": "f0,y\n1#2,3\n",
+    "underscore-digits": "f0,y\n1_0,2\n",
+    "non-ascii-digits": "f0,y\n\u0661\u0662,2\n",
+    "exponents-and-negative-zero": "f0,f1,y\n1e+16,1E-7,-0.0\n",
+    "masked-negative-zero": "f0,y,labeled\n-0.0,-0.0,1\n1,,0\n",
+    "quoted-mask-cells": 'f0,y,labeled\n1,"",0\n2,3,"1"\n',
+    "trailing-extra-cell": "f0,y\n1,2,\n",
+    "too-few-cells": "f0,f1,y\n1,2\n",
+    "single-data-row": "f0,y\n1,2\n",
+    "no-final-newline": "f0,y\n1,2\n3,4",
+    "header-only": "f0,y\n",
+    "non-finite-feature": "f0,y,labeled\n1e999,,0\n",
+}
+
+
+@pytest.mark.parametrize("text", _CSV_TEXTS.values(), ids=_CSV_TEXTS.keys())
+def test_load_csv_matches_the_row_reader(tmp_path, monkeypatch, text):
+    """``load_csv`` gives what the row reader gives, and its C path alone
+    either declines a file or agrees with the row reader on it."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _outcome(_load_csv_rows, path)
+    assert _outcome(load_csv, path) == expected
+    monkeypatch.setattr("craft.data._load_csv_rows", _decline)
+    try:
+        fast = _outcome(load_csv, path)
+    except _Declined:
+        return
+    assert fast == expected
+
 
 def _traced_peak(fn, *args):
     """Peak bytes that ``fn(*args)`` allocates while it runs, as tracemalloc sees them."""
@@ -161,8 +262,9 @@ def _traced_peak(fn, *args):
 
 
 class TestCsvMemory:
-    """The CSV path holds one row of Python objects at a time, not the whole
-    table (4000x16: 0.49 MB of features)."""
+    """The writer holds one row of Python objects at a time and the reader
+    one float table, never the whole file as Python objects (4000x16:
+    0.49 MB of features)."""
 
     def test_write_peak_stays_below_the_feature_bytes(self, tmp_path):
         ds = make_dataset(n=4000, d=16, labeled=np.arange(4000) % 3 > 0)
@@ -170,6 +272,12 @@ class TestCsvMemory:
 
     def test_load_peak_stays_below_three_times_the_feature_bytes(self, tmp_path):
         ds = make_dataset(n=4000, d=16, labeled=np.arange(4000) % 3 > 0)
+        path = tmp_path / "d.csv"
+        write_csv(ds, path)
+        assert _traced_peak(load_csv, path) < 3.0 * ds.features.nbytes
+
+    def test_fully_labeled_load_peak_stays_below_three_times_the_feature_bytes(self, tmp_path):
+        ds = make_dataset(n=4000, d=16)
         path = tmp_path / "d.csv"
         write_csv(ds, path)
         assert _traced_peak(load_csv, path) < 3.0 * ds.features.nbytes
