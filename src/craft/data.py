@@ -5,11 +5,11 @@ mask.  Labels are only meaningful where the mask is set; unlabeled slots hold
 NaN after loading (an empty CSV cell is the only file encoding of a missing
 label).  Every randomized operation here is a pure function of its inputs and
 a seed, so splits and masks are reproducible byte for byte.  The CSV writer
-holds one row of Python objects at a time.  The reader parses the body in
-numpy's C reader; a file that reader refuses is read again row by row in
-Python, which defines the format and names the bad cell.  The frozen value
-types that hold arrays compare and hash by identity (``eq=False``):
-field-by-field ``==`` is ambiguous on arrays.
+holds one row of Python objects at a time.  The reader parses a fully
+labeled file's body in numpy's C reader; a masked file, or one that reader
+refuses, is read row by row in Python, which defines the format and names
+the bad cell.  The frozen value types that hold arrays compare and hash by
+identity (``eq=False``): field-by-field ``==`` is ambiguous on arrays.
 """
 
 from __future__ import annotations
@@ -163,26 +163,6 @@ def _read_header(path, reader):
     return header, d, has_mask
 
 
-def _label_cell(cell):
-    """A masked file's ``y`` cell: NaN when empty, else a finite number.  Text
-    such as ``nan`` fails, so that NaN in the parsed table means an empty cell."""
-    cell = cell.strip()
-    if cell == "":
-        return math.nan
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError("non-finite label")
-    return value
-
-
-def _flag_cell(cell):
-    """A ``labeled`` cell: 1.0 or 0.0 from a stripped ``1`` or ``0``."""
-    cell = cell.strip()
-    if cell not in ("0", "1"):
-        raise ValueError("labeled flag must be 0 or 1")
-    return float(cell)
-
-
 def load_csv(path) -> Dataset:
     """Read a dataset from a ``f0,...,f{d-1},y[,labeled]`` CSV file.
 
@@ -190,29 +170,31 @@ def load_csv(path) -> Dataset:
     unlabeled must have an empty ``y`` cell, any other row a label, and no cell
     may be non-finite.
 
-    The body is parsed in numpy's C reader (``np.loadtxt``) and the table
-    checked against these rules.  A file that the C reader refuses or that
-    breaks a rule is read again by :func:`_load_csv_rows`, which defines the
-    format: its result is the file's dataset, and its error names the line
-    and column of the bad cell.  The C reader accepts fewer spellings than
-    the row reader (no ``1_0``, no non-ASCII digits, no whitespace-only
-    lines), never more.
+    A file without a ``labeled`` column has its body parsed in numpy's C
+    reader (``np.loadtxt``); the table must have one column per header name
+    and make a valid :class:`Dataset`.  A masked file, or one that the C
+    reader refuses or that breaks a rule, is read by :func:`_load_csv_rows`,
+    which defines the format: its result is the file's dataset, and its error
+    names the line and column of the bad cell.  The C reader accepts fewer
+    spellings than the row reader (no ``1_0``, no non-ASCII digits, no
+    whitespace-only lines), never more.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         header, d, has_mask = _read_header(path, csv.reader(fh))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                                   converters={d: _label_cell, d + 1: _flag_cell} if has_mask else None)
-        except (ValueError, Warning):
+        if has_mask:
             table = None
-    if table is not None and table.shape[0] >= 1 and table.shape[1] == len(header):
-        features, labels = table[:, :d], table[:, d]
-        labeled = table[:, -1] == 1.0 if has_mask else np.ones(len(table), dtype=bool)
-        if (np.isfinite(features).all() and np.isfinite(labels[labeled]).all()
-                and np.isnan(labels[~labeled]).all()):
-            return Dataset(features, labels, labeled)
+        else:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+            except (ValueError, Warning):
+                table = None
+    if table is not None and table.shape[1] == len(header):
+        try:
+            return Dataset(table[:, :d], table[:, d], np.ones(len(table), dtype=bool))
+        except ValueError:
+            pass
     return _load_csv_rows(path)
 
 

@@ -177,15 +177,19 @@ class TestCsv:
                 load_csv(path)
         assert caught == []
 
-    @pytest.mark.parametrize("labeled", [None, np.arange(300) % 4 == 0],
-                             ids=["fully-labeled", "with-mask-column"])
-    def test_written_files_load_without_the_row_reader(self, tmp_path, monkeypatch, labeled):
-        ds = make_dataset(n=300, d=8, labeled=labeled)
+    def test_written_fully_labeled_file_loads_without_the_row_reader(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
-        write_csv(ds, path)
+        write_csv(make_dataset(n=300, d=8), path)
         expected = _outcome(_load_csv_rows, path)
         monkeypatch.setattr("craft.data._load_csv_rows", _decline)
         assert _outcome(load_csv, path) == expected
+
+    def test_written_masked_file_is_read_by_the_row_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        write_csv(make_dataset(n=300, d=8, labeled=np.arange(300) % 4 == 0), path)
+        monkeypatch.setattr("craft.data._load_csv_rows", _decline)
+        with pytest.raises(_Declined):
+            load_csv(path)
 
 
 class _Declined(Exception):
