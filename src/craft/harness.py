@@ -347,9 +347,6 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
     seed = cfg.seed if seed is None else seed
     scaler = checkpoint.scaler
     work = _label_budget(train_raw, cfg, seed)
-    train_scaled = apply_scaler(work, scaler)
-    use_val = val_raw is not None and cfg.model_selection == "best_val"
-    val_scaled = apply_scaler(val_raw, scaler) if use_val else None
 
     report: RunReport
     if cfg.method == "naive":
@@ -357,6 +354,9 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
         report = RunReport(method="naive", seed=seed, alpha=0.0, c=cfg.c, bins=None)
         report.rmse = rmse(np.full(test_raw.n, mean), test_raw.labels)
     else:
+        train_scaled = apply_scaler(work, scaler)
+        use_val = val_raw is not None and cfg.model_selection == "best_val"
+        val_scaled = apply_scaler(val_raw, scaler) if use_val else None
         grid = model_prior = loglik = None
         if cfg.method == "craft" and cfg.alpha > 0.0:
             labeled_scaled = train_scaled.labels[train_scaled.labeled]

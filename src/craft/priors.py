@@ -31,6 +31,7 @@ __all__ = [
     "HistogramPrior",
     "MixturePrior",
     "EM_TOL",
+    "EM_MAX_ITERS",
     "em_fit",
     "prior_log_density",
     "fit_histogram_prior",
@@ -39,7 +40,8 @@ __all__ = [
     "prior_from_dict",
 ]
 
-EM_TOL = 1e-6  # em_fit's default: it stops once a step gains less log-likelihood
+EM_TOL = 1e-6  # the tolerance em_fit stops on: a step that gains less log-likelihood ends it
+EM_MAX_ITERS = 500  # the most iterations em_fit runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,35 +126,27 @@ def _logsumexp_rows(a):
     return np.where(finite, out, -np.inf)
 
 
-def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int, *,
-           max_iters: int = 500, tol: float = EM_TOL, var_floor: float | None = None) -> MixturePrior:
+def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int) -> MixturePrior:
     """Fit a mixture of ``n_gaussians`` Gaussians and ``n_exponentials``
     exponentials to 1-d samples by EM; ``seed`` jitters the initial rates.
 
     The E-step assigns responsibilities proportional to weighted component
     densities; the M-step re-estimates weights as responsibility means,
-    Gaussian moments as responsibility-weighted means and (floored) variances,
-    and exponential rates as responsibility mass over responsibility-weighted
-    sums, all on offset-shifted data.  With exponentials, the offset is
+    Gaussian moments as responsibility-weighted means and variances floored
+    at 1e-4 times the squared data range, and exponential rates as
+    responsibility mass over responsibility-weighted sums, all on
+    offset-shifted data.  With exponentials, the offset is
     ``1e-6 * range - min(labels)``, which places their origin just below the
     smallest label whatever its sign, so the fit does not depend on the label
     units; without them it is 0.  Iteration stops once the log-likelihood
-    improves by less than ``tol`` or after ``max_iters`` iterations; the
-    likelihood path is monotone nondecreasing up to rounding.  ``var_floor``
-    is a hard lower bound on Gaussian variances; None means 1e-4 times the
-    squared data range.
+    improves by less than ``EM_TOL`` or after ``EM_MAX_ITERS`` iterations;
+    the likelihood path is monotone nondecreasing up to rounding.
     """
     k1, k2 = n_gaussians, n_exponentials
     if k1 < 0 or k2 < 0:
         raise ValueError("component counts must be nonnegative")
     if k1 + k2 < 1:
         raise ValueError("need at least one mixture component")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if var_floor is not None and var_floor <= 0:
-        raise ValueError("var_floor must be positive")
     x = np.asarray(labels, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("labels must be a nonempty vector")
@@ -163,14 +157,14 @@ def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int, *,
     data_range = float(x.max() - x.min())
     if data_range == 0.0:
         raise ValueError("degenerate data: all labels identical")
-    var_floor = 1e-4 * data_range**2 if var_floor is None else var_floor
+    min_var = 1e-4 * data_range**2
     offset = 1e-6 * data_range - float(x.min()) if k2 > 0 else 0.0
     z = x + offset
     n = z.size
 
     rng = np.random.default_rng(seed)
     means = np.quantile(z, (np.arange(k1) + 1.0) / (k1 + 1.0))
-    variances = np.full(k1, max(float(z.var()), var_floor))
+    variances = np.full(k1, max(float(z.var()), min_var))
     # with no exponential the offset is 0, and labels averaging 0 would divide by zero
     if k2 > 0:
         rates = (1.0 / float(z.mean())) * (1.0 + 0.1 * (2.0 * rng.random(k2) - 1.0))
@@ -180,7 +174,7 @@ def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int, *,
 
     path = []
     prev = None
-    for iteration in range(max_iters):
+    for iteration in range(EM_MAX_ITERS):
         weighted = _component_log_pdfs(z, means, variances, _gauss_norms(variances), rates,
                                        _log_rates(rates))
         with np.errstate(divide="ignore"):
@@ -190,7 +184,7 @@ def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int, *,
         if not np.isfinite(ll):
             raise ValueError(f"EM log-likelihood became non-finite at iteration {iteration}")
         path.append(ll)
-        if prev is not None and ll - prev < tol:
+        if prev is not None and ll - prev < EM_TOL:
             break
         prev = ll
         resp = np.exp(weighted - per_point[None, :])
@@ -202,7 +196,7 @@ def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int, *,
             mu = float(resp[j] @ z / mass[j])
             var = float(resp[j] @ (z - mu) ** 2 / mass[j])
             means[j] = mu
-            variances[j] = max(var, var_floor)
+            variances[j] = max(var, min_var)
         for j in range(k2):
             r = k1 + j
             if mass[r] <= 1e-12:

@@ -9,12 +9,14 @@ import jsonschema
 import numpy as np
 import pytest
 
+from craft import priors
 from craft.cli import build_parser, config_from_args, main
-from craft.data import Dataset, GeneratorSpec, load_csv, write_csv
+from craft.data import Dataset, GeneratorSpec, apply_scaler, load_csv, write_csv
 from craft.engine import fit_craft
 from craft.harness import (
     ExperimentConfig,
     RUN_REPORT_SCHEMA,
+    _label_budget,
     adapt_in_memory,
     aggregate_sweep_rows,
     default_scenario,
@@ -25,6 +27,7 @@ from craft.harness import (
     run_synth,
     run_train_source,
 )
+from craft.metrics import rmse
 from craft.network import RegressorParams, backward, load_checkpoint
 from craft.priors import em_fit, prior_from_dict, prior_log_density, prior_to_dict
 
@@ -377,10 +380,29 @@ class TestAdapt:
                                          prior=file_prior if name == "file" else None)
                    for name, change in runs.items()}
         paths = [fit.loglik_path for fit in fitted]
-        assert [len(path) for path in paths] == [500, 320]  # the first hits em_fit's iteration cap
+        cap, tol = priors.EM_MAX_ITERS, priors.EM_TOL
+        assert [len(path) for path in paths] == [cap, 320]  # the first hits em_fit's iteration cap
         assert [(reports[name]["em_iters"], reports[name]["em_converged"])
-                for name in runs] == [(500, False), (320, True)] + [(None, None)] * 4
-        assert paths[0][-1] - paths[0][-2] >= 1e-6 > paths[1][-1] - paths[1][-2]
+                for name in runs] == [(cap, False), (320, True)] + [(None, None)] * 4
+        assert paths[0][-1] - paths[0][-2] >= tol > paths[1][-1] - paths[1][-2]
+
+    def test_a_naive_run_scales_no_split(self, tiny_workspace, tmp_path, monkeypatch):
+        scaled = []
+
+        def spy(ds, scaler):
+            scaled.append(ds)
+            return apply_scaler(ds, scaler)
+
+        monkeypatch.setattr("craft.harness.apply_scaler", spy)
+        checkpoint, train, val, test = inputs(tiny_workspace)
+        cfg = adapt_config(tiny_workspace, tmp_path, method="naive")
+        report = adapt_in_memory(checkpoint, train, val, test, cfg)
+        assert scaled == []
+        budget = _label_budget(train, cfg, cfg.seed)
+        mean = budget.labels[budget.labeled].mean()
+        assert report["rmse"] == rmse(np.full(test.n, mean), test.labels)
+        adapt_in_memory(checkpoint, train, val, test, dataclasses.replace(cfg, method="tl"))
+        assert len(scaled) == 2  # a fit scales its train and val splits
 
     def test_a_given_prior_opens_no_file(self, tiny_workspace, tmp_path, monkeypatch):
         prior = prior_from_dict({"kind": "histogram", "edges": [-3.0, 3.0], "probs": [1.0]})

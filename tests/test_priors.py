@@ -22,21 +22,23 @@ class TestEmFit:
     def test_single_gaussian_is_closed_form_after_one_iteration(self):
         rng = np.random.default_rng(0)
         x = rng.normal(3.0, 2.0, 500)
-        params = em_fit(x, 1, 0, seed=0, max_iters=1, var_floor=1e-12)
+        params = em_fit(x, 1, 0, seed=0)
         assert params.offset == 0.0
         assert abs(params.means[0] - x.mean()) < 1e-12
-        assert abs(params.variances[0] - max(x.var(), 1e-12)) < 1e-12
+        assert abs(params.variances[0] - x.var()) < 1e-12
         assert params.weights.tolist() == [1.0]
+        assert len(params.loglik_path) == 3  # the second step gains nothing
 
     def test_variance_floor_applies(self):
-        x = np.array([0.0, 1e-7, 2e-7, 1.0])
-        params = em_fit(x, 1, 0, seed=0, max_iters=1, var_floor=5.0)
-        assert params.variances[0] == 5.0
+        # the sample variance 9.999e-5 is below the floor 1e-4 * range**2
+        x = np.r_[np.zeros(9999), 1.0]
+        params = em_fit(x, 1, 0, seed=0)
+        assert params.variances[0] == 1e-4
 
     def test_single_exponential_matches_rate_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.exponential(scale=0.5, size=5000)  # rate 2
-        params = em_fit(x, 0, 1, seed=0, max_iters=1)
+        params = em_fit(x, 0, 1, seed=0)
         shifted_mean = (x + params.offset).mean()
         assert abs(params.rates[0] - 1.0 / shifted_mean) < 1e-9
         assert abs(params.rates[0] - 2.0) / 2.0 < 0.05
@@ -53,21 +55,23 @@ class TestEmFit:
         assert abs(params.means[0] - 5.0) < 0.2
         assert abs(params.rates[0] - 1.0) / 1.0 < 0.10
 
-    def test_loglik_monotone_over_seeded_datasets(self):
+    def test_loglik_monotone_over_seeded_datasets(self, monkeypatch):
+        monkeypatch.setattr(priors, "EM_MAX_ITERS", 60)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             x = np.concatenate([rng.normal(2, 1, 150), rng.exponential(1.5, 100)])
-            params = em_fit(x, 2, 1, seed=seed, max_iters=60)
+            params = em_fit(x, 2, 1, seed=seed)
             path = np.array(params.loglik_path)
             assert path.size >= 1
             assert np.all(np.diff(path) >= -1e-9)
 
-    def test_mstep_invariants_hold_at_every_prefix(self):
+    def test_mstep_invariants_hold_at_every_prefix(self, monkeypatch):
         # em_fit is deterministic per seed, so truncated runs expose each M-step
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.normal(0, 1, 120), rng.exponential(2.0, 80)])
         for iters in range(1, 8):
-            p = em_fit(x, 2, 1, seed=3, max_iters=iters)
+            monkeypatch.setattr(priors, "EM_MAX_ITERS", iters)
+            p = em_fit(x, 2, 1, seed=3)
             assert abs(p.weights.sum() - 1.0) < 1e-12
             assert np.all(p.weights >= 0)
             floor = 1e-4 * (x.max() - x.min()) ** 2
@@ -83,12 +87,13 @@ class TestEmFit:
         np.testing.assert_array_equal(a.weights, b.weights)
 
     @pytest.mark.parametrize("max_iters", [1, 20, 500])
-    def test_fit_commutes_with_a_positive_affine_map(self, max_iters):
+    def test_fit_commutes_with_a_positive_affine_map(self, max_iters, monkeypatch):
         # age-like labels, all positive, mapped onto a range that crosses zero
+        monkeypatch.setattr(priors, "EM_MAX_ITERS", max_iters)
         ages = 18.0 + np.random.default_rng(11).gamma(4.0, 8.0, 400)
         a, b = 0.05, -2.5
-        raw = em_fit(ages, 2, 1, seed=4, max_iters=max_iters)
-        fitted = em_fit(a * ages + b, 2, 1, seed=4, max_iters=max_iters)
+        raw = em_fit(ages, 2, 1, seed=4)
+        fitted = em_fit(a * ages + b, 2, 1, seed=4)
         moved = affine_transform_prior(raw, a, b)
         for name in ("weights", "means", "variances", "rates", "offset"):
             np.testing.assert_allclose(getattr(fitted, name), getattr(moved, name), rtol=1e-12)
@@ -99,12 +104,13 @@ class TestEmFit:
             em_fit(np.full(10, 3.0), 1, 0, seed=0)
 
     def test_equals_the_loop_component_reference(self, monkeypatch):
+        monkeypatch.setattr(priors, "EM_MAX_ITERS", 200)
         labels = np.random.default_rng(21).gamma(2.0, 1.0, 150) - 1.0
-        fitted = em_fit(labels, 2, 1, seed=3, max_iters=200)
+        fitted = em_fit(labels, 2, 1, seed=3)
         monkeypatch.setattr(priors, "_component_log_pdfs",
                             lambda z, means, variances, norms, rates, log_rates:
                             loop_component_log_pdfs(means, variances, rates, z))
-        reference = em_fit(labels, 2, 1, seed=3, max_iters=200)
+        reference = em_fit(labels, 2, 1, seed=3)
         assert fitted.loglik_path == reference.loglik_path
         for name in ("weights", "means", "variances", "rates"):
             np.testing.assert_array_equal(getattr(fitted, name), getattr(reference, name))
@@ -113,16 +119,13 @@ class TestEmFit:
         with pytest.raises(ValueError, match="distinct"):
             em_fit(np.array([0.0, 1.0, 0.0, 1.0]), 2, 1, seed=0)
 
-    @pytest.mark.parametrize("counts,kwargs,message", [
-        ((-1, 1), {}, "component counts must be nonnegative"),
-        ((0, 0), {}, "need at least one mixture component"),
-        ((1, 1), {"max_iters": 0}, "max_iters must be at least 1"),
-        ((1, 1), {"tol": 0.0}, "tol must be positive"),
-        ((1, 1), {"var_floor": 0.0}, "var_floor must be positive"),
-    ], ids=["negative-count", "no-component", "max_iters", "tol", "var_floor"])
-    def test_bad_fit_setting_errors(self, counts, kwargs, message):
+    @pytest.mark.parametrize("counts,message", [
+        ((-1, 1), "component counts must be nonnegative"),
+        ((0, 0), "need at least one mixture component"),
+    ], ids=["negative-count", "no-component"])
+    def test_bad_fit_setting_errors(self, counts, message):
         with pytest.raises(ValueError, match=message):
-            em_fit(np.linspace(0.0, 1.0, 20), *counts, seed=0, **kwargs)
+            em_fit(np.linspace(0.0, 1.0, 20), *counts, seed=0)
 
 
 class TestMixtureLogDensity:
