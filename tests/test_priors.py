@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -118,6 +119,27 @@ class TestEmFit:
     def test_too_few_distinct_values_errors(self):
         with pytest.raises(ValueError, match="distinct"):
             em_fit(np.array([0.0, 1.0, 0.0, 1.0]), 2, 1, seed=0)
+
+    def test_takes_only_the_labels_the_component_counts_and_the_seed(self):
+        assert list(inspect.signature(em_fit).parameters) == [
+            "labels", "n_gaussians", "n_exponentials", "seed"]
+
+    @pytest.mark.parametrize("cap", [1, 5, 40])
+    def test_stops_at_em_max_iters(self, cap, monkeypatch):
+        # this mixture still gains more than EM_TOL per step after 500 iterations
+        monkeypatch.setattr(priors, "EM_MAX_ITERS", cap)
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(0, 1, 120), rng.exponential(2.0, 80)])
+        assert len(em_fit(x, 2, 1, seed=3).loglik_path) == cap
+
+    def test_stops_on_the_first_step_that_gains_less_than_em_tol(self, monkeypatch):
+        monkeypatch.setattr(priors, "EM_TOL", 1e-3)
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(0, 1, 120), rng.exponential(2.0, 80)])
+        gains = np.diff(em_fit(x, 2, 1, seed=3).loglik_path)
+        assert 1 <= gains.size < priors.EM_MAX_ITERS - 1
+        assert gains[-1] < 1e-3
+        assert np.all(gains[:-1] >= 1e-3)
 
     @pytest.mark.parametrize("counts,message", [
         ((-1, 1), "component counts must be nonnegative"),
