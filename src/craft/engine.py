@@ -73,8 +73,8 @@ class BinGrid:
         object.__setattr__(self, "hi", float(self.hi))
         _check_integer("count", self.count)
         object.__setattr__(self, "count", int(self.count))
-        if not self.lo < self.hi:
-            raise ValueError("grid needs lo < hi")
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):  # so the width is too
+            raise ValueError("grid needs finite lo < hi")
         if self.count < 2:
             raise ValueError("grid needs at least 2 bins")
         mids = self.lo + (np.arange(self.count) + 0.5) * self.width
@@ -103,11 +103,11 @@ def make_bin_grid(count: int, labels) -> BinGrid:
         raise ValueError("labels must be nonempty and finite")
     if count < MIN_BINS:
         raise ValueError(f"label-built grids need at least {MIN_BINS} bins")
-    span = float(x.max() - x.min())
-    if span == 0.0:
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
         raise ValueError("label range is zero; build a BinGrid over an explicit range instead")
-    w = span / (count - 2)
-    return BinGrid(float(x.min()) - w, float(x.max()) + w, count)
+    w = (hi - lo) / (count - 2)  # a span beyond float range makes BinGrid fail
+    return BinGrid(lo - w, hi + w, count)
 
 
 @dataclass

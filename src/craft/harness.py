@@ -36,15 +36,7 @@ from .data import (
 from .engine import MIN_BINS, CraftConfig, RunReport, fit_craft, fit_tl, make_bin_grid, naive_baseline
 from .metrics import evaluate, rmse
 from .network import Checkpoint, MlpSpec, init_params, load_checkpoint, save_checkpoint
-from .priors import (
-    EM_TOL,
-    affine_transform_prior,
-    em_fit,
-    fit_histogram_prior,
-    prior_from_dict,
-    prior_log_density,
-    prior_to_dict,
-)
+from .priors import EM_TOL, affine_transform_prior, fit_prior, load_prior, prior_log_density, save_prior
 
 __all__ = [
     "ExperimentConfig",
@@ -64,8 +56,7 @@ __all__ = [
 
 RUN_REPORT_SCHEMA = {
     "type": "object",
-    "required": ["method", "seed", "alpha", "c", "bins", "label_fraction",
-                 "rmse", "pbcor", "epochs", "pseudo_label_hist", "em_iters", "em_converged"],
+    "required": [f.name for f in dataclasses.fields(RunReport)],
     "properties": {
         "method": {"enum": ["craft", "tl", "naive"]},
         "seed": {"type": "integer"},
@@ -116,8 +107,8 @@ class ExperimentConfig:
     ``engine.MIN_BINS`` whatever the method); the float settings and axis
     entries, which must be real numbers (a bool is not one);
     ``hidden_layers``, a list of integers of at least 1; the path settings,
-    each a string or None (``out_dir`` a string); and the prior's form,
-    strata, bins and component counts.  A fit-prior file is adapt's own prior
+    each a nonempty string or None (``out_dir`` a string); and the prior's
+    form, strata and bins.  A fit-prior file is adapt's own prior
     at the same ``label_fraction``, ``bias_keep_above`` (which thresholds at
     the label mean), ``n_strata`` and seed.
     """
@@ -151,8 +142,6 @@ class ExperimentConfig:
     prior_file: str | None = None  # CRAFT's prior when set, else fitted to the labeled rows
     prior_form: str = "mixture"  # the shape fitted to the labels: mixture | histogram
     prior_bins: int = 10
-    prior_gaussians: int = 2
-    prior_exponentials: int = 1
     # sweep axes
     seeds: list | None = None
     label_fractions: list | None = None
@@ -167,9 +156,9 @@ class ExperimentConfig:
             raise ValueError(f"scenario must be an object or null, got {self.scenario!r}")
         for name in ("source_train", "source_checkpoint", "target_train", "target_val",
                      "target_test", "out_dir", "prior_file"):
-            allowed = str if name == "out_dir" else (str, type(None))
-            if not isinstance(getattr(self, name), allowed):
-                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
+            value, allowed = getattr(self, name), str if name == "out_dir" else (str, type(None))
+            if not isinstance(value, allowed) or value == "":
+                raise ValueError(f"{name} must be a nonempty path string, got {value!r}")
         for axis in SWEEP_AXES.values():
             values = getattr(self, axis)
             if values is not None and not (isinstance(values, (list, tuple)) and values):
@@ -202,10 +191,6 @@ class ExperimentConfig:
             _check_integer("seeds", seed, minimum=0)
         _check_integer("n_strata", self.n_strata, minimum=1)
         _check_integer("prior_bins", self.prior_bins, minimum=1)
-        _check_integer("prior_gaussians", self.prior_gaussians, minimum=0)
-        _check_integer("prior_exponentials", self.prior_exponentials, minimum=0)
-        if self.prior_gaussians + self.prior_exponentials < 1:
-            raise ValueError("prior_gaussians + prior_exponentials must be at least 1")
 
 
 def _craft_config(cfg: ExperimentConfig, **overrides) -> CraftConfig:
@@ -239,14 +224,6 @@ def _read(load, path, access_log: list):
     return load(path)
 
 
-def _load_prior(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return prior_from_dict(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"prior file {path}: {exc}") from None
-
-
 def _check_splits(checkpoint: Checkpoint, cfg: ExperimentConfig, fractions, paths: dict,
                   **splits):
     """Fail on the first given split that runs at the label ``fractions`` cannot
@@ -267,7 +244,7 @@ def _check_splits(checkpoint: Checkpoint, cfg: ExperimentConfig, fractions, path
             _require_labels(ds, where, "the run is scored on it")
         if name == "target_train" and not ds.labeled.all():  # it fails before any budget work
             for fraction in fractions:
-                _label_budget(ds, dataclasses.replace(cfg, label_fraction=fraction), 0, where)
+                _label_budget(ds, dataclasses.replace(cfg, label_fraction=fraction), where)
 
 
 def _require_labels(ds: Dataset, where: str, reason: str):
@@ -276,19 +253,19 @@ def _require_labels(ds: Dataset, where: str, reason: str):
                          f"must be fully labeled: {reason}")
 
 
-def _label_budget(train_raw: Dataset, cfg: ExperimentConfig, seed: int, where="target_train"):
+def _label_budget(train_raw: Dataset, cfg: ExperimentConfig, where="target_train"):
     """The target train rows and labels a run or a ``fit-prior`` file may read:
     bias first (rows above the label mean), then the stratified label mask,
-    both drawn from ``seed``.  A setting that drops labels fails on a partly
+    both drawn from ``cfg.seed``.  A setting that drops labels fails on a partly
     labeled ``train_raw`` before any work, naming ``where`` and itself."""
     drop = (f"bias_keep_above {cfg.bias_keep_above}" if cfg.bias_keep_above is not None
             else f"label_fraction {cfg.label_fraction}" if cfg.label_fraction < 1.0 else None)
     if drop:
         _require_labels(train_raw, where, f"{drop} drops its labels")
     if cfg.bias_keep_above is not None:
-        train_raw = inject_marginal_bias(train_raw, cfg.bias_keep_above, seed)
+        train_raw = inject_marginal_bias(train_raw, cfg.bias_keep_above, cfg.seed)
     if cfg.label_fraction < 1.0:
-        train_raw = stratified_label_mask(train_raw, cfg.label_fraction, cfg.n_strata, seed)
+        train_raw = stratified_label_mask(train_raw, cfg.label_fraction, cfg.n_strata, cfg.seed)
     return train_raw
 
 
@@ -316,42 +293,33 @@ def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
     return params, scaler, report
 
 
-def _fit_prior(cfg: ExperimentConfig, labels: np.ndarray, seed: int):
-    """The configured prior form, a histogram or an EM mixture, fitted to raw
-    ``labels``; the prior is in label units, as a prior file holds it."""
-    if labels.size == 0:
-        raise ValueError("no labels available to fit the prior")
-    if cfg.prior_form == "histogram":
-        return fit_histogram_prior(labels, cfg.prior_bins)
-    return em_fit(labels, cfg.prior_gaussians, cfg.prior_exponentials, seed)
-
-
 def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset | None,
                     test_raw: Dataset, cfg: ExperimentConfig, seed: int | None = None,
                     prior=None) -> dict:
     """One adaptation run against in-memory data; returns the report dict.
 
-    It reads no file.  The test set must be fully labeled, and the train set
-    is cut to its label budget (:func:`_label_budget`).  ``prior``, in label
-    units as a prior file holds it, is CRAFT's label prior; without one, the
-    prior is fitted to the budget's labels, so it is the prior
-    ``run_fit_prior`` writes at the same ``label_fraction``,
-    ``bias_keep_above``, ``n_strata`` and seed, and a mixture's EM iterations
-    and convergence are reported.  Either is moved into model units by the
-    checkpoint scaler's label map.  The validation set, when given, picks the
-    kept epoch under 'best_val' model selection, scored on its labeled rows,
-    and must then hold at least one; it is unused under 'final'.
+    It reads no file, and a given ``seed`` replaces ``cfg.seed``.  The test
+    set must be fully labeled, and the train set is cut to its label budget
+    (:func:`_label_budget`).  ``prior``, in label units as a prior file holds
+    it, is CRAFT's label prior; without one, the prior is fitted to the
+    budget's labels, so it is the prior ``run_fit_prior`` writes at the same
+    ``label_fraction``, ``bias_keep_above``, ``n_strata`` and seed, and a
+    mixture's EM iterations and convergence are reported.  Either is moved
+    into model units by the checkpoint scaler's label map.  The validation
+    set, when given, picks the kept epoch under 'best_val' model selection,
+    scored on its labeled rows, and must then hold at least one; it is unused
+    under 'final'.
     """
+    cfg = cfg if seed is None else dataclasses.replace(cfg, seed=seed)
     _check_splits(checkpoint, cfg, [cfg.label_fraction], {},
                   target_train=train_raw, target_val=val_raw, target_test=test_raw)
-    seed = cfg.seed if seed is None else seed
     scaler = checkpoint.scaler
-    work = _label_budget(train_raw, cfg, seed)
+    work = _label_budget(train_raw, cfg)
 
     report: RunReport
     if cfg.method == "naive":
         mean = naive_baseline(work.labels[work.labeled])
-        report = RunReport(method="naive", seed=seed, alpha=0.0, c=cfg.c, bins=None)
+        report = RunReport(method="naive", seed=cfg.seed, alpha=0.0, c=cfg.c, bins=None)
         report.rmse = rmse(np.full(test_raw.n, mean), test_raw.labels)
     else:
         train_scaled = apply_scaler(work, scaler)
@@ -363,16 +331,16 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
             spans = labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min()
             grid = make_bin_grid(cfg.bins, labeled_scaled if spans else (-1.0, 1.0))  # scaler's range
             if prior is None:
-                prior = _fit_prior(cfg, work.labels[work.labeled], seed)
+                prior = fit_prior(work.labels[work.labeled], cfg.prior_form, cfg.prior_bins, cfg.seed)
                 loglik = getattr(prior, "loglik_path", None)  # a histogram has none
             model_prior = affine_transform_prior(prior, *scaler.label_map())
-        config = _craft_config(cfg, grid=grid, prior=model_prior, seed=seed)
+        config = _craft_config(cfg, grid=grid, prior=model_prior)
         fit = fit_craft if cfg.method == "craft" else fit_tl
         params, report = fit(checkpoint.params, train_scaled, config, val=val_scaled)
         metrics = evaluate(params, test_raw, scaler)
         report.rmse = metrics.rmse
         report.pbcor = metrics.pbcor
-        if loglik:  # em_fit's path holds at least two steps
+        if loglik:  # an EM fit's path holds at least two steps
             report.em_iters, report.em_converged = len(loglik), loglik[-1] - loglik[-2] < EM_TOL
     report.label_fraction = cfg.label_fraction
     return report.to_dict()
@@ -428,7 +396,7 @@ def _load_adapt_inputs(cfg: ExperimentConfig, access: list, fractions):
     train = _read(load_csv, cfg.target_train, access)
     val = _read(load_csv, cfg.target_val, access) if cfg.target_val else None
     test = _read(load_csv, cfg.target_test, access)
-    prior = _read(_load_prior, cfg.prior_file, access) if cfg.prior_file else None
+    prior = _read(load_prior, cfg.prior_file, access) if cfg.prior_file else None
     splits = {"target_train": train, "target_val": val, "target_test": test}
     paths = {name: getattr(cfg, name) for name in splits}
     _check_splits(checkpoint, cfg, fractions, paths, **splits)
@@ -536,12 +504,12 @@ def run_fit_prior(cfg: ExperimentConfig) -> dict:
     ``bias_keep_above``, ``n_strata`` and seed."""
     if not cfg.target_train:
         raise ValueError("fit-prior needs a labels CSV via target_train")
-    ds = _label_budget(load_csv(cfg.target_train), cfg, cfg.seed, f"target_train {cfg.target_train}")
+    ds = _label_budget(load_csv(cfg.target_train), cfg, f"target_train {cfg.target_train}")
     labels = ds.labels[ds.labeled]
-    prior = _fit_prior(cfg, labels, cfg.seed)
+    prior = fit_prior(labels, cfg.prior_form, cfg.prior_bins, cfg.seed)
     out = Path(cfg.out_dir)
     prior_path = out / "prior.json"
-    write_json(prior_path, prior_to_dict(prior), indent=2)
+    save_prior(prior_path, prior)
     lo, hi = float(labels.min()), float(labels.max())
     pad = 0.1 * (hi - lo) if hi > lo else 1.0
     ys = np.linspace(lo - pad, hi + pad, 256)

@@ -1,9 +1,10 @@
-"""Label-marginal priors and their shared log-density interface.
+"""Label-marginal priors: every prior is fitted, read and written here.
 
-Two prior shapes are supported: a histogram density, and a mixture of
-Gaussians and exponentials fitted by EM.  A prior file holds either shape as
-:func:`prior_to_dict` writes it, and every number in it is finite and real;
-a flat prior over [lo, hi] is the one-bin histogram file on those edges.  The
+Two prior shapes are supported: a histogram density, and a mixture of two
+Gaussians and one exponential fitted by EM; :func:`fit_prior` fits either,
+and a prior file (:func:`save_prior`, :func:`load_prior`) holds either as
+:func:`prior_to_dict` writes it, every number in it finite and real.  A flat
+prior over [lo, hi] is the one-bin histogram file on those edges.  The
 mixture acts on data shifted by a constant offset, part of the fitted
 parameters, that places the exponentials' origin just below the smallest
 label, so a fit does not depend on the label units: fitting ``a * y + b`` for
@@ -20,12 +21,13 @@ the same constants on each iteration with the same expressions.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_finite, _frozen_array
+from .data import _check_finite, _frozen_array, write_json
 
 __all__ = [
     "HistogramPrior",
@@ -33,6 +35,9 @@ __all__ = [
     "EM_TOL",
     "EM_MAX_ITERS",
     "em_fit",
+    "fit_prior",
+    "load_prior",
+    "save_prior",
     "prior_log_density",
     "fit_histogram_prior",
     "affine_transform_prior",
@@ -42,6 +47,7 @@ __all__ = [
 
 EM_TOL = 1e-6  # the tolerance em_fit stops on: a step that gains less log-likelihood ends it
 EM_MAX_ITERS = 500  # the most iterations em_fit runs
+_MIXTURE_SHAPE = (2, 1)  # the Gaussians and exponentials of a mixture fit_prior fits
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,3 +354,28 @@ def prior_from_dict(d: dict):
     except KeyError as exc:
         raise ValueError(f"{kind} prior has no key {exc.args[0]!r}") from None
     raise ValueError(f"unknown prior kind {kind!r}")
+
+
+def fit_prior(labels, form: str, n_bins: int, seed: int):
+    """The ``form`` prior of ``labels``, in their units: an EM mixture or an ``n_bins`` histogram."""
+    if form not in ("mixture", "histogram"):
+        raise ValueError(f"unknown prior_form {form!r}")
+    if np.size(labels) == 0:
+        raise ValueError("no labels available to fit the prior")
+    if form == "histogram":
+        return fit_histogram_prior(labels, n_bins)
+    return em_fit(labels, *_MIXTURE_SHAPE, seed)
+
+
+def load_prior(path):
+    """The prior a :func:`save_prior` file holds; a bad file fails naming ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return prior_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"prior file {path}: {exc}") from None
+
+
+def save_prior(path, prior) -> None:
+    """Write ``prior`` to ``path`` as indented :func:`prior_to_dict` JSON."""
+    write_json(path, prior_to_dict(prior), indent=2)

@@ -107,6 +107,10 @@ class TestBinGrid:
             BinGrid(-1.0, 1.0, 2.5)
         with pytest.raises(ValueError):
             make_bin_grid(2, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="^grid needs finite lo < hi$"):
+            BinGrid(0.0, math.inf, 5)
+        with pytest.raises(ValueError, match="^grid needs finite lo < hi$"):
+            make_bin_grid(3, [-1e308, 1e308])
 
 
 class TestJointLogScores:

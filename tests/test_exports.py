@@ -1,9 +1,11 @@
+import ast
 import importlib
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import craft
 
@@ -39,3 +41,24 @@ def test_the_package_imports_numpy_and_the_standard_library_alone():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert json.loads(out.stdout) == ["craft", "numpy"]
+
+
+# each file format has one reader, in the module that owns the format, and data.write_file
+# is the one writer; a call to open() anywhere else is file I/O leaking into another layer
+FILE_OPENERS = {"data.load_csv", "data._load_csv_rows", "data.write_file", "network.load_checkpoint",
+                "priors.load_prior", "cli.config_from_args"}
+
+
+def test_only_the_format_readers_and_writer_open_files():
+    package = Path(craft.__file__).parent
+    openers = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and (
+                        isinstance(func, ast.Name) and func.id == "open"
+                        or isinstance(func, ast.Attribute) and func.attr == "open"):
+                    name = getattr(top, "name", f"line {node.lineno}")
+                    openers.add(f"{path.stem}.{name}")
+    assert openers == FILE_OPENERS

@@ -12,7 +12,7 @@ import pytest
 from craft import priors
 from craft.cli import build_parser, config_from_args, main
 from craft.data import Dataset, GeneratorSpec, apply_scaler, load_csv, write_csv
-from craft.engine import fit_craft
+from craft.engine import RunReport, fit_craft
 from craft.harness import (
     ExperimentConfig,
     RUN_REPORT_SCHEMA,
@@ -94,9 +94,6 @@ FLAT_PRIOR = prior_from_dict({"kind": "histogram", "edges": [-50.0, 50.0], "prob
     ({"epochs": True}, "epochs"),
     ({"n_strata": 0}, "n_strata"),
     ({"prior_bins": 0}, "prior_bins"),
-    ({"prior_gaussians": -1}, "prior_gaussians"),
-    ({"prior_exponentials": -1}, "prior_exponentials"),
-    ({"prior_gaussians": 0, "prior_exponentials": 0}, "prior_gaussians"),
     ({"hidden_layers": [4.5]}, "hidden_layers"),
     ({"hidden_layers": 32}, "hidden_layers"),
     ({"hidden_layers": [32, 0]}, "hidden_layers"),
@@ -125,6 +122,9 @@ FLAT_PRIOR = prior_from_dict({"kind": "histogram", "edges": [-50.0, 50.0], "prob
     ({"out_dir": 5}, "out_dir"),
     ({"prior_file": True}, "prior_file"),
     ({"out_dir": None}, "out_dir"),
+    ({"target_val": ""}, "target_val"),
+    ({"prior_file": ""}, "prior_file"),
+    ({"out_dir": ""}, "out_dir"),
     ({"bins": 2}, "bins"),
     ({"bin_counts": [40, 2]}, "bin_counts"),
     ({"methods": ["tl"], "bin_counts": [2]}, "bin_counts"),
@@ -145,8 +145,7 @@ FLAT_PRIOR = prior_from_dict({"kind": "histogram", "edges": [-50.0, 50.0], "prob
 ], ids=["alpha", "c", "batch_size", "epochs", "model_selection", "naive-alpha",
         "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
         "c-nan", "epochs-float", "batch_size-float", "bins-float", "bin_counts-float",
-        "seed-float", "seeds-float", "epochs-bool", "n_strata", "prior_bins",
-        "prior_gaussians", "prior_exponentials", "no-mixture-component", "hidden_layers-float",
+        "seed-float", "seeds-float", "epochs-bool", "n_strata", "prior_bins", "hidden_layers-float",
         "hidden_layers-number", "hidden_layers-zero", "val_fraction-zero",
         "val_fraction-negative", "val_fraction-one", "bias_keep_above", "seeds-number",
         "alphas-number", "methods-string", "alpha-string", "c-string",
@@ -154,7 +153,8 @@ FLAT_PRIOR = prior_from_dict({"kind": "histogram", "edges": [-50.0, 50.0], "prob
         "bias_keep_above-string", "alpha-bool",
         "label_fraction-bool", "alphas-string", "label_fractions-bool", "source_train-number",
         "source_checkpoint-number", "target_train-number", "target_val-float",
-        "target_test-list", "out_dir-number", "prior_file-bool", "out_dir-null", "bins-floor",
+        "target_test-list", "out_dir-number", "prior_file-bool", "out_dir-null", "target_val-empty",
+        "prior_file-empty", "out_dir-empty", "bins-floor",
         "bin_counts-floor", "tl-bin_counts-floor", "seed-negative", "seeds-negative",
         "scenario-list", "methods-empty", "label_fractions-empty", "alphas-empty",
         "bin_counts-empty", "seeds-empty", "noise_std-nan", "noise_std-string", "shift_scale-nan",
@@ -166,9 +166,10 @@ def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
 
 @pytest.mark.parametrize("key,value", [("pseudo_source", "true_labels_for_labeled"),
                                        ("activation", "tanh"), ("prior_source", "file"),
-                                       ("bias_threshold_quantile", 0.5)],
+                                       ("bias_threshold_quantile", 0.5), ("prior_gaussians", 2),
+                                       ("prior_exponentials", 1)],
                          ids=["pseudo_source", "activation", "prior_source",
-                              "bias_threshold_quantile"])
+                              "bias_threshold_quantile", "prior_gaussians", "prior_exponentials"])
 def test_config_rejects_a_removed_key(key, value):
     with pytest.raises(TypeError, match=rf"\b{key}\b"):
         ExperimentConfig(**{key: value})
@@ -221,6 +222,11 @@ class TestAdapt:
             report = run_adapt(adapt_config(tiny_workspace, tmp_path / method, method=method))
             report.pop("report_path")
             jsonschema.validate(instance=report, schema=RUN_REPORT_SCHEMA)
+
+    def test_the_schema_describes_every_report_field(self):
+        names = [f.name for f in dataclasses.fields(RunReport)]
+        assert RUN_REPORT_SCHEMA["required"] == names
+        assert set(names) <= RUN_REPORT_SCHEMA["properties"].keys()
 
     def test_reports_are_reproducible(self, tiny_workspace, tmp_path):
         cfg_a = adapt_config(tiny_workspace, tmp_path / "a", method="craft")
@@ -311,8 +317,7 @@ class TestAdapt:
 
     def test_prior_file_round_trip(self, tiny_workspace, tmp_path):
         prior_cfg = ExperimentConfig(target_train=tiny_workspace["paths"]["target_train"],
-                                     out_dir=str(tmp_path / "prior"), prior_form="mixture",
-                                     prior_gaussians=1, prior_exponentials=0)
+                                     out_dir=str(tmp_path / "prior"), prior_form="mixture")
         produced = run_fit_prior(prior_cfg)
         cfg = adapt_config(tiny_workspace, tmp_path, method="craft", prior_file=produced["prior"])
         report = run_adapt(cfg)
@@ -370,7 +375,7 @@ class TestAdapt:
             fitted.append(em_fit(*args, **kwargs))
             return fitted[-1]
 
-        monkeypatch.setattr("craft.harness.em_fit", spy)
+        monkeypatch.setattr("craft.priors.em_fit", spy)
         file_prior = prior_from_dict({"kind": "histogram", "edges": [-3.0, 3.0], "probs": [1.0]})
         runs = {"capped": {"label_fraction": 1.0}, "converged": {},
                 "histogram": {"prior_form": "histogram"}, "tl": {"method": "tl"},
@@ -398,11 +403,19 @@ class TestAdapt:
         cfg = adapt_config(tiny_workspace, tmp_path, method="naive")
         report = adapt_in_memory(checkpoint, train, val, test, cfg)
         assert scaled == []
-        budget = _label_budget(train, cfg, cfg.seed)
+        budget = _label_budget(train, cfg)
         mean = budget.labels[budget.labeled].mean()
         assert report["rmse"] == rmse(np.full(test.n, mean), test.labels)
         adapt_in_memory(checkpoint, train, val, test, dataclasses.replace(cfg, method="tl"))
         assert len(scaled) == 2  # a fit scales its train and val splits
+
+    @pytest.mark.parametrize("method", ["craft", "naive"])
+    def test_a_seed_argument_runs_the_config_with_that_seed(self, tiny_workspace, tmp_path,
+                                                            method):
+        cfg = adapt_config(tiny_workspace, tmp_path, method=method, epochs=1, bias_keep_above=0.5)
+        given = adapt_in_memory(*inputs(tiny_workspace), cfg, seed=7)
+        assert given == adapt_in_memory(*inputs(tiny_workspace), dataclasses.replace(cfg, seed=7))
+        assert given["seed"] == 7 and given != adapt_in_memory(*inputs(tiny_workspace), cfg)
 
     def test_a_given_prior_opens_no_file(self, tiny_workspace, tmp_path, monkeypatch):
         prior = prior_from_dict({"kind": "histogram", "edges": [-3.0, 3.0], "probs": [1.0]})
@@ -681,8 +694,7 @@ class TestFitPrior:
     @pytest.mark.parametrize("prior_form", ["mixture", "histogram"])
     def test_density_curve_matches_log_density(self, tiny_workspace, tmp_path, prior_form):
         cfg = ExperimentConfig(target_train=tiny_workspace["paths"]["target_train"],
-                               out_dir=str(tmp_path), prior_form=prior_form,
-                               prior_gaussians=2, prior_exponentials=1, seed=4)
+                               out_dir=str(tmp_path), prior_form=prior_form, seed=4)
         produced = run_fit_prior(cfg)
         prior = prior_from_dict(json.loads((tmp_path / "prior.json").read_text()))
         rows = (tmp_path / "prior_density.csv").read_text().splitlines()[1:]

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from craft.priors import (
     affine_transform_prior,
     em_fit,
     fit_histogram_prior,
+    fit_prior,
+    load_prior,
     prior_from_dict,
     prior_log_density,
     prior_to_dict,
+    save_prior,
 )
 
 
@@ -319,6 +323,64 @@ class TestSerialization:
             back = prior_from_dict(json.loads(json.dumps(prior_to_dict(prior))))
             assert type(back) is type(prior)
             np.testing.assert_array_equal(prior_log_density(back, ys), prior_log_density(prior, ys))
+
+
+class TestFitPrior:
+    LABELS = np.random.default_rng(5).normal(1.0, 0.5, 150)
+
+    def test_a_mixture_is_the_two_gaussian_one_exponential_em_fit(self):
+        fitted, expected = fit_prior(self.LABELS, "mixture", 10, 3), em_fit(self.LABELS, 2, 1, 3)
+        for name in ("weights", "means", "variances", "rates"):
+            np.testing.assert_array_equal(getattr(fitted, name), getattr(expected, name))
+        assert fitted.offset == expected.offset
+        assert fitted.loglik_path == expected.loglik_path
+
+    def test_a_histogram_is_fit_histogram_prior(self):
+        fitted, expected = fit_prior(self.LABELS, "histogram", 7, 3), fit_histogram_prior(self.LABELS, 7)
+        np.testing.assert_array_equal(fitted.edges, expected.edges)
+        np.testing.assert_array_equal(fitted.probs, expected.probs)
+
+    @pytest.mark.parametrize("form", ["uniform", "flat", None])
+    def test_another_form_fails_naming_prior_form(self, form):
+        with pytest.raises(ValueError, match=rf"^unknown prior_form {form!r}$"):
+            fit_prior(self.LABELS, form, 10, 0)
+
+    @pytest.mark.parametrize("form", ["mixture", "histogram"])
+    def test_no_labels_fail(self, form):
+        with pytest.raises(ValueError, match="^no labels available to fit the prior$"):
+            fit_prior(np.empty(0), form, 10, 0)
+
+    def test_calls_em_fit_through_the_module(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(priors, "em_fit", lambda *args: calls.append(args))
+        fit_prior(self.LABELS, "mixture", 10, 4)
+        assert [args[1:] for args in calls] == [(2, 1, 4)]
+
+
+class TestPriorFiles:
+    @pytest.mark.parametrize("form", ["mixture", "histogram"])
+    def test_save_then_load_round_trips_in_the_indented_dict_format(self, tmp_path, form):
+        prior = fit_prior(TestFitPrior.LABELS, form, 10, 0)
+        save_prior(tmp_path / "a.json", prior)
+        back = load_prior(tmp_path / "a.json")
+        save_prior(tmp_path / "b.json", back)
+        written = (tmp_path / "a.json").read_bytes()
+        assert written == json.dumps(prior_to_dict(prior), indent=2).encode()
+        assert (tmp_path / "b.json").read_bytes() == written
+        assert type(back) is type(prior)
+        ys = np.linspace(-1.0, 3.0, 41)
+        np.testing.assert_array_equal(prior_log_density(back, ys), prior_log_density(prior, ys))
+
+    @pytest.mark.parametrize("text,message", [
+        ("{", "Expecting property name"),
+        ("[]", "a prior is a JSON object, not a list"),
+        ('{"kind": "uniform"}', "unknown prior kind 'uniform'"),
+    ], ids=["not-json", "list", "unknown-kind"])
+    def test_a_bad_file_fails_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "prior.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^prior file {re.escape(str(path))}: {message}"):
+            load_prior(path)
 
 
 class TestAffineTransform:
