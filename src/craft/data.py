@@ -76,6 +76,8 @@ class ScalerParams:
             raise ValueError("feature_std entries must be positive")
         if not self.label_lo < self.label_hi:
             raise ValueError("label_lo must lie strictly below label_hi")
+        if not math.isfinite(2.0 * (abs(self.label_lo) + abs(self.label_hi))):  # bounds every scaling term
+            raise ValueError(f"label_lo {self.label_lo!r} to label_hi {self.label_hi!r} overflows float64")
 
     def scale_labels(self, y):
         return 2.0 * (np.asarray(y, dtype=np.float64) - self.label_lo) / (self.label_hi - self.label_lo) - 1.0

@@ -300,11 +300,12 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
 
     It reads no file, and a given ``seed`` replaces ``cfg.seed``.  The test
     set must be fully labeled, and the train set is cut to its label budget
-    (:func:`_label_budget`).  ``prior``, in label units as a prior file holds
-    it, is CRAFT's label prior; without one, the prior is fitted to the
-    budget's labels, so it is the prior ``run_fit_prior`` writes at the same
-    ``label_fraction``, ``bias_keep_above``, ``n_strata`` and seed, and a
-    mixture's EM iterations and convergence are reported.  Either is moved
+    (:func:`_label_budget`), which must leave a labeled row unless the run is
+    CRAFT at positive ``alpha`` with a given prior.  ``prior``, in label units
+    as a prior file holds it, is CRAFT's label prior; without one, the prior is
+    fitted to the budget's labels, so it is the prior ``run_fit_prior`` writes
+    at the same ``label_fraction``, ``bias_keep_above``, ``n_strata`` and seed,
+    and a mixture's EM iterations and convergence are reported.  Either is moved
     into model units by the checkpoint scaler's label map.  The validation
     set, when given, picks the kept epoch under 'best_val' model selection,
     scored on its labeled rows, and must then hold at least one; it is unused
@@ -315,6 +316,10 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
                   target_train=train_raw, target_val=val_raw, target_test=test_raw)
     scaler = checkpoint.scaler
     work = _label_budget(train_raw, cfg)
+    if not (work.labeled.any() or cfg.method == "craft" and cfg.alpha > 0.0 and prior is not None):
+        raise ValueError(f"label_fraction {cfg.label_fraction} with n_strata {cfg.n_strata} leaves "
+                         f"no labeled row of {work.n} target_train rows; only craft at alpha > 0 "
+                         "with a prior file runs without one")
 
     report: RunReport
     if cfg.method == "naive":

@@ -132,27 +132,30 @@ def _logsumexp_rows(a):
     return np.where(finite, out, -np.inf)
 
 
-def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int) -> MixturePrior:
-    """Fit a mixture of ``n_gaussians`` Gaussians and ``n_exponentials``
-    exponentials to 1-d samples by EM; ``seed`` jitters the initial rates.
+def _label_span(x):
+    """``(min, max)`` of the labels ``x``; labels whose range overflows float64 fail."""
+    lo, hi = float(x.min()), float(x.max())
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"labels span [{lo!r}, {hi!r}], a range that overflows float64")
+    return lo, hi
 
-    The E-step assigns responsibilities proportional to weighted component
-    densities; the M-step re-estimates weights as responsibility means,
-    Gaussian moments as responsibility-weighted means and variances floored
-    at 1e-4 times the squared data range, and exponential rates as
-    responsibility mass over responsibility-weighted sums, all on
-    offset-shifted data.  With exponentials, the offset is
-    ``1e-6 * range - min(labels)``, which places their origin just below the
-    smallest label whatever its sign, so the fit does not depend on the label
-    units; without them it is 0.  Iteration stops once the log-likelihood
-    improves by less than ``EM_TOL`` or after ``EM_MAX_ITERS`` iterations;
-    the likelihood path is monotone nondecreasing up to rounding.
+
+def em_fit(labels, seed: int) -> MixturePrior:
+    """Fit the mixture of two Gaussians and one exponential (``_MIXTURE_SHAPE``)
+    to 1-d samples by EM, on the labels shifted by the offset
+    ``1e-6 * range - min(labels)``, which puts the exponential's origin just
+    below the smallest label, so the fit does not depend on the label units.
+
+    EM starts from Gaussian means at the shifted 1/3 and 2/3 quantiles, both
+    with the floored variance of the data, the rate at the inverse shifted mean
+    jittered by ``seed``, and uniform weights.  The M-step re-estimates weights
+    as responsibility means, Gaussian moments as responsibility-weighted means
+    and variances floored at 1e-4 times the squared data range, and the rate as
+    responsibility mass over the responsibility-weighted sum.  EM stops once the
+    log-likelihood gains less than ``EM_TOL`` or after ``EM_MAX_ITERS``
+    iterations; the likelihood path is monotone nondecreasing up to rounding.
     """
-    k1, k2 = n_gaussians, n_exponentials
-    if k1 < 0 or k2 < 0:
-        raise ValueError("component counts must be nonnegative")
-    if k1 + k2 < 1:
-        raise ValueError("need at least one mixture component")
+    k1, k2 = _MIXTURE_SHAPE
     x = np.asarray(labels, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("labels must be a nonempty vector")
@@ -160,22 +163,17 @@ def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int) -> MixtureP
         raise ValueError("labels contain non-finite values")
     if np.unique(x).size < k1 + k2:
         raise ValueError(f"need at least {k1 + k2} distinct values to fit {k1 + k2} components")
-    data_range = float(x.max() - x.min())
-    if data_range == 0.0:
-        raise ValueError("degenerate data: all labels identical")
+    lo, hi = _label_span(x)
+    data_range = hi - lo
     min_var = 1e-4 * data_range**2
-    offset = 1e-6 * data_range - float(x.min()) if k2 > 0 else 0.0
+    offset = 1e-6 * data_range - lo
     z = x + offset
     n = z.size
 
     rng = np.random.default_rng(seed)
     means = np.quantile(z, (np.arange(k1) + 1.0) / (k1 + 1.0))
     variances = np.full(k1, max(float(z.var()), min_var))
-    # with no exponential the offset is 0, and labels averaging 0 would divide by zero
-    if k2 > 0:
-        rates = (1.0 / float(z.mean())) * (1.0 + 0.1 * (2.0 * rng.random(k2) - 1.0))
-    else:
-        rates = np.empty(0)
+    rates = (1.0 / float(z.mean())) * (1.0 + 0.1 * (2.0 * rng.random(k2) - 1.0))
     weights = np.full(k1 + k2, 1.0 / (k1 + k2))
 
     path = []
@@ -203,11 +201,8 @@ def em_fit(labels, n_gaussians: int, n_exponentials: int, seed: int) -> MixtureP
             var = float(resp[j] @ (z - mu) ** 2 / mass[j])
             means[j] = mu
             variances[j] = max(var, min_var)
-        for j in range(k2):
-            r = k1 + j
-            if mass[r] <= 1e-12:
-                continue
-            rates[j] = float(mass[r] / (resp[r] @ z))
+        if mass[k1] > 1e-12:
+            rates[0] = float(mass[k1] / (resp[k1] @ z))
     return MixturePrior(weights, means, variances, rates, offset, loglik_path=tuple(path))
 
 
@@ -230,6 +225,8 @@ class HistogramPrior:
         for name, values in (("edges", edges), ("probs", probs)):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} must be finite")
+        if not math.isfinite(float(edges[-1]) - float(edges[0])):  # so every bin width is too
+            raise ValueError("edges must span a range that float64 holds")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing")
         if np.any(probs < 0):
@@ -278,7 +275,7 @@ def fit_histogram_prior(labels, n_bins: int) -> HistogramPrior:
         raise ValueError("labels must be nonempty")
     if not np.isfinite(x).all():
         raise ValueError("labels contain non-finite values")
-    lo, hi = float(x.min()), float(x.max())
+    lo, hi = _label_span(x)
     if lo == hi:
         return HistogramPrior(np.array([lo - 0.5, lo + 0.5]), np.array([1.0]))
     edges = np.linspace(lo, hi, n_bins + 1)
@@ -364,7 +361,7 @@ def fit_prior(labels, form: str, n_bins: int, seed: int):
         raise ValueError("no labels available to fit the prior")
     if form == "histogram":
         return fit_histogram_prior(labels, n_bins)
-    return em_fit(labels, *_MIXTURE_SHAPE, seed)
+    return em_fit(labels, seed)
 
 
 def load_prior(path):

@@ -143,6 +143,52 @@ def loop_mixture_log_density(prior: MixturePrior, y):
     return np.where(np.isfinite(m), out, -np.inf)
 
 
+def loop_em_fit(labels, seed, max_iters, tol):
+    """EM for the mixture of two Gaussians and one exponential, point by point
+    in plain Python: ``em_fit``'s documented start (quantile means, the floored
+    variance, the inverse mean rate jittered by ``default_rng(seed)``, uniform
+    weights, the offset ``1e-6 * range - min``), then its M-step, stopping after
+    ``max_iters`` steps or on the first that gains less than ``tol``.  Returns
+    (weights, means, variances, rates, offset, loglik_path)."""
+    x = [float(v) for v in labels]
+    data_range = max(x) - min(x)
+    floor = 1e-4 * data_range**2
+    offset = 1e-6 * data_range - min(x)
+    z = [v + offset for v in x]
+    n = len(z)
+    mean_z = sum(z) / n
+    means = [float(q) for q in np.quantile(z, [1.0 / 3.0, 2.0 / 3.0])]
+    var_z = sum((v - mean_z) ** 2 for v in z) / n
+    variances = [max(var_z, floor)] * 2
+    rate = (1.0 / mean_z) * (1.0 + 0.1 * (2.0 * float(np.random.default_rng(seed).random()) - 1.0))
+    weights = [1.0 / 3.0] * 3
+    path = []
+    for _ in range(max_iters):
+        resp, ll = [], 0.0
+        for v in z:
+            logs = [math.log(w) if w > 0 else -math.inf for w in weights]
+            comp = [logs[j] - 0.5 * math.log(2.0 * math.pi * variances[j])
+                    - (v - means[j]) ** 2 / (2.0 * variances[j]) for j in range(2)]
+            comp.append(logs[2] + math.log(rate) - rate * v if v >= 0.0 else -math.inf)
+            top = max(comp)
+            lse = top + math.log(sum(math.exp(c - top) for c in comp))
+            resp.append([math.exp(c - lse) for c in comp])
+            ll += lse
+        path.append(ll)
+        if len(path) > 1 and ll - path[-2] < tol:
+            break
+        mass = [sum(r[j] for r in resp) for j in range(3)]
+        weights = [m / n for m in mass]
+        for j in range(2):
+            if mass[j] > 1e-12:
+                means[j] = sum(r[j] * v for r, v in zip(resp, z)) / mass[j]
+                var = sum(r[j] * (v - means[j]) ** 2 for r, v in zip(resp, z)) / mass[j]
+                variances[j] = max(var, floor)
+        if mass[2] > 1e-12:
+            rate = mass[2] / sum(r[2] * v for r, v in zip(resp, z))
+    return weights, means, variances, [rate], offset, path
+
+
 def brute_force_scores(predictions, grid, prior, c):
     """Cell-by-cell evaluation of the joint log score matrix."""
     f = [float(v) for v in predictions]

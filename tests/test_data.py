@@ -322,6 +322,12 @@ class TestScaler:
         with pytest.raises(ValueError, match="zero-variance"):
             fit_scaler(ds)
 
+    def test_labels_whose_range_overflows_error(self):
+        ds = Dataset(np.random.default_rng(0).normal(size=(3, 2)), np.array([-1e308, 0.0, 1e308]),
+                     np.ones(3, dtype=bool))
+        with pytest.raises(ValueError, match="^label_lo -1e\\+308 to label_hi 1e\\+308 "):
+            fit_scaler(ds)
+
     def test_constant_labels_error(self):
         ds = Dataset(np.random.default_rng(0).normal(size=(5, 2)), np.full(5, 2.0), np.ones(5, dtype=bool))
         with pytest.raises(ValueError, match="label_lo equals label_hi"):

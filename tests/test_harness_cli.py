@@ -455,6 +455,22 @@ class TestAdapt:
         assert math.isfinite(report["rmse"])
         assert report["bins"] == (cfg.bins if method == "craft" else None)
 
+    @pytest.mark.parametrize("method,alpha,prior", [
+        ("tl", 0.1, None), ("naive", 0.1, None), ("craft", 0.0, FLAT_PRIOR), ("craft", 0.1, None),
+    ], ids=["tl", "naive", "craft-alpha-0", "craft-fitted-prior"])
+    def test_a_budget_without_a_labeled_row_fails_naming_the_setting(
+            self, tiny_workspace, tmp_path, method, alpha, prior):
+        # 1% of 30-row label strata rounds to no labeled row
+        cfg = adapt_config(tiny_workspace, tmp_path, method=method, alpha=alpha, label_fraction=0.01)
+        with pytest.raises(ValueError, match=r"^label_fraction 0\.01 with n_strata 10 leaves no "
+                                             r"labeled row of 300 target_train rows;"):
+            adapt_in_memory(*inputs(tiny_workspace), cfg, prior=prior)
+
+    def test_craft_with_a_prior_runs_without_a_labeled_row(self, tiny_workspace, tmp_path):
+        cfg = adapt_config(tiny_workspace, tmp_path, label_fraction=0.01, epochs=1)
+        report = adapt_in_memory(*inputs(tiny_workspace), cfg, prior=FLAT_PRIOR)
+        assert math.isfinite(report["rmse"])
+
     def test_a_grid_over_no_label_range_keeps_a_margin_bin(self, tiny_workspace, tmp_path,
                                                            monkeypatch):
         train = load_csv(tiny_workspace["paths"]["target_train"])
@@ -566,7 +582,9 @@ class TestSweep:
         good = [r for r in report["rows"] if "error" not in r]
         assert len(errors) == 1 and len(good) == 1
         assert errors[0]["label_fraction"] == 0.01
-        assert errors[0]["error"] == "ValueError: no labels available to fit the prior"
+        assert errors[0]["error"] == (
+            "ValueError: label_fraction 0.01 with n_strata 10 leaves no labeled row of 300 "
+            "target_train rows; only craft at alpha > 0 with a prior file runs without one")
 
     def test_tl_ignores_a_bin_count_it_never_reads(self, tiny_workspace, tmp_path):
         cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=2)

@@ -289,9 +289,10 @@ class TestCheckpoint:
         ({"scaler": {**SCALER.to_dict(), "feature_std": [True, 2.0]}}, "feature_std"),
         ({"scaler": {**SCALER.to_dict(), "label_hi": math.inf}}, "label_hi"),
         ({"scaler": {**SCALER.to_dict(), "label_lo": "-1.0"}}, "label_lo"),
+        ({"scaler": {**SCALER.to_dict(), "label_lo": -1e308, "label_hi": 1e308}}, "label_lo"),
     ], ids=["scaler-without-label_hi", "spec-list", "weights-number", "weight-nan",
             "weight-string", "bias-inf", "bias-bool", "bias-huge-int", "feature_mean-nan",
-            "feature_std-bool", "label_hi-inf", "label_lo-string"])
+            "feature_std-bool", "label_hi-inf", "label_lo-string", "label-range-overflows"])
     def test_malformed_checkpoint_fails_naming_the_file_and_the_field(self, tmp_path, change,
                                                                        named):
         import json
@@ -313,6 +314,13 @@ class TestCheckpoint:
     def test_scaler_params_reject_a_non_finite_entry_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             ScalerParams(**{**SCALER.to_dict(), field: value})
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-1e308, 0.0), (0.0, 1e308)])
+    def test_scaler_params_reject_a_label_range_that_overflows(self, lo, hi):
+        # past half the float64 range, label_map and the doubled label scaling overflow
+        message = f"label_lo {lo!r} to label_hi {hi!r} overflows float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScalerParams(**{**SCALER.to_dict(), "label_lo": lo, "label_hi": hi})
 
     def test_missing_key_fails_naming_the_file_and_the_key(self, tmp_path):
         path = tmp_path / "c.json"

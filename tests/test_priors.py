@@ -2,10 +2,11 @@ import inspect
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from oracles import loop_component_log_pdfs, loop_mixture_log_density, uniform_prior
+from oracles import loop_component_log_pdfs, loop_em_fit, loop_mixture_log_density, uniform_prior
 
 from craft import priors
 from craft.priors import (
@@ -23,49 +24,51 @@ from craft.priors import (
 )
 
 
+ORACLE_DATASETS = {
+    "blend": np.concatenate([np.random.default_rng(3).normal(0, 1, 120),
+                             np.random.default_rng(3).exponential(2.0, 80)]),
+    "crosses-zero": np.random.default_rng(21).gamma(2.0, 1.0, 150) - 1.0,
+    # a tight cluster: by the fifth step both Gaussians sit on the variance floor
+    "floor-binds": np.r_[np.random.default_rng(8).normal(3.0, 1e-3, 120),
+                         np.random.default_rng(9).exponential(2.0, 80)],
+}
+
+
 class TestEmFit:
-    def test_single_gaussian_is_closed_form_after_one_iteration(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(3.0, 2.0, 500)
-        params = em_fit(x, 1, 0, seed=0)
-        assert params.offset == 0.0
-        assert abs(params.means[0] - x.mean()) < 1e-12
-        assert abs(params.variances[0] - x.var()) < 1e-12
-        assert params.weights.tolist() == [1.0]
-        assert len(params.loglik_path) == 3  # the second step gains nothing
+    @pytest.mark.parametrize("name", list(ORACLE_DATASETS))
+    @pytest.mark.parametrize("max_iters", [1, 2, 5])
+    def test_matches_the_loop_em_oracle(self, name, max_iters, monkeypatch):
+        monkeypatch.setattr(priors, "EM_MAX_ITERS", max_iters)
+        x = ORACLE_DATASETS[name]
+        fitted = em_fit(x, seed=4)
+        expected = loop_em_fit(x, 4, max_iters, priors.EM_TOL)
+        for field, value in zip(("weights", "means", "variances", "rates", "offset", "loglik_path"),
+                                expected):
+            np.testing.assert_allclose(getattr(fitted, field), value, rtol=1e-10, err_msg=field)
 
     def test_variance_floor_applies(self):
-        # the sample variance 9.999e-5 is below the floor 1e-4 * range**2
-        x = np.r_[np.zeros(9999), 1.0]
-        params = em_fit(x, 1, 0, seed=0)
-        assert params.variances[0] == 1e-4
-
-    def test_single_exponential_matches_rate_oracle(self):
-        rng = np.random.default_rng(7)
-        x = rng.exponential(scale=0.5, size=5000)  # rate 2
-        params = em_fit(x, 0, 1, seed=0)
-        shifted_mean = (x + params.offset).mean()
-        assert abs(params.rates[0] - 1.0 / shifted_mean) < 1e-9
-        assert abs(params.rates[0] - 2.0) / 2.0 < 0.05
+        # the cluster's spread 1e-3 is far below the floor 1e-4 * range**2
+        x = ORACLE_DATASETS["floor-binds"]
+        floor = 1e-4 * (x.max() - x.min()) ** 2
+        assert em_fit(x, seed=4).variances.tolist() == [floor, floor]
 
     def test_blend_recovery(self):
         rng = np.random.default_rng(42)
-        n = 5000
-        gauss = rng.normal(5.0, 1.0, n // 2)
-        expo = rng.exponential(1.0, n // 2)
-        x = np.concatenate([gauss, expo])
-        params = em_fit(x, 1, 1, seed=0)
-        assert abs(params.weights[0] - 0.5) < 0.05
-        assert abs(params.weights[1] - 0.5) < 0.05
-        assert abs(params.means[0] - 5.0) < 0.2
-        assert abs(params.rates[0] - 1.0) / 1.0 < 0.10
+        n = 6000
+        x = np.concatenate([rng.normal(6.0, 0.5, n // 3), rng.normal(10.0, 0.5, n // 3),
+                            rng.exponential(1.0, n // 3)])
+        params = em_fit(x, seed=0)
+        np.testing.assert_allclose(params.weights, 1.0 / 3.0, atol=0.02)
+        np.testing.assert_allclose(params.means - params.offset, [6.0, 10.0], atol=0.1)
+        np.testing.assert_allclose(params.variances, 0.25, rtol=0.05)
+        assert abs(params.rates[0] - 1.0) < 0.1
 
     def test_loglik_monotone_over_seeded_datasets(self, monkeypatch):
         monkeypatch.setattr(priors, "EM_MAX_ITERS", 60)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             x = np.concatenate([rng.normal(2, 1, 150), rng.exponential(1.5, 100)])
-            params = em_fit(x, 2, 1, seed=seed)
+            params = em_fit(x, seed=seed)
             path = np.array(params.loglik_path)
             assert path.size >= 1
             assert np.all(np.diff(path) >= -1e-9)
@@ -76,7 +79,7 @@ class TestEmFit:
         x = np.concatenate([rng.normal(0, 1, 120), rng.exponential(2.0, 80)])
         for iters in range(1, 8):
             monkeypatch.setattr(priors, "EM_MAX_ITERS", iters)
-            p = em_fit(x, 2, 1, seed=3)
+            p = em_fit(x, seed=3)
             assert abs(p.weights.sum() - 1.0) < 1e-12
             assert np.all(p.weights >= 0)
             floor = 1e-4 * (x.max() - x.min()) ** 2
@@ -84,12 +87,12 @@ class TestEmFit:
             assert np.all(p.rates > 0)
 
     def test_deterministic_per_seed(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=300)
-        a = em_fit(x, 2, 0, seed=5)
-        b = em_fit(x, 2, 0, seed=5)
-        np.testing.assert_array_equal(a.means, b.means)
-        np.testing.assert_array_equal(a.weights, b.weights)
+        x = np.random.default_rng(1).normal(size=300)
+        a, b, other = em_fit(x, seed=5), em_fit(x, seed=5), em_fit(x, seed=6)
+        for name in ("weights", "means", "variances", "rates"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.loglik_path == b.loglik_path
+        assert a.rates[0] != other.rates[0]  # the seed jitters the start
 
     @pytest.mark.parametrize("max_iters", [1, 20, 500])
     def test_fit_commutes_with_a_positive_affine_map(self, max_iters, monkeypatch):
@@ -97,36 +100,35 @@ class TestEmFit:
         monkeypatch.setattr(priors, "EM_MAX_ITERS", max_iters)
         ages = 18.0 + np.random.default_rng(11).gamma(4.0, 8.0, 400)
         a, b = 0.05, -2.5
-        raw = em_fit(ages, 2, 1, seed=4)
-        fitted = em_fit(a * ages + b, 2, 1, seed=4)
+        raw = em_fit(ages, seed=4)
+        fitted = em_fit(a * ages + b, seed=4)
         moved = affine_transform_prior(raw, a, b)
         for name in ("weights", "means", "variances", "rates", "offset"):
             np.testing.assert_allclose(getattr(fitted, name), getattr(moved, name), rtol=1e-12)
         assert len(fitted.loglik_path) == len(raw.loglik_path)
 
     def test_degenerate_data_errors(self):
-        with pytest.raises(ValueError, match="identical|distinct"):
-            em_fit(np.full(10, 3.0), 1, 0, seed=0)
+        with pytest.raises(ValueError, match="^need at least 3 distinct values to fit 3 components$"):
+            em_fit(np.full(10, 3.0), seed=0)
 
     def test_equals_the_loop_component_reference(self, monkeypatch):
         monkeypatch.setattr(priors, "EM_MAX_ITERS", 200)
         labels = np.random.default_rng(21).gamma(2.0, 1.0, 150) - 1.0
-        fitted = em_fit(labels, 2, 1, seed=3)
+        fitted = em_fit(labels, seed=3)
         monkeypatch.setattr(priors, "_component_log_pdfs",
                             lambda z, means, variances, norms, rates, log_rates:
                             loop_component_log_pdfs(means, variances, rates, z))
-        reference = em_fit(labels, 2, 1, seed=3)
+        reference = em_fit(labels, seed=3)
         assert fitted.loglik_path == reference.loglik_path
         for name in ("weights", "means", "variances", "rates"):
             np.testing.assert_array_equal(getattr(fitted, name), getattr(reference, name))
 
     def test_too_few_distinct_values_errors(self):
         with pytest.raises(ValueError, match="distinct"):
-            em_fit(np.array([0.0, 1.0, 0.0, 1.0]), 2, 1, seed=0)
+            em_fit(np.array([0.0, 1.0, 0.0, 1.0]), seed=0)
 
-    def test_takes_only_the_labels_the_component_counts_and_the_seed(self):
-        assert list(inspect.signature(em_fit).parameters) == [
-            "labels", "n_gaussians", "n_exponentials", "seed"]
+    def test_takes_only_the_labels_and_the_seed(self):
+        assert list(inspect.signature(em_fit).parameters) == ["labels", "seed"]
 
     @pytest.mark.parametrize("cap", [1, 5, 40])
     def test_stops_at_em_max_iters(self, cap, monkeypatch):
@@ -134,24 +136,16 @@ class TestEmFit:
         monkeypatch.setattr(priors, "EM_MAX_ITERS", cap)
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.normal(0, 1, 120), rng.exponential(2.0, 80)])
-        assert len(em_fit(x, 2, 1, seed=3).loglik_path) == cap
+        assert len(em_fit(x, seed=3).loglik_path) == cap
 
     def test_stops_on_the_first_step_that_gains_less_than_em_tol(self, monkeypatch):
         monkeypatch.setattr(priors, "EM_TOL", 1e-3)
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.normal(0, 1, 120), rng.exponential(2.0, 80)])
-        gains = np.diff(em_fit(x, 2, 1, seed=3).loglik_path)
+        gains = np.diff(em_fit(x, seed=3).loglik_path)
         assert 1 <= gains.size < priors.EM_MAX_ITERS - 1
         assert gains[-1] < 1e-3
         assert np.all(gains[:-1] >= 1e-3)
-
-    @pytest.mark.parametrize("counts,message", [
-        ((-1, 1), "component counts must be nonnegative"),
-        ((0, 0), "need at least one mixture component"),
-    ], ids=["negative-count", "no-component"])
-    def test_bad_fit_setting_errors(self, counts, message):
-        with pytest.raises(ValueError, match=message):
-            em_fit(np.linspace(0.0, 1.0, 20), *counts, seed=0)
 
 
 class TestMixtureLogDensity:
@@ -173,7 +167,7 @@ class TestMixtureLogDensity:
     def test_density_normalizes_by_quadrature(self):
         rng = np.random.default_rng(11)
         x = np.concatenate([rng.normal(4, 1, 400), rng.exponential(1.0, 300)])
-        prior = em_fit(x, 1, 1, seed=2)
+        prior = em_fit(x, seed=2)
         grid = np.linspace(-20.0, 60.0, 200001)
         dens = np.exp(prior_log_density(prior, grid))
         assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-3
@@ -185,7 +179,7 @@ class TestMixtureLogDensity:
 
 
 EDGE_MIXTURES = {
-    "fitted": (em_fit(np.random.default_rng(5).gamma(2.0, 1.0, 200) - 1.0, 2, 1, seed=1),
+    "fitted": (em_fit(np.random.default_rng(5).gamma(2.0, 1.0, 200) - 1.0, seed=1),
                np.linspace(-3.0, 6.0, 200)),
     "zero-weight": (MixturePrior([0.6, 0.0, 0.4], [0.2, 1.0], [0.5, 0.1], [2.0], 1.5),
                     np.linspace(-3.0, 3.0, 200)),
@@ -275,6 +269,12 @@ class TestHistogramFit:
         assert prior.probs.tolist() == [1.0]
         assert abs(prior_log_density(prior, 2.0) - 0.0) < 1e-15
 
+    def test_edges_whose_span_overflows_fail(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^edges must span a range that float64 holds$"):
+                HistogramPrior([-1e308, 1e308], [1.0])
+
     def test_weight_rescaling_is_normalized_away(self):
         a = HistogramPrior([0.0, 1.0, 2.0], [0.2, 0.8])
         b = HistogramPrior([0.0, 1.0, 2.0], [1.0, 4.0])
@@ -329,7 +329,7 @@ class TestFitPrior:
     LABELS = np.random.default_rng(5).normal(1.0, 0.5, 150)
 
     def test_a_mixture_is_the_two_gaussian_one_exponential_em_fit(self):
-        fitted, expected = fit_prior(self.LABELS, "mixture", 10, 3), em_fit(self.LABELS, 2, 1, 3)
+        fitted, expected = fit_prior(self.LABELS, "mixture", 10, 3), em_fit(self.LABELS, 3)
         for name in ("weights", "means", "variances", "rates"):
             np.testing.assert_array_equal(getattr(fitted, name), getattr(expected, name))
         assert fitted.offset == expected.offset
@@ -350,11 +350,19 @@ class TestFitPrior:
         with pytest.raises(ValueError, match="^no labels available to fit the prior$"):
             fit_prior(np.empty(0), form, 10, 0)
 
+    @pytest.mark.parametrize("form", ["mixture", "histogram"])
+    def test_labels_whose_range_overflows_fail_naming_it(self, form):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^labels span \[-1e\+308, 1e\+308\], a range "
+                                                 r"that overflows float64$"):
+                fit_prior([-1e308, 1e308, 0.0, 1.0], form, 10, 0)
+
     def test_calls_em_fit_through_the_module(self, monkeypatch):
         calls = []
         monkeypatch.setattr(priors, "em_fit", lambda *args: calls.append(args))
         fit_prior(self.LABELS, "mixture", 10, 4)
-        assert [args[1:] for args in calls] == [(2, 1, 4)]
+        assert [args[1:] for args in calls] == [(4,)]
 
 
 class TestPriorFiles:
@@ -375,7 +383,9 @@ class TestPriorFiles:
         ("{", "Expecting property name"),
         ("[]", "a prior is a JSON object, not a list"),
         ('{"kind": "uniform"}', "unknown prior kind 'uniform'"),
-    ], ids=["not-json", "list", "unknown-kind"])
+        ('{"kind": "histogram", "edges": [-1e308, 1e308], "probs": [1.0]}',
+         "edges must span a range that float64 holds"),
+    ], ids=["not-json", "list", "unknown-kind", "edges-overflow"])
     def test_a_bad_file_fails_naming_it(self, tmp_path, text, message):
         path = tmp_path / "prior.json"
         path.write_text(text)
@@ -390,7 +400,7 @@ class TestAffineTransform:
         priors = [
             fit_histogram_prior(x, 8),
             uniform_prior(float(x.min()), float(x.max())),
-            em_fit(x, 1, 1, seed=1),
+            em_fit(x, seed=1),
         ]
         a, b = 2.5, -1.75
         ys = np.linspace(x.min() + 1e-6, x.max() - 1e-6, 50)
