@@ -34,6 +34,7 @@ import argparse
 import json
 import sys
 
+from .data import read_json
 from .harness import (
     SWEEP_AXES,
     ExperimentConfig,
@@ -93,15 +94,9 @@ def _parse_prior_flag(value: str) -> str | None:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    raw = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:
-                raise ValueError(f"config {args.config}: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ValueError(f"config {args.config} holds a {type(raw).__name__}, not a JSON object")
+    raw = read_json(args.config, "config") if args.config else {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {args.config} holds a {type(raw).__name__}, not a JSON object")
     updates = {field: value for field, value in vars(args).items()
                if field not in ("command", "config") and value is not None}
     if "prior_file" in updates:

@@ -1,15 +1,15 @@
-"""Dataset container, CSV I/O, scaling, label masking, and synthetic generation.
+"""Dataset container, file I/O, scaling, label masking, and synthetic generation.
 
 A dataset bundles a feature matrix, a label vector, and a per-row labeled
 mask.  Labels are only meaningful where the mask is set; unlabeled slots hold
 NaN after loading (an empty CSV cell is the only file encoding of a missing
 label).  Every randomized operation here is a pure function of its inputs and
-a seed, so splits and masks are reproducible byte for byte.  The CSV writer
-holds one row of Python objects at a time.  The reader parses a fully
-labeled file's body in numpy's C reader; a masked file, or one that reader
-refuses, is read row by row in Python, which defines the format and names
-the bad cell.  The frozen value types that hold arrays compare and hash by
-identity (``eq=False``): field-by-field ``==`` is ambiguous on arrays.
+a seed, so splits and masks are reproducible byte for byte.  Every file the
+package reads or writes is opened here: CSVs by :func:`load_csv`, JSON by
+:func:`read_json`, and every write by :func:`write_file`.  The CSV writer
+holds one row of Python objects at a time.  The frozen value types that
+hold arrays compare and hash by identity (``eq=False``): field-by-field
+``==`` is ambiguous on arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "ScalerParams",
     "GeneratorSpec",
     "load_csv",
+    "read_json",
     "write_csv",
     "write_file",
     "write_json",
@@ -238,6 +239,15 @@ def _load_csv_rows(path) -> Dataset:
                    np.frombuffer(mask, dtype=bool))
 
 
+def read_json(path, what: str):
+    """The JSON value in the UTF-8 file ``path``; invalid JSON fails as ``f"{what} {path}: ..."``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{what} {path}: {exc}") from None
+
+
 def write_csv(ds: Dataset, path) -> None:
     """Write a dataset in the same CSV format that :func:`load_csv` reads.
 
@@ -260,8 +270,7 @@ def write_csv(ds: Dataset, path) -> None:
 
 
 def write_file(path, fill) -> None:
-    """Write ``path`` so that it is never seen half-written: the package's only
-    way to write a file.
+    """Write ``path`` so that it is never seen half-written.
 
     The parent directory is created if missing.  ``fill(fh)`` writes a text
     file (UTF-8, ``newline=""``) beside ``path``, which then replaces ``path``

@@ -196,20 +196,20 @@ def joint_log_scores(predictions, grid: BinGrid, prior, c: float, kernel: list |
 def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float, kernel: list | None = None) -> np.ndarray:
     """Index of the highest-scoring bin per sample (see :func:`joint_log_scores`,
     which fills ``kernel``); ``grid.midpoints`` at these indices are the
-    pseudo-labels.  A row whose every bin scores -inf, because the prior puts
-    no mass on any of them, is a ``ValueError``."""
+    pseudo-labels.  A non-finite prediction, or a row whose every bin scores
+    -inf because the prior puts no mass on any of them, is a ``ValueError``."""
     scores = joint_log_scores(predictions, grid, prior, c, kernel)
     f = np.asarray(predictions, dtype=np.float64)
     chosen = scores.argmax(axis=1)
     best = scores[np.arange(f.size), chosen]
     at_best = scores == best[:, None]
     # each row matches its own winner unless that is NaN, so a count above n means a tie
-    if np.count_nonzero(at_best) > f.size or np.isnan(best).any():
-        # a row of all -inf ties on every bin, so it is found only here
-        if np.isneginf(best).any():
+    if np.count_nonzero(at_best) > f.size or not np.isfinite(best).all():
+        # the prior term is the same on every row: only a batch that all scores -inf is its fault
+        if np.isneginf(best).all():
             raise ValueError("the label prior puts no mass on any candidate bin")
-        # a NaN row matches nothing and takes bin 0
-        chosen = at_best.argmax(axis=1)
+        if not np.isfinite(best).all():
+            raise ValueError("predictions and their squared distances to the bin grid must be finite")
         tied = np.flatnonzero(at_best.sum(axis=1) > 1)
         # ties on the score fall back to the nearest midpoint; argmin then breaks
         # remaining distance ties toward the lowest bin index

@@ -10,21 +10,20 @@ the batch from the activations its forward pass kept at the same parameters,
 rows first.  A checkpoint holds the parameters and the scaler they were
 trained under, since a model is only usable with its scaler; it serializes
 to JSON with full float precision, so a save/load round trip is bitwise
-exact.  The file keeps per-layer lists of finite numbers, whose shapes are
-checked against the spec at load: a flat list could not tell layers
-[2, 3, 1] from [4, 2, 1], which both have 13 parameters.  It also keeps
-``"activation": "tanh"``, so format version 1 is unchanged; a checkpoint
-naming any other activation is rejected at load.
+exact.  The file, read by :func:`craft.data.read_json`, keeps per-layer lists
+of finite numbers, whose shapes are checked against the spec at load: a flat
+list could not tell layers [2, 3, 1] from [4, 2, 1], which both have 13
+parameters.  It also keeps ``"activation": "tanh"``, so format version 1 is
+unchanged; any other activation, like any other fault, fails naming the file.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScalerParams, _check_finite, _check_integer, write_json
+from .data import ScalerParams, _check_finite, _check_integer, read_json, write_json
 
 __all__ = [
     "MlpSpec",
@@ -214,28 +213,21 @@ def save_checkpoint(path, params: RegressorParams, scaler: ScalerParams) -> None
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"checkpoint {path}: {exc}") from None
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
+    payload = read_json(path, "checkpoint")
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path} holds a {type(payload).__name__}, not a JSON object")
     try:
+        if payload.get("version") != _CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported version {payload.get('version')!r}")
         for key, kind in (("spec", dict), ("weights", list), ("biases", list)):
             if not isinstance(payload[key], kind):
-                raise ValueError(f"checkpoint {path}: {key} must be a {kind.__name__}")
-        activation = payload["spec"].get("activation")
-        layers, weights, biases = payload["spec"]["layers"], payload["weights"], payload["biases"]
-    except KeyError as exc:
-        raise ValueError(f"checkpoint {path} has no key {exc.args[0]!r}") from None
-    if activation != "tanh":
-        raise ValueError(f"unsupported checkpoint activation {activation!r}; only tanh is supported")
-    scaler = payload.get("scaler")
-    if not scaler:
-        raise ValueError(f"checkpoint {path} carries no scaler; retrain the source model")
-    try:
+                raise ValueError(f"{key} must be a {kind.__name__}")
+        weights, biases, scaler = payload["weights"], payload["biases"], payload.get("scaler")
+        layers, activation = payload["spec"]["layers"], payload["spec"].get("activation")
+        if activation != "tanh":
+            raise ValueError(f"unsupported activation {activation!r}; only tanh is supported")
+        if not scaler:
+            raise ValueError("carries no scaler; retrain the source model")
         for i, (w, b) in enumerate(zip(weights, biases)):
             _check_finite(f"layer {i} weights", w)
             _check_finite(f"layer {i} biases", b)
@@ -243,5 +235,7 @@ def load_checkpoint(path) -> Checkpoint:
             _check_finite(f"scaler {key}", value)
         return Checkpoint(RegressorParams.from_blocks(MlpSpec(tuple(layers)), weights, biases),
                           ScalerParams(**scaler))
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path} has no key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None

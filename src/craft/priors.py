@@ -21,13 +21,12 @@ the same constants on each iteration with the same expressions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_finite, _frozen_array, write_json
+from .data import _check_finite, _frozen_array, read_json, write_json
 
 __all__ = [
     "HistogramPrior",
@@ -133,7 +132,9 @@ def _logsumexp_rows(a):
 
 
 def _label_span(x):
-    """``(min, max)`` of the labels ``x``; labels whose range overflows float64 fail."""
+    """``(min, max)`` of the labels ``x``, which must be finite and span a range float64 holds."""
+    if not np.isfinite(x).all():
+        raise ValueError("labels contain non-finite values")
     lo, hi = float(x.min()), float(x.max())
     if not math.isfinite(hi - lo):
         raise ValueError(f"labels span [{lo!r}, {hi!r}], a range that overflows float64")
@@ -159,13 +160,13 @@ def em_fit(labels, seed: int) -> MixturePrior:
     x = np.asarray(labels, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("labels must be a nonempty vector")
-    if not np.isfinite(x).all():
-        raise ValueError("labels contain non-finite values")
+    lo, hi = _label_span(x)
     if np.unique(x).size < k1 + k2:
         raise ValueError(f"need at least {k1 + k2} distinct values to fit {k1 + k2} components")
-    lo, hi = _label_span(x)
     data_range = hi - lo
-    min_var = 1e-4 * data_range**2
+    min_var = 1e-4 * (data_range * data_range)  # as data_range**2, which raises past float64
+    if not (np.finfo(np.float64).tiny <= min_var and math.isfinite(x.size * data_range * data_range)):
+        raise ValueError(f"labels span [{lo!r}, {hi!r}], a range too wide or too narrow for EM in float64")
     offset = 1e-6 * data_range - lo
     z = x + offset
     n = z.size
@@ -273,10 +274,10 @@ def fit_histogram_prior(labels, n_bins: int) -> HistogramPrior:
     x = np.asarray(labels, dtype=np.float64)
     if x.size == 0:
         raise ValueError("labels must be nonempty")
-    if not np.isfinite(x).all():
-        raise ValueError("labels contain non-finite values")
     lo, hi = _label_span(x)
     if lo == hi:
+        if not lo - 0.5 < lo + 0.5:
+            raise ValueError(f"labels are all {lo!r}, too large for a unit-width bin around them")
         return HistogramPrior(np.array([lo - 0.5, lo + 0.5]), np.array([1.0]))
     edges = np.linspace(lo, hi, n_bins + 1)
     counts, _ = np.histogram(x, bins=edges)
@@ -365,12 +366,12 @@ def fit_prior(labels, form: str, n_bins: int, seed: int):
 
 
 def load_prior(path):
-    """The prior a :func:`save_prior` file holds; a bad file fails naming ``path``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return prior_from_dict(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"prior file {path}: {exc}") from None
+    """The prior in a :func:`save_prior` file, read by :func:`craft.data.read_json`; errors name ``path``."""
+    d = read_json(path, "prior file")
+    try:
+        return prior_from_dict(d)
+    except ValueError as exc:
+        raise ValueError(f"prior file {path}: {exc}") from None
 
 
 def save_prior(path, prior) -> None:

@@ -26,8 +26,10 @@ from craft.data import (
     write_json,
     _load_csv_rows,
 )
+from craft.cli import build_parser, config_from_args
 from craft.harness import default_scenario
-from craft.priors import HistogramPrior, MixturePrior
+from craft.network import load_checkpoint
+from craft.priors import HistogramPrior, MixturePrior, load_prior
 
 
 def make_dataset(n=10, d=3, seed=0, labeled=None):
@@ -494,6 +496,19 @@ class TestWriteJson:
             write_json(path, {"a": 1, "b": object()})
         assert path.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize("what,read", [
+    ("checkpoint", load_checkpoint),
+    ("prior file", load_prior),
+    ("config", lambda path: config_from_args(build_parser().parse_args(["synth", "--config", path]))),
+])
+def test_a_malformed_json_file_fails_naming_it_through_every_reader(tmp_path, what, read):
+    path = tmp_path / "bad.json"
+    path.write_text('{"version": 1,')
+    message = f"{what} {path}: Expecting property name enclosed in double quotes: line 1 column 15"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        read(str(path))
 
 
 class TestWriteFile:

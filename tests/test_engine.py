@@ -230,11 +230,18 @@ class TestSelectPseudoLabels:
                 ours = grid.midpoints[select_pseudo_labels(preds, grid, MIXTURE, c=0.5)]
                 np.testing.assert_array_equal(ours, brute_force_select(preds, grid, MIXTURE, 0.5))
 
-    def test_nan_scores_select_the_first_bin(self):
-        # a NaN prediction makes every score of its batch NaN, and a NaN matches no bin
+    @pytest.mark.parametrize("preds", [[np.nan, 0.3], [np.inf, 0.3], [-np.inf], [np.inf, np.inf],
+                                       [1e200, 0.3]],
+                             ids=["nan", "inf", "minus-inf", "all-inf", "distance-overflows"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                                "ignore:overflow:RuntimeWarning")
+    def test_non_finite_scores_fail_naming_the_predictions(self, preds):
+        # a NaN prediction makes every score of its batch NaN, and an infinite one, or one
+        # whose squared distances overflow, scores -inf on every bin: not the prior's fault
         grid = BinGrid(-1.0, 1.0, 5)
-        chosen = select_pseudo_labels(np.array([np.nan, 0.3]), grid, uniform_prior(-1.0, 1.0), 0.5)
-        assert chosen.tolist() == [0, 0]
+        message = "predictions and their squared distances to the bin grid must be finite"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            select_pseudo_labels(np.array(preds), grid, uniform_prior(-1.0, 1.0), 0.5)
 
     def test_returns_bin_indices(self):
         grid = BinGrid(0.0, 4.0, 4)

@@ -262,7 +262,8 @@ class TestCheckpoint:
         assert payload["spec"]["activation"] == "tanh"
         payload["spec"]["activation"] = "relu"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=r"\bactivation\b"):
+        message = f"checkpoint {path}: unsupported activation 'relu'; only tanh is supported"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     def test_version_mismatch_errors(self, tmp_path):
@@ -273,7 +274,15 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'checkpoint {path}: unsupported version 99')}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text,kind", [("[1, 2]", "list"), ("1", "int"), ("null", "NoneType")])
+    def test_a_file_that_is_not_a_json_object_fails_naming_it(self, tmp_path, text, kind):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        message = f"checkpoint {path} holds a {kind}, not a JSON object"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("change,named", [

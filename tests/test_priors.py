@@ -123,6 +123,30 @@ class TestEmFit:
         for name in ("weights", "means", "variances", "rates"):
             np.testing.assert_array_equal(getattr(fitted, name), getattr(reference, name))
 
+    @pytest.mark.parametrize("labels,span", [
+        ([-1e200, 1e200, 0.0, 1.0], "[-1e+200, 1e+200]"),
+        ([0.0, 1e-300, 2e-300], "[0.0, 2e-300]"),
+    ], ids=["floor-overflows", "floor-underflows"])
+    def test_a_range_whose_variance_floor_float64_cannot_hold_fails_naming_it(self, labels, span):
+        # the floor 1e-4 * range**2 overflows past about 1.3e154 and underflows below about
+        # 1.5e-152; either fails before numpy warns, and the histogram form still fits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^labels span {re.escape(span)}, a range too "
+                                                 r"wide or too narrow for EM in float64$"):
+                fit_prior(labels, "mixture", 10, 0)
+            assert fit_prior(labels, "histogram", 10, 0).probs.size == 10
+
+    def test_a_range_whose_summed_squares_overflow_fails(self):
+        # the floor alone fits, but n squared deviations of the range would not
+        r = 1.01 * math.sqrt(np.finfo(np.float64).max / 1000)
+        labels = np.linspace(0.0, r, 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^labels span .* too wide or too narrow for EM"):
+                em_fit(labels, seed=0)
+            assert em_fit(labels[:900], seed=0).variances.size == 2
+
     def test_too_few_distinct_values_errors(self):
         with pytest.raises(ValueError, match="distinct"):
             em_fit(np.array([0.0, 1.0, 0.0, 1.0]), seed=0)
@@ -268,6 +292,12 @@ class TestHistogramFit:
         prior = fit_histogram_prior(np.full(5, 2.0), 4)
         assert prior.probs.tolist() == [1.0]
         assert abs(prior_log_density(prior, 2.0) - 0.0) < 1e-15
+
+    @pytest.mark.parametrize("value", [1e17, -1e17, 1e308])
+    def test_identical_labels_too_large_for_a_unit_bin_fail_naming_them(self, value):
+        with pytest.raises(ValueError, match=rf"^labels are all {re.escape(repr(value))}, too large "
+                                             r"for a unit-width bin around them$"):
+            fit_histogram_prior(np.full(3, value), 4)
 
     def test_edges_whose_span_overflows_fail(self):
         with warnings.catch_warnings():
