@@ -27,7 +27,8 @@ so the self-identification matches are the kernel's rows at the chosen
 bins, bit for bit.  Each stage of a step is one public function, called by
 the training loop itself: ``forward_batch``, :func:`select_pseudo_labels`
 (winning bins and the kernel), :func:`craft_loss_and_grad` (both loss terms
-and the backward pass) and ``adam_step``.
+and the backward pass) and ``adam_step``.  The engine owns the two fits,
+:func:`fit_craft` and :func:`fit_tl`; the naive baseline fits nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "craft_loss_and_grad",
     "fit_craft",
     "fit_tl",
-    "naive_baseline",
 ]
 
 MIN_BINS = 3  # a label-built grid's fewest bins: a margin bin on each side of one inner bin
@@ -389,11 +389,3 @@ def fit_tl(source_params: RegressorParams, target: Dataset, config: CraftConfig,
     """Supervised fine-tuning on the labeled rows only: :func:`fit_craft` at alpha
     zero, whatever alpha ``config`` carries, reported as method "tl"."""
     return _fit(source_params, target, replace(config, alpha=0.0), val, "tl")
-
-
-def naive_baseline(train_labels) -> float:
-    """The mean training label, which the naive baseline predicts for every row."""
-    labels = np.asarray(train_labels, dtype=np.float64)
-    if labels.size < 1:
-        raise ValueError("need at least one labeled row")
-    return float(labels.mean())

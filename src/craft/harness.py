@@ -33,10 +33,10 @@ from .data import (
     write_file,
     write_json,
 )
-from .engine import MIN_BINS, CraftConfig, RunReport, fit_craft, fit_tl, make_bin_grid, naive_baseline
+from .engine import MIN_BINS, CraftConfig, RunReport, fit_craft, fit_tl, make_bin_grid
 from .metrics import evaluate, rmse
 from .network import Checkpoint, MlpSpec, init_params, load_checkpoint, save_checkpoint
-from .priors import EM_TOL, affine_transform_prior, fit_prior, load_prior, prior_log_density, save_prior
+from .priors import MixturePrior, affine_transform_prior, fit_prior, load_prior, prior_log_density, save_prior
 
 __all__ = [
     "ExperimentConfig",
@@ -323,21 +323,21 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
 
     report: RunReport
     if cfg.method == "naive":
-        mean = naive_baseline(work.labels[work.labeled])
+        mean = float(work.labels[work.labeled].mean())
         report = RunReport(method="naive", seed=cfg.seed, alpha=0.0, c=cfg.c, bins=None)
         report.rmse = rmse(np.full(test_raw.n, mean), test_raw.labels)
     else:
         train_scaled = apply_scaler(work, scaler)
         use_val = val_raw is not None and cfg.model_selection == "best_val"
         val_scaled = apply_scaler(val_raw, scaler) if use_val else None
-        grid = model_prior = loglik = None
+        grid = model_prior = fitted = None
         if cfg.method == "craft" and cfg.alpha > 0.0:
             labeled_scaled = train_scaled.labels[train_scaled.labeled]
             spans = labeled_scaled.size and labeled_scaled.max() > labeled_scaled.min()
-            grid = make_bin_grid(cfg.bins, labeled_scaled if spans else (-1.0, 1.0))  # scaler's range
+            grid = make_bin_grid(cfg.bins, labeled_scaled if spans else
+                                 scaler.scale_labels([scaler.label_lo, scaler.label_hi]))
             if prior is None:
-                prior = fit_prior(work.labels[work.labeled], cfg.prior_form, cfg.prior_bins, cfg.seed)
-                loglik = getattr(prior, "loglik_path", None)  # a histogram has none
+                prior = fitted = fit_prior(work.labels[work.labeled], cfg.prior_form, cfg.prior_bins, cfg.seed)
             model_prior = affine_transform_prior(prior, *scaler.label_map())
         config = _craft_config(cfg, grid=grid, prior=model_prior)
         fit = fit_craft if cfg.method == "craft" else fit_tl
@@ -345,8 +345,8 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
         metrics = evaluate(params, test_raw, scaler)
         report.rmse = metrics.rmse
         report.pbcor = metrics.pbcor
-        if loglik:  # an EM fit's path holds at least two steps
-            report.em_iters, report.em_converged = len(loglik), loglik[-1] - loglik[-2] < EM_TOL
+        if isinstance(fitted, MixturePrior):  # a histogram has no EM fit to report
+            report.em_iters, report.em_converged = len(fitted.loglik_path), fitted.converged
     report.label_fraction = cfg.label_fraction
     return report.to_dict()
 

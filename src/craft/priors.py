@@ -4,12 +4,14 @@ Two prior shapes are supported: a histogram density, and a mixture of two
 Gaussians and one exponential fitted by EM; :func:`fit_prior` fits either,
 and a prior file (:func:`save_prior`, :func:`load_prior`) holds either as
 :func:`prior_to_dict` writes it, every number in it finite and real.  A flat
-prior over [lo, hi] is the one-bin histogram file on those edges.  The
-mixture acts on data shifted by a constant offset, part of the fitted
-parameters, that places the exponentials' origin just below the smallest
-label, so a fit does not depend on the label units: fitting ``a * y + b`` for
-any ``a > 0`` gives the fit of ``y`` moved by :func:`affine_transform_prior`.
-The array-holding priors compare and hash by identity, as in :mod:`craft.data`.
+prior over [lo, hi] is the one-bin histogram file on those edges, and EM's
+stop rule is kept here alone: :attr:`MixturePrior.converged` says whether a
+fit stopped on ``EM_TOL``.  The mixture acts on data shifted by a constant
+offset, part of the fitted parameters, that places the exponentials' origin
+just below the smallest label, so a fit does not depend on the label units:
+fitting ``a * y + b`` for any ``a > 0`` gives the fit of ``y`` moved by
+:func:`affine_transform_prior`.  The array-holding priors compare and hash by
+identity, as in :mod:`craft.data`.
 
 A mixture computes its density constants once, when it is built: the log
 weights, each Gaussian's normalizer ``-0.5 * log(2 pi var)`` with numpy's
@@ -90,6 +92,11 @@ class MixturePrior:
         object.__setattr__(self, "_gauss_norms", _gauss_norms(self.variances))
         object.__setattr__(self, "_log_rates", _log_rates(self.rates))
 
+    @property
+    def converged(self) -> bool:
+        """Whether EM stopped on ``EM_TOL``: the last step of ``loglik_path`` gained less."""
+        return len(self.loglik_path) > 1 and self.loglik_path[-1] - self.loglik_path[-2] < EM_TOL
+
 
 def _gauss_norms(variances):
     """Log normalizing constant of each Gaussian component."""
@@ -165,9 +172,11 @@ def em_fit(labels, seed: int) -> MixturePrior:
         raise ValueError(f"need at least {k1 + k2} distinct values to fit {k1 + k2} components")
     data_range = hi - lo
     min_var = 1e-4 * (data_range * data_range)  # as data_range**2, which raises past float64
-    if not (np.finfo(np.float64).tiny <= min_var and math.isfinite(x.size * data_range * data_range)):
-        raise ValueError(f"labels span [{lo!r}, {hi!r}], a range too wide or too narrow for EM in float64")
     offset = 1e-6 * data_range - lo
+    # lo + offset is the smallest shifted label, which must stay above the origin
+    if not (np.finfo(np.float64).tiny <= min_var and math.isfinite(x.size * data_range * data_range)
+            and lo + offset > 0.0):
+        raise ValueError(f"labels span [{lo!r}, {hi!r}], a range too wide or too narrow for EM in float64")
     z = x + offset
     n = z.size
 
@@ -280,6 +289,8 @@ def fit_histogram_prior(labels, n_bins: int) -> HistogramPrior:
             raise ValueError(f"labels are all {lo!r}, too large for a unit-width bin around them")
         return HistogramPrior(np.array([lo - 0.5, lo + 0.5]), np.array([1.0]))
     edges = np.linspace(lo, hi, n_bins + 1)
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError(f"labels span [{lo!r}, {hi!r}], a range float64 cannot cut into {n_bins} bins")
     counts, _ = np.histogram(x, bins=edges)
     return HistogramPrior(edges, counts / x.size)
 

@@ -27,7 +27,6 @@ from craft.engine import (
     fit_tl,
     joint_log_scores,
     make_bin_grid,
-    naive_baseline,
     select_pseudo_labels,
 )
 from craft.harness import default_scenario
@@ -671,25 +670,6 @@ class TestFusedStep:
             fit(params, target, config)
             assert len(steps) == config.epochs * batches
             assert len(calls) == len(steps)
-
-
-class TestNaiveBaseline:
-    def test_constant_labels(self):
-        assert naive_baseline([2.0, 2.0, 2.0]) == 2.0
-
-    def test_hand_rmse(self):
-        value = rmse(np.full(3, naive_baseline([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
-        assert abs(value - math.sqrt(2.0 / 3.0)) < 1e-12
-
-    def test_rmse_equals_test_std_when_means_match(self):
-        rng = np.random.default_rng(10)
-        y = rng.normal(size=100)
-        value = rmse(np.full(100, naive_baseline(y)), y)
-        assert abs(value - y.std()) < 1e-12
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            naive_baseline([])
 
 
 class TestShiftDegradesTransfer:

@@ -12,7 +12,7 @@ import pytest
 from craft import priors
 from craft.cli import build_parser, config_from_args, main
 from craft.data import Dataset, GeneratorSpec, apply_scaler, load_csv, write_csv
-from craft.engine import RunReport, fit_craft
+from craft.engine import RunReport, fit_craft, make_bin_grid
 from craft.harness import (
     ExperimentConfig,
     RUN_REPORT_SCHEMA,
@@ -391,6 +391,16 @@ class TestAdapt:
                 for name in runs] == [(cap, False), (320, True)] + [(None, None)] * 4
         assert paths[0][-1] - paths[0][-2] >= tol > paths[1][-1] - paths[1][-2]
 
+    def test_a_fit_stopping_on_em_tol_at_its_last_allowed_iteration_reports_converged(
+            self, tiny_workspace, tmp_path, monkeypatch):
+        # the converged fit above stops on EM_TOL at its 320th iteration, so a cap of 320
+        # iterations still lets it converge; the capped fit above still has not
+        monkeypatch.setattr(priors, "EM_MAX_ITERS", 320)
+        reports = [adapt_in_memory(*inputs(tiny_workspace),
+                                   adapt_config(tiny_workspace, tmp_path, epochs=1, **change))
+                   for change in ({}, {"label_fraction": 1.0})]
+        assert [(r["em_iters"], r["em_converged"]) for r in reports] == [(320, True), (320, False)]
+
     def test_a_naive_run_scales_no_split(self, tiny_workspace, tmp_path, monkeypatch):
         scaled = []
 
@@ -490,6 +500,7 @@ class TestAdapt:
         # the scaler's label range [-1, 1] with one 0.2-wide bin on each side
         [grid] = grids
         assert (grid.lo, grid.hi, grid.count) == (pytest.approx(-1.2), pytest.approx(1.2), 12)
+        assert grid == make_bin_grid(12, (-1.0, 1.0))
 
     def test_wrong_dimension_checkpoint_errors(self, tiny_workspace, tmp_path):
         spec = default_scenario(seed=2, d=5, n_source=30, n_target_train=30,

@@ -137,6 +137,18 @@ class TestEmFit:
                 fit_prior(labels, "mixture", 10, 0)
             assert fit_prior(labels, "histogram", 10, 0).probs.size == 10
 
+    def test_labels_the_offset_cannot_shift_above_the_origin_fail_naming_the_span(self):
+        # the float spacing at 1e17 is 16, so the offset's 1e-6 * range is rounded away and the
+        # smallest shifted label lands on the exponential's origin; the fit fails before numpy warns
+        labels = [1e17, 1e17 + 16, 1e17 + 32]
+        span = re.escape(f"[{labels[0]!r}, {labels[2]!r}]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^labels span {span}, a range too wide or too "
+                                                 r"narrow for EM in float64$"):
+                fit_prior(labels, "mixture", 10, 0)
+            assert fit_prior(labels, "histogram", 2, 0).probs.size == 2
+
     def test_a_range_whose_summed_squares_overflow_fails(self):
         # the floor alone fits, but n squared deviations of the range would not
         r = 1.01 * math.sqrt(np.finfo(np.float64).max / 1000)
@@ -170,6 +182,23 @@ class TestEmFit:
         assert 1 <= gains.size < priors.EM_MAX_ITERS - 1
         assert gains[-1] < 1e-3
         assert np.all(gains[:-1] >= 1e-3)
+
+    def test_converged_reads_the_last_step_not_the_path_length(self, monkeypatch):
+        # a fit whose tolerance stop falls on its last allowed iteration has converged
+        x = ORACLE_DATASETS["crosses-zero"]
+        free = em_fit(x, seed=3)
+        steps = len(free.loglik_path)
+        assert free.converged and steps < priors.EM_MAX_ITERS
+        monkeypatch.setattr(priors, "EM_MAX_ITERS", steps)
+        at_cap = em_fit(x, seed=3)
+        assert at_cap.loglik_path == free.loglik_path and at_cap.converged
+        monkeypatch.setattr(priors, "EM_MAX_ITERS", steps - 1)
+        capped = em_fit(x, seed=3)
+        assert len(capped.loglik_path) == steps - 1 and not capped.converged
+
+    def test_a_prior_built_without_a_fit_has_not_converged(self):
+        fitted = em_fit(ORACLE_DATASETS["crosses-zero"], seed=3)
+        assert not prior_from_dict(prior_to_dict(fitted)).converged
 
 
 class TestMixtureLogDensity:
@@ -298,6 +327,17 @@ class TestHistogramFit:
         with pytest.raises(ValueError, match=rf"^labels are all {re.escape(repr(value))}, too large "
                                              r"for a unit-width bin around them$"):
             fit_histogram_prior(np.full(3, value), 4)
+
+    def test_distinct_labels_float64_cannot_cut_into_the_bins_fail_naming_the_span(self):
+        # the float spacing at 1e17 is 16: ten bins over a 16-wide span would repeat edges
+        labels = [1e17, 1e17 + 16, 1e17]
+        span = re.escape(f"[{labels[0]!r}, {labels[1]!r}]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^labels span {span}, a range float64 cannot "
+                                                 r"cut into 10 bins$"):
+                fit_prior(labels, "histogram", 10, 0)
+            assert fit_histogram_prior(labels, 1).probs.tolist() == [1.0]
 
     def test_edges_whose_span_overflows_fail(self):
         with warnings.catch_warnings():
