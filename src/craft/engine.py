@@ -27,7 +27,9 @@ so the self-identification matches are the kernel's rows at the chosen
 bins, bit for bit.  Each stage of a step is one public function, called by
 the training loop itself: ``forward_batch``, :func:`select_pseudo_labels`
 (winning bins and the kernel), :func:`craft_loss_and_grad` (both loss terms
-and the backward pass) and ``adam_step``.  The engine owns the two fits,
+and the backward pass, into the fit's one gradient buffer) and ``adam_step``
+(an in-place update of the fit's working parameters and moments), so a step
+builds no parameter-shaped object.  The engine owns the two fits,
 :func:`fit_craft` and :func:`fit_tl`; the naive baseline fits nothing.
 """
 
@@ -235,7 +237,8 @@ def _kernel_terms(f: np.ndarray, bins: np.ndarray, kernel: list, mids: np.ndarra
     return quad, np.log(row_sums), (own - w.sum(axis=0)) / c
 
 
-def craft_loss_and_grad(params: RegressorParams, y_sup, selection, config: CraftConfig, cache: list):
+def craft_loss_and_grad(params: RegressorParams, y_sup, selection, config: CraftConfig, cache: list,
+                        grads: RegressorParams):
     """Combined loss and its exact parameter gradient over one batch, at fixed pseudo-labels.
 
     ``cache`` is the activation list a :func:`forward_batch` call over the
@@ -248,7 +251,9 @@ def craft_loss_and_grad(params: RegressorParams, y_sup, selection, config: Craft
     row may sit in both terms.  It reads its Gaussian matches off the kernel
     rows at ``bins``, bit for bit what an n x n kernel over the targets
     gives: midpoint targets, one ``c`` and one shift.  Both terms' upstream
-    gradients are added per row, and a row in both is backpropagated once.
+    gradients are added per row, and a row in both is backpropagated once,
+    into ``grads``, a gradient in the layout of ``params`` that the caller
+    owns; it is returned beside the loss.
     """
     y_sup = np.asarray(y_sup, dtype=np.float64)
     n, n_sup = len(cache[0]), y_sup.size
@@ -276,7 +281,7 @@ def craft_loss_and_grad(params: RegressorParams, y_sup, selection, config: Craft
     total = supervised + config.alpha * (unsup_quadratic + unsup_contrastive)
     if not math.isfinite(total):
         raise ValueError("non-finite training loss")
-    grads = backward(params, upstream, cache)
+    backward(params, upstream, cache, grads)
     return LossBreakdown(supervised, unsup_quadratic, unsup_contrastive, total), grads
 
 
@@ -317,7 +322,8 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
         if not val.labeled.any():
             raise ValueError("the validation set has no labeled row to select an epoch on")
         val = val.subset(np.flatnonzero(val.labeled))
-    params = source_params.copy()
+    params = source_params.copy()  # the working copy every step updates in place
+    grads = RegressorParams(params.spec, np.empty(params.spec.n_params))  # every step's gradient
     state = AdamState.init(params, learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n_batches = max(1, math.ceil(target.n / config.batch_size))
@@ -346,8 +352,8 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
                 chosen = select_pseudo_labels(preds, config.grid, config.prior, config.c, kernel)
                 selection = (chosen, kernel)
                 hist += np.bincount(chosen, minlength=bins)
-            breakdown, grads = craft_loss_and_grad(params, y[chunk_l], selection, config, cache)
-            params, state = adam_step(params, grads, state)
+            breakdown, _ = craft_loss_and_grad(params, y[chunk_l], selection, config, cache, grads)
+            adam_step(params, grads, state)
             sums[0] += breakdown.supervised
             sums[1] += breakdown.unsup_quadratic
             sums[2] += breakdown.unsup_contrastive
@@ -360,7 +366,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
             val_rmse = rmse(forward_batch(params, val.features), val.labels)
             if val_rmse < best_val_rmse:
                 best_val_rmse = val_rmse
-                best_params = params.copy()
+                best_params = params.copy()  # the working copy moves on in place
     if best_params is not None:
         params = best_params
     report = RunReport(method=method, seed=config.seed, alpha=config.alpha, c=config.c,

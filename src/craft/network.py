@@ -4,9 +4,12 @@ Everything runs in double precision on plain numpy arrays.  The parameters
 live in one contiguous vector, layer by layer, each layer's (fan_in, fan_out)
 weight matrix followed by its bias vector; per-layer ``weights`` and
 ``biases`` are views into it, and a gradient uses the same layout, so an
-optimizer step is a handful of whole-vector operations.  Hidden layers are
-tanh; the output layer is linear and one unit wide.  The backward pass reads
-the batch from the activations its forward pass kept at the same parameters,
+optimizer step is a handful of whole-vector operations.  Training works in
+place: the backward pass writes into a gradient its caller owns, and an Adam
+step updates the parameters and both moment vectors where they live, so a
+training step builds no parameter-shaped object.  Hidden layers are tanh;
+the output layer is linear and one unit wide.  The backward pass reads the
+batch from the activations its forward pass kept at the same parameters,
 rows first.  A checkpoint holds the parameters and the scaler they were
 trained under, since a model is only usable with its scaler; it serializes
 to JSON with full float precision, so a save/load round trip is bitwise
@@ -142,18 +145,23 @@ def forward_batch(params: RegressorParams, X, cache: list | None = None) -> np.n
     return acts[-1][:, 0]
 
 
-def backward(params: RegressorParams, upstream, cache: list) -> RegressorParams:
-    """Exact gradient of sum_i upstream_i * f(x_i) over all parameters.
+def backward(params: RegressorParams, upstream, cache: list,
+             grads: RegressorParams) -> RegressorParams:
+    """Exact gradient of sum_i upstream_i * f(x_i) over all parameters,
+    written into ``grads`` and returned.
 
     ``cache``, required, is the activation list a :func:`forward_batch` call
     at the same parameters filled; its first entry holds the rows x_i.
+    ``grads`` is a gradient in the layout of ``params`` that the caller owns;
+    every entry is overwritten, so it may hold anything on the way in.
     """
     if len(cache) != len(params.weights) + 1:
         raise ValueError("cache does not hold one activation per layer")
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (len(cache[0]),):
         raise ValueError("upstream must be a vector with one entry per cached row")
-    grads = RegressorParams(params.spec, np.empty(params.spec.n_params))
+    if grads.spec != params.spec:
+        raise ValueError("grads must have the layout of params")
     delta = upstream[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(cache[i].T, delta, out=grads.weights[i])
@@ -170,7 +178,8 @@ _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decays and denomina
 
 @dataclass
 class AdamState:
-    """First and second moment vectors in the parameter layout, plus step counter."""
+    """First and second moment vectors in the parameter layout, plus step
+    counter; :func:`adam_step` updates all three in place."""
 
     m: np.ndarray
     v: np.ndarray
@@ -182,17 +191,33 @@ class AdamState:
         return cls(np.zeros_like(params.vector), np.zeros_like(params.vector), 0, learning_rate)
 
 
-def adam_step(params: RegressorParams, grads: RegressorParams, state: AdamState):
-    """One adaptive-moment update; returns fresh (params, state) without mutating inputs."""
+def adam_step(params: RegressorParams, grads: RegressorParams, state: AdamState) -> None:
+    """One adaptive-moment update, in place: ``params.vector``, ``state.m``,
+    ``state.v`` and ``state.t`` take their new values.  A non-finite gradient
+    raises before any of them is written."""
     g = grads.vector
     if not np.isfinite(g).all():
         name = next(name for name, block in grads.blocks() if not np.isfinite(block).all())
         raise ValueError(f"non-finite gradient in {name}")
-    t = state.t + 1
-    m = _BETA1 * state.m + (1.0 - _BETA1) * g
-    v = _BETA2 * state.v + (1.0 - _BETA2) * g**2
-    step = state.learning_rate * (m / (1.0 - _BETA1**t)) / (np.sqrt(v / (1.0 - _BETA2**t)) + _EPSILON)
-    return RegressorParams(params.spec, params.vector - step), AdamState(m, v, t, state.learning_rate)
+    state.t += 1
+    m, v = state.m, state.v
+    # in place, yet rounding exactly as m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g**2
+    # and step = lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps): the same products
+    # and quotients, two of them commuted, into two scratch vectors
+    scratch = np.multiply(g, 1.0 - _BETA1)
+    m *= _BETA1
+    m += scratch
+    np.square(g, out=scratch)
+    scratch *= 1.0 - _BETA2
+    v *= _BETA2
+    v += scratch
+    denom = np.divide(v, 1.0 - _BETA2**state.t)
+    np.sqrt(denom, out=denom)
+    denom += _EPSILON
+    np.divide(m, 1.0 - _BETA1**state.t, out=scratch)
+    scratch *= state.learning_rate
+    scratch /= denom
+    params.vector -= scratch
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,18 @@ def fit_config(**settings):
     return _craft_config(ExperimentConfig(), **settings)
 
 
+def nan_gradient(params):
+    """A gradient buffer in the layout of ``params``, every entry NaN, so an entry
+    a backward pass leaves unwritten shows."""
+    return RegressorParams(params.spec, np.full(params.spec.n_params, np.nan))
+
+
 def gradient(params, x, upstream):
-    """``backward`` over the activations of a fresh forward pass over ``x``."""
+    """``backward`` over the activations of a fresh forward pass over ``x``, into
+    a fresh :func:`nan_gradient` buffer."""
     cache: list = []
     forward_batch(params, x, cache)
-    return backward(params, upstream, cache)
+    return backward(params, upstream, cache, nan_gradient(params))
 
 
 def loss_and_grad(params, x, y_sup, bins, config):
@@ -36,7 +43,7 @@ def loss_and_grad(params, x, y_sup, bins, config):
         grid = config.grid
         joint_log_scores(f[f.size - bins.size:], grid, uniform_prior(grid.lo, grid.hi), config.c, kernel)
         selection = (bins, kernel)
-    return craft_loss_and_grad(params, y_sup, selection, config, cache)
+    return craft_loss_and_grad(params, y_sup, selection, config, cache, nan_gradient(params))
 
 
 def uniform_prior(lo, hi):
@@ -247,7 +254,7 @@ def grad_check(loss_fn, params, h=1e-5):
     return worst
 
 
-def _reference_adam(weights, biases, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+def reference_adam(weights, biases, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     """Block-by-block Adam update on lists of arrays; ``moments`` maps block id to (m, v)."""
     new_blocks = []
     for kind, thetas, gs in (("w", weights, grads.weights), ("b", biases, grads.biases)):
@@ -308,7 +315,7 @@ def reference_fit(source_params, target, config):
                 rows.append(x_u)
             grads = gradient(params, np.vstack(rows), np.concatenate(upstream))
             t += 1
-            weights, biases = _reference_adam(weights, biases, grads, moments, t,
-                                              config.learning_rate)
+            weights, biases = reference_adam(weights, biases, grads, moments, t,
+                                             config.learning_rate)
         trajectory.append(RegressorParams.from_blocks(spec, weights, biases))
     return trajectory

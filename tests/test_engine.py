@@ -281,6 +281,15 @@ class TestCraftLoss:
         for (_, g1), (_, g2) in zip(grads.blocks(), reference.blocks()):
             np.testing.assert_array_equal(g1, g2)
 
+    # the squared residuals overflow in numpy's matmul, which warns before the check raises
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_loss_is_rejected(self):
+        params = init_params(MlpSpec((2, 6, 1)), seed=0)
+        x_l = np.random.default_rng(1).normal(size=(3, 2))
+        with pytest.raises(ValueError, match="^non-finite training loss$"):
+            stacked_loss_and_grad(params, x_l, np.full(3, 1e200), x_l[:0], None,
+                                  self.config(alpha=0.0))
+
     def test_singleton_unsupervised_batch_is_exactly_zero(self):
         params = init_params(MlpSpec((1, 4, 1)), seed=2)
         x_l, y_l = empty_batch()
@@ -490,6 +499,42 @@ class TestFitLoops:
         val = Dataset(X, np.full(40, np.nan), np.zeros(40, dtype=bool))
         with pytest.raises(ValueError, match="validation set has no labeled row"):
             fit_craft(init_params(MlpSpec((3, 8, 1)), seed=1), target, craft_config(target), val=val)
+
+    @pytest.mark.parametrize("missing", ["grid", "prior"])
+    def test_a_positive_alpha_needs_a_grid_and_a_prior(self, missing):
+        target = small_target()
+        config = replace(craft_config(target, alpha=0.1), **{missing: None})
+        with pytest.raises(ValueError, match="^adaptation needs a bin grid and a label prior$"):
+            fit_craft(init_params(MlpSpec((3, 8, 1)), seed=1), target, config)
+
+    @pytest.mark.parametrize("fit", [fit_craft, fit_tl])
+    def test_the_source_params_stay_as_they_were(self, fit):
+        target = small_target()
+        params = init_params(MlpSpec((3, 8, 1)), seed=1)
+        before = params.vector.copy()
+        adapted, _ = fit(params, target, craft_config(target, epochs=2, lr=3e-2))
+        np.testing.assert_array_equal(params.vector, before)
+        assert not np.shares_memory(adapted.vector, params.vector)
+
+    @pytest.mark.parametrize("fit", [fit_craft, fit_tl])
+    def test_the_number_of_parameter_objects_does_not_grow_with_the_steps(self, fit,
+                                                                          monkeypatch):
+        built = []
+        real_init = RegressorParams.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RegressorParams, "__init__", counting_init)
+        target = small_target()
+        params = init_params(MlpSpec((3, 8, 1)), seed=1)
+        counts = []
+        for epochs in (1, 3):
+            built.clear()
+            fit(params, target, craft_config(target, epochs=epochs))
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_tl_loss_decreases_on_convex_instance(self):
         rng = np.random.default_rng(8)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import grad_check, gradient
+from oracles import grad_check, gradient, nan_gradient, reference_adam
 
 from craft.data import ScalerParams
 from craft.network import (
@@ -103,11 +103,35 @@ class TestBackward:
         params = init_params(MlpSpec((2, 4, 1)), seed=7)
         X = np.random.default_rng(8).normal(size=(3, 2))
         with pytest.raises(ValueError, match="cache does not hold one activation per layer"):
-            backward(params, np.ones(3), [])
+            backward(params, np.ones(3), [], nan_gradient(params))
         cache: list = []
         forward_batch(params, X[:2], cache)
         with pytest.raises(ValueError, match="one entry per cached row"):
-            backward(params, np.ones(3), cache)
+            backward(params, np.ones(3), cache, nan_gradient(params))
+
+    def test_rejects_a_gradient_buffer_of_another_layout(self):
+        params = init_params(MlpSpec((2, 4, 1)), seed=7)
+        cache: list = []
+        forward_batch(params, np.ones((3, 2)), cache)
+        other = nan_gradient(init_params(MlpSpec((4, 2, 1)), seed=7))  # also 13 parameters
+        with pytest.raises(ValueError, match="^grads must have the layout of params$"):
+            backward(params, np.ones(3), cache, other)
+
+    def test_writes_into_and_returns_the_buffer_it_was_given(self):
+        params = init_params(MlpSpec((3, 5, 1)), seed=8)
+        X = np.random.default_rng(9).normal(size=(4, 3))
+        upstream = np.random.default_rng(10).normal(size=4)
+        cache: list = []
+        forward_batch(params, X, cache)
+        buffer = nan_gradient(params)
+        storage = buffer.vector
+        assert backward(params, upstream, cache, buffer) is buffer
+        assert buffer.vector is storage
+        np.testing.assert_array_equal(buffer.vector, gradient(params, X, upstream).vector)
+        # a second pass overwrites every entry, whatever the buffer held
+        buffer.vector[:] = 7.0
+        backward(params, upstream, cache, buffer)
+        np.testing.assert_array_equal(buffer.vector, gradient(params, X, upstream).vector)
 
 
 def ones_gradient(params):
@@ -118,22 +142,27 @@ def zero_gradient(params):
     return RegressorParams(params.spec, np.zeros_like(params.vector))
 
 
+def random_gradient(params, rng):
+    return RegressorParams(params.spec, rng.normal(size=params.spec.n_params))
+
+
 class TestAdam:
     def test_first_step_hand_value(self):
         params = scalar_linear(0.0, 0.0)
         state = AdamState.init(params, learning_rate=0.1)
-        new, _ = adam_step(params, ones_gradient(params), state)
+        assert adam_step(params, ones_gradient(params), state) is None
         expected_delta = -0.1 * (1.0 / (1.0 + 1e-8))
-        assert abs(new.weights[0][0, 0] - expected_delta) < 1e-15
+        assert abs(params.weights[0][0, 0] - expected_delta) < 1e-15
+        assert state.t == 1
 
     def test_zero_gradient_leaves_params_unchanged(self):
         params = init_params(MlpSpec((2, 3, 1)), seed=0)
+        before = params.vector.copy()
         state = AdamState.init(params, learning_rate=0.1)
-        current = params
         for _ in range(5):
-            current, state = adam_step(current, zero_gradient(current), state)
-        for w0, w1 in zip(params.weights, current.weights):
-            np.testing.assert_array_equal(w0, w1)
+            adam_step(params, zero_gradient(params), state)
+        np.testing.assert_array_equal(params.vector, before)
+        assert state.t == 5
 
     def test_two_steps_match_scalar_oracle(self):
         # independent unrolling of the update recurrences on plain floats
@@ -147,26 +176,54 @@ class TestAdam:
         params = scalar_linear(0.7, 0.0)
         state = AdamState.init(params, learning_rate=lr)
         for _ in range(2):
-            params, state = adam_step(params, ones_gradient(params), state)
+            adam_step(params, ones_gradient(params), state)
         assert abs(params.weights[0][0, 0] - theta) < 1e-15
+
+    def test_random_gradient_steps_match_the_block_recurrence_bit_for_bit(self):
+        params = init_params(MlpSpec((3, 5, 4, 1)), seed=2)
+        weights = [w.copy() for w in params.weights]
+        biases = [b.copy() for b in params.biases]
+        moments = {}
+        state = AdamState.init(params, learning_rate=0.03)
+        rng = np.random.default_rng(11)
+        for t in range(1, 8):
+            grads = random_gradient(params, rng)
+            grads.vector *= 10.0 ** rng.integers(-6, 3, size=grads.vector.size)
+            adam_step(params, grads, state)
+            weights, biases = reference_adam(weights, biases, grads, moments, t, 0.03)
+            expected = RegressorParams.from_blocks(params.spec, weights, biases)
+            np.testing.assert_array_equal(params.vector, expected.vector)
+        layers = range(len(params.weights))
+        for k, moment in enumerate((state.m, state.v)):
+            expected = RegressorParams.from_blocks(params.spec,
+                                                   [moments[("w", i)][k] for i in layers],
+                                                   [moments[("b", i)][k] for i in layers])
+            np.testing.assert_array_equal(moment, expected.vector)
+        assert state.t == 7
 
     def test_zero_learning_rate_is_identity(self):
         params = init_params(MlpSpec((3, 4, 1)), seed=1)
+        before = params.vector.copy()
         state = AdamState.init(params, learning_rate=0.0)
-        rng = np.random.default_rng(0)
-        grads = RegressorParams.from_blocks(params.spec,
-                                            [rng.normal(size=w.shape) for w in params.weights],
-                                            [rng.normal(size=b.shape) for b in params.biases])
-        new, _ = adam_step(params, grads, state)
-        for w0, w1 in zip(params.weights, new.weights):
-            np.testing.assert_array_equal(w0, w1)
+        adam_step(params, random_gradient(params, np.random.default_rng(0)), state)
+        np.testing.assert_array_equal(params.vector, before)
 
     def test_nonfinite_gradient_names_block(self):
+        # and raises before it writes the parameters, either moment or the step count
         params = init_params(MlpSpec((2, 3, 1)), seed=0)
-        grads = zero_gradient(params)
-        grads.weights[1][0, 0] = np.nan
-        with pytest.raises(ValueError, match="layer 1 weights"):
-            adam_step(params, grads, AdamState.init(params, learning_rate=0.1))
+        state = AdamState.init(params, learning_rate=0.1)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            adam_step(params, random_gradient(params, rng), state)
+        before = params.vector.copy(), state.m.copy(), state.v.copy()
+        for bad in (np.nan, np.inf, -np.inf):
+            grads = random_gradient(params, rng)
+            grads.weights[1][0, 0] = bad
+            with pytest.raises(ValueError, match="^non-finite gradient in layer 1 weights$"):
+                adam_step(params, grads, state)
+            for was, now in zip(before, (params.vector, state.m, state.v)):
+                np.testing.assert_array_equal(now, was)
+            assert state.t == 3
 
 
 class TestGradCheck:
@@ -309,6 +366,25 @@ class TestCheckpoint:
         save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=3), SCALER)
         path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
         with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}\b.*'?{named}\b"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("scaler,message", [
+        ({"feature_mean": [0.0, 1.0, 2.0]},
+         "feature_mean and feature_std must be 1-d and equally long"),
+        ({"feature_std": [1.0, 0.0]}, "feature_std entries must be positive"),
+        ({"feature_std": [-1.0, 2.0]}, "feature_std entries must be positive"),
+        ({"label_lo": 1.0}, "label_lo must lie strictly below label_hi"),
+        ({"label_lo": 2.0}, "label_lo must lie strictly below label_hi"),
+    ], ids=["lengths-differ", "std-zero", "std-negative", "label-range-empty",
+            "label-range-reversed"])
+    def test_a_scaler_that_breaks_a_rule_fails_naming_the_file(self, tmp_path, scaler, message):
+        import json
+        path = tmp_path / "c.json"
+        save_checkpoint(path, init_params(MlpSpec((2, 4, 1)), seed=3), SCALER)
+        payload = json.loads(path.read_text())
+        payload["scaler"] = {**payload["scaler"], **scaler}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: {message}$"):
             load_checkpoint(path)
 
     def test_invalid_json_fails_naming_the_file(self, tmp_path):

@@ -463,6 +463,35 @@ class TestPriorFiles:
             load_prior(path)
 
 
+    MIXTURE = {"kind": "mixture", "weights": [0.5, 0.3, 0.2], "gaussians": [[0.0, 1.0], [2.0, 0.5]],
+               "exponentials": [1.5], "offset": 0.1}
+    HISTOGRAM = {"kind": "histogram", "edges": [0.0, 1.0, 2.0], "probs": [0.25, 0.75]}
+
+    @pytest.mark.parametrize("base,change,message", [
+        ("MIXTURE", {"weights": [0.5, 0.5]}, "weights must have one entry per component"),
+        ("MIXTURE", {"weights": [0.5, 0.3, 0.3]}, "weights must be nonnegative and sum to 1"),
+        ("MIXTURE", {"weights": [1.2, -0.4, 0.2]}, "weights must be nonnegative and sum to 1"),
+        ("MIXTURE", {"gaussians": [[0.0, 1.0], [2.0, 0.0]]}, "Gaussian variances must be positive"),
+        ("MIXTURE", {"gaussians": [[0.0, -1.0], [2.0, 0.5]]},
+         "Gaussian variances must be positive"),
+        ("MIXTURE", {"exponentials": [0.0]}, "exponential rates must be positive"),
+        ("MIXTURE", {"exponentials": [-1.5]}, "exponential rates must be positive"),
+        ("HISTOGRAM", {"probs": [1.0]}, r"need len\(edges\) == len\(probs\) \+ 1"),
+        ("HISTOGRAM", {"edges": [0.0, 1.0, 1.0]}, "edges must be strictly increasing"),
+        ("HISTOGRAM", {"edges": [0.0, 2.0, 1.0]}, "edges must be strictly increasing"),
+        ("HISTOGRAM", {"probs": [-0.25, 1.25]}, "bin weights must be nonnegative"),
+        ("HISTOGRAM", {"probs": [0.0, 0.0]}, "bin weights must not all be zero"),
+    ], ids=["weight-count", "weights-sum", "weight-negative", "variance-zero", "variance-negative",
+            "rate-zero", "rate-negative", "length-mismatch", "edges-repeat", "edges-decrease",
+            "bin-weight-negative", "bin-weights-zero"])
+    def test_a_file_that_breaks_a_prior_rule_fails_naming_it(self, tmp_path, base, change,
+                                                             message):
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps({**getattr(self, base), **change}))
+        with pytest.raises(ValueError, match=f"^prior file {re.escape(str(path))}: {message}$"):
+            load_prior(path)
+
+
 class TestAffineTransform:
     def test_density_jacobian_identity(self):
         rng = np.random.default_rng(13)
