@@ -20,16 +20,19 @@ reduces the method to plain supervised fine-tuning on the labeled rows.
 
 Both steps run at the same parameters, so a training step makes one forward
 pass over its batch, labeled rows first, and keeps the activations:
-selection, both loss terms and the backward pass read them.  It also builds
-one Gaussian kernel, exp(min_l' d_bl' - d_bl) for bin b and prediction l:
-every pseudo-label is a midpoint, and both steps use one c and one shift,
-so the self-identification matches are the kernel's rows at the chosen
-bins, bit for bit.  Each stage of a step is one public function, called by
-the training loop itself: ``forward_batch``, :func:`select_pseudo_labels`
-(winning bins and the kernel), :func:`craft_loss_and_grad` (both loss terms
-and the backward pass, into the fit's one gradient buffer) and ``adam_step``
-(an in-place update of the fit's working parameters and moments), so a step
-builds no parameter-shaped object.  The engine owns the two fits,
+selection, both loss terms and the backward pass read them.  Selection
+covers every row of the batch and builds one Gaussian kernel,
+exp(min_l' d_bl' - d_bl) for bin b and prediction l, which carries the
+grid's midpoints and c with it.  The winning bins and that kernel are the
+whole hand-off to the loss: every pseudo-label is a midpoint, and both steps
+use one c and one shift, so the self-identification matches are the
+kernel's rows at the chosen bins, bit for bit.  Each stage of a step is one
+public function, called by the training loop itself: ``forward_batch``,
+:func:`select_pseudo_labels` (winning bins and the kernel),
+:func:`craft_loss_and_grad` (both loss terms and the backward pass, into the
+fit's one gradient buffer) and ``adam_step`` (an in-place update of the
+fit's working parameters and moments), so a step builds no parameter-shaped
+object.  The engine owns the two fits,
 :func:`fit_craft` and :func:`fit_tl`; the naive baseline fits nothing.
 """
 
@@ -163,7 +166,8 @@ def joint_log_scores(predictions, grid: BinGrid, prior, c: float, kernel: list |
     to midpoint b, plus the midpoint's prior log density.  The Gaussian
     normalizing constant cancels between the match term and the batch total.
     Pass an empty list as ``kernel`` to keep the batch kernel they are normalized
-    by: (B, n) rows exp(min_l' d_bl' - d_bl), their sums and shifts -min_l' d_bl'.
+    by: (B, n) rows exp(min_l' d_bl' - d_bl), their sums and shifts -min_l' d_bl',
+    then the midpoints and ``c`` it was built on.
     """
     f = np.asarray(predictions, dtype=np.float64)
     if f.ndim != 1 or f.size < 1:
@@ -186,7 +190,7 @@ def joint_log_scores(predictions, grid: BinGrid, prior, c: float, kernel: list |
     np.exp(rows, out=rows)
     sums = rows.sum(axis=1)
     if kernel is not None:
-        kernel += [rows, sums, batch_max]
+        kernel += [rows, sums, batch_max, mids, c]
     batch_lse = batch_max + np.log(sums)
     # grouping matters: normalizing the match term first keeps a singleton
     # batch exactly tied across bins, so the distance tie-break can apply
@@ -220,13 +224,13 @@ def select_pseudo_labels(predictions, grid: BinGrid, prior, c: float, kernel: li
     return chosen
 
 
-def _kernel_terms(f: np.ndarray, bins: np.ndarray, kernel: list, mids: np.ndarray, c: float):
+def _kernel_terms(f: np.ndarray, bins: np.ndarray, kernel: list):
     """Per-sample pieces of the self-identification loss, plus its prediction
-    gradient, read off the batch kernel at ``bins``.  Sample i contributes
-    d_ii + log sum_l exp(-d_il), reported as a quadratic excess over the row
-    minimum (nonnegative) plus a crowding term in [0, log n]; both are exactly
-    zero for a singleton batch."""
-    rows, sums, shift = kernel
+    gradient, read off the batch kernel at ``bins``, on the midpoints and c it
+    carries.  Sample i contributes d_ii + log sum_l exp(-d_il), reported as a
+    quadratic excess over the row minimum (nonnegative) plus a crowding term
+    in [0, log n]; both are exactly zero for a singleton batch."""
+    rows, sums, shift, mids, c = kernel
     targets, row_sums = mids[bins], sums[bins]
     own = f - targets
     quad = np.square(own) / (2.0 * c) + shift[bins]
@@ -237,7 +241,7 @@ def _kernel_terms(f: np.ndarray, bins: np.ndarray, kernel: list, mids: np.ndarra
     return quad, np.log(row_sums), (own - w.sum(axis=0)) / c
 
 
-def craft_loss_and_grad(params: RegressorParams, y_sup, selection, config: CraftConfig, cache: list,
+def craft_loss_and_grad(params: RegressorParams, y_sup, selection, alpha: float, cache: list,
                         grads: RegressorParams):
     """Combined loss and its exact parameter gradient over one batch, at fixed pseudo-labels.
 
@@ -245,15 +249,14 @@ def craft_loss_and_grad(params: RegressorParams, y_sup, selection, config: Craft
     batch at ``params`` filled, the rows first; the predictions and the
     backward pass read it, and no forward pass runs here.  The supervised
     rows are the first ``y_sup.size``.  ``selection``, when given, is the
-    ``(bins, kernel)`` :func:`select_pseudo_labels` gave over the last
-    ``bins.size`` rows on ``config.grid`` at ``config.c``; the unsupervised
-    term covers them with the midpoints at ``bins`` as frozen targets, so a
-    row may sit in both terms.  It reads its Gaussian matches off the kernel
-    rows at ``bins``, bit for bit what an n x n kernel over the targets
-    gives: midpoint targets, one ``c`` and one shift.  Both terms' upstream
-    gradients are added per row, and a row in both is backpropagated once,
-    into ``grads``, a gradient in the layout of ``params`` that the caller
-    owns; it is returned beside the loss.
+    ``(bins, kernel)`` :func:`select_pseudo_labels` gave over every row of
+    the batch, and the unsupervised term, weighted by ``alpha``, covers them
+    all with the midpoints at ``bins`` as frozen targets.  It reads its
+    Gaussian matches off the kernel rows at ``bins``, bit for bit what an
+    n x n kernel over the targets gives: midpoint targets, one ``c`` and one
+    shift.  Both terms' upstream gradients are added per row and
+    backpropagated once, into ``grads``, a gradient in the layout of
+    ``params`` that the caller owns; it is returned beside the loss.
     """
     y_sup = np.asarray(y_sup, dtype=np.float64)
     n, n_sup = len(cache[0]), y_sup.size
@@ -261,7 +264,7 @@ def craft_loss_and_grad(params: RegressorParams, y_sup, selection, config: Craft
         raise ValueError("the batch is empty")
     if n_sup > n:
         raise ValueError(f"y_sup has {n_sup} labels for a batch of {n} rows")
-    if selection is not None and selection[0].size > n:
+    if selection is not None and selection[0].size != n:
         raise ValueError(f"the selection has {selection[0].size} targets for a batch of {n} rows")
     f = cache[-1][:, 0]
     upstream = np.zeros(n)
@@ -269,16 +272,14 @@ def craft_loss_and_grad(params: RegressorParams, y_sup, selection, config: Craft
     supervised = float(residual @ residual)
     upstream[:n_sup] = 2.0 * residual
     if selection is not None:
-        bins, kernel = selection
-        start = n - bins.size
-        quad, crowding, d_f = _kernel_terms(f[start:], bins, kernel, config.grid.midpoints, config.c)
+        quad, crowding, d_f = _kernel_terms(f, *selection)
         unsup_quadratic = float(quad.sum())
         unsup_contrastive = float(crowding.sum())
-        upstream[start:] += config.alpha * d_f
+        upstream += alpha * d_f
     else:
         unsup_quadratic = 0.0
         unsup_contrastive = 0.0
-    total = supervised + config.alpha * (unsup_quadratic + unsup_contrastive)
+    total = supervised + alpha * (unsup_quadratic + unsup_contrastive)
     if not math.isfinite(total):
         raise ValueError("non-finite training loss")
     backward(params, upstream, cache, grads)
@@ -352,7 +353,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
                 chosen = select_pseudo_labels(preds, config.grid, config.prior, config.c, kernel)
                 selection = (chosen, kernel)
                 hist += np.bincount(chosen, minlength=bins)
-            breakdown, _ = craft_loss_and_grad(params, y[chunk_l], selection, config, cache, grads)
+            breakdown, _ = craft_loss_and_grad(params, y[chunk_l], selection, config.alpha, cache, grads)
             adam_step(params, grads, state)
             sums[0] += breakdown.supervised
             sums[1] += breakdown.unsup_quadratic

@@ -33,17 +33,17 @@ def gradient(params, x, upstream):
 
 def loss_and_grad(params, x, y_sup, bins, config):
     """``craft_loss_and_grad`` over the activations of a fresh forward pass over ``x``;
-    the last ``len(bins)`` rows take the midpoints of ``config.grid`` at ``bins``
-    as targets, with the batch kernel built over their predictions."""
+    given ``bins``, one per row, every row takes the midpoint of ``config.grid`` at
+    its bin as target, with the batch kernel built over all the predictions."""
     cache: list = []
     f = forward_batch(params, x, cache)
     selection = None
     if bins is not None:
         bins, kernel = np.asarray(bins), []
         grid = config.grid
-        joint_log_scores(f[f.size - bins.size:], grid, uniform_prior(grid.lo, grid.hi), config.c, kernel)
+        joint_log_scores(f, grid, uniform_prior(grid.lo, grid.hi), config.c, kernel)
         selection = (bins, kernel)
-    return craft_loss_and_grad(params, y_sup, selection, config, cache, nan_gradient(params))
+    return craft_loss_and_grad(params, y_sup, selection, config.alpha, cache, nan_gradient(params))
 
 
 def uniform_prior(lo, hi):
@@ -78,12 +78,12 @@ def batch_joint_log_density(params, x, targets, prior, c):
     return total, gradient(params, x, d_f)
 
 
-def stacked_loss_and_grad(params, x_labeled, y_labeled, x_unsup, unsup_bins, config):
+def stacked_loss_and_grad(params, x_labeled, y_labeled, x_unsup, bins, config):
     """:func:`loss_and_grad` over the labeled rows stacked above the unsupervised
-    rows; the unsupervised rows and their target bins join only at positive alpha."""
-    if config.alpha > 0.0 and len(x_unsup):
-        return loss_and_grad(params, np.vstack([x_labeled, x_unsup]), y_labeled,
-                             unsup_bins, config)
+    rows, as a fit stacks its batch: the unsupervised rows, and ``bins`` for every
+    row of the stacked batch, join only at positive alpha."""
+    if config.alpha > 0.0:
+        return loss_and_grad(params, np.vstack([x_labeled, x_unsup]), y_labeled, bins, config)
     return loss_and_grad(params, x_labeled, y_labeled, None, config)
 
 

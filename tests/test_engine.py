@@ -321,12 +321,13 @@ class TestCraftLoss:
             n_l, n_u = int(rng.integers(0, 6)), int(rng.integers(1, 9))
             x_l, y_l = rng.normal(size=(n_l, 3)), rng.normal(size=n_l)
             x_u = rng.normal(size=(n_u, 3))
-            bins = rng.integers(0, grid.count, size=n_u)
+            n = n_l + n_u
+            bins = rng.integers(0, grid.count, size=n)
             alpha = float(rng.uniform(0.01, 1.5))
             bd, _ = stacked_loss_and_grad(params, x_l, y_l, x_u, bins, self.config(alpha=alpha, grid=grid))
             assert bd.supervised >= 0.0
             assert bd.unsup_quadratic >= 0.0
-            assert 0.0 <= bd.unsup_contrastive <= n_u * math.log(n_u) + 1e-12
+            assert 0.0 <= bd.unsup_contrastive <= n * math.log(n) + 1e-12
             assert bd.total == bd.supervised + alpha * (bd.unsup_quadratic + bd.unsup_contrastive)
 
     def test_gradient_matches_finite_differences(self):
@@ -336,7 +337,7 @@ class TestCraftLoss:
         x_u = rng.normal(size=(7, 2))
         grid = BinGrid(-1.5, 1.5, 30)
         prior = uniform_prior(-1.5, 1.5)
-        bins = select_pseudo_labels(forward_batch(params, x_u), grid, prior, 0.5)
+        bins = select_pseudo_labels(forward_batch(params, np.vstack([x_l, x_u])), grid, prior, 0.5)
         config = self.config(alpha=0.1, grid=grid)
 
         def loss_fn(p):
@@ -370,6 +371,13 @@ class TestCraftLoss:
         with pytest.raises(ValueError, match=name):
             loss_and_grad(identity_net(), x, y_sup, bins, self.config())
 
+    @pytest.mark.parametrize("n_targets", [1, 3])
+    def test_a_selection_must_cover_the_batch(self, n_targets):
+        x = np.array([[0.1], [0.2]])
+        message = f"^the selection has {n_targets} targets for a batch of 2 rows$"
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(identity_net(), x, np.zeros(1), np.zeros(n_targets, dtype=int), self.config())
+
     def test_unsupervised_gradient_is_map_gradient(self):
         rng = np.random.default_rng(7)
         grid = BinGrid(-2.0, 2.0, 25)
@@ -396,7 +404,7 @@ class TestKernelTerms:
         kernel: list = []
         chosen = select_pseudo_labels(preds, grid, SCORE_PRIORS["mixture"], c, kernel)
         bins = chosen if bins is None else bins
-        ours = _kernel_terms(preds, bins, kernel, grid.midpoints, c)
+        ours = _kernel_terms(preds, bins, kernel)
         reference = reference_unsup_terms(preds, grid.midpoints[bins], c)
         for name, a, b in zip(("quad", "crowding", "d_f"), ours, reference):
             assert np.array_equal(a, b), name
