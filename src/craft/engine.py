@@ -271,14 +271,11 @@ def craft_loss_and_grad(params: RegressorParams, y_sup, selection, alpha: float,
     residual = f[:n_sup] - y_sup
     supervised = float(residual @ residual)
     upstream[:n_sup] = 2.0 * residual
+    unsup_quadratic = unsup_contrastive = 0.0
     if selection is not None:
         quad, crowding, d_f = _kernel_terms(f, *selection)
-        unsup_quadratic = float(quad.sum())
-        unsup_contrastive = float(crowding.sum())
+        unsup_quadratic, unsup_contrastive = float(quad.sum()), float(crowding.sum())
         upstream += alpha * d_f
-    else:
-        unsup_quadratic = 0.0
-        unsup_contrastive = 0.0
     total = supervised + alpha * (unsup_quadratic + unsup_contrastive)
     if not math.isfinite(total):
         raise ValueError("non-finite training loss")

@@ -37,6 +37,7 @@ from .engine import MIN_BINS, CraftConfig, RunReport, fit_craft, fit_tl, make_bi
 from .metrics import evaluate, rmse
 from .network import Checkpoint, MlpSpec, init_params, load_checkpoint, save_checkpoint
 from .priors import MixturePrior, affine_transform_prior, fit_prior, load_prior, prior_log_density, save_prior
+from .priors import _check_prior_form
 
 __all__ = [
     "ExperimentConfig",
@@ -166,8 +167,7 @@ class ExperimentConfig:
         for method in [self.method, *(self.methods or [])]:
             if method not in ("craft", "tl", "naive"):
                 raise ValueError(f"unknown method {method!r}")
-        if self.prior_form not in ("mixture", "histogram"):
-            raise ValueError(f"unknown prior_form {self.prior_form!r}")
+        _check_prior_form(self.prior_form)
         for fraction in [self.label_fraction, *(self.label_fractions or [])]:
             if not 0.0 < _check_number("label_fraction", fraction) <= 1.0:
                 raise ValueError("label_fraction must lie in (0, 1]")

@@ -165,7 +165,7 @@ def backward(params: RegressorParams, upstream, cache: list,
     delta = upstream[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(cache[i].T, delta, out=grads.weights[i])
-        delta.sum(axis=0, out=grads.biases[i])
+        np.add.reduce(delta, axis=0, out=grads.biases[i])
         if i > 0:
             slope = np.square(cache[i])
             delta = delta @ params.weights[i].T

@@ -1,12 +1,14 @@
 """Label-marginal priors: every prior is fitted, read and written here.
 
 Two prior shapes are supported: a histogram density, and a mixture of two
-Gaussians and one exponential fitted by EM; :func:`fit_prior` fits either,
-and a prior file (:func:`save_prior`, :func:`load_prior`) holds either as
+Gaussians and one exponential fitted by EM; :func:`fit_prior` fits either
+(``_PRIOR_FORMS``, the forms a config may name), and a prior file
+(:func:`save_prior`, :func:`load_prior`) holds either as
 :func:`prior_to_dict` writes it, every number in it finite and real.  A flat
 prior over [lo, hi] is the one-bin histogram file on those edges, and EM's
-stop rule is kept here alone: :attr:`MixturePrior.converged` says whether a
-fit stopped on ``EM_TOL``.  The mixture acts on data shifted by a constant
+stop rule is kept here alone, as one predicate: :func:`em_fit` stops on it,
+and :attr:`MixturePrior.converged` says whether a fit stopped on
+``EM_TOL``.  The mixture acts on data shifted by a constant
 offset, part of the fitted parameters, that places the exponentials' origin
 just below the smallest label, so a fit does not depend on the label units:
 fitting ``a * y + b`` for any ``a > 0`` gives the fit of ``y`` moved by
@@ -49,6 +51,17 @@ __all__ = [
 EM_TOL = 1e-6  # the tolerance em_fit stops on: a step that gains less log-likelihood ends it
 EM_MAX_ITERS = 500  # the most iterations em_fit runs
 _MIXTURE_SHAPE = (2, 1)  # the Gaussians and exponentials of a mixture fit_prior fits
+_PRIOR_FORMS = ("mixture", "histogram")  # the shapes fit_prior fits
+
+
+def _check_prior_form(form) -> None:
+    if form not in _PRIOR_FORMS:
+        raise ValueError(f"unknown prior_form {form!r}")
+
+
+def _em_stopped(path) -> bool:
+    """EM's stop rule: the last step of the log-likelihood ``path`` gained less than ``EM_TOL``."""
+    return len(path) > 1 and path[-1] - path[-2] < EM_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +108,7 @@ class MixturePrior:
     @property
     def converged(self) -> bool:
         """Whether EM stopped on ``EM_TOL``: the last step of ``loglik_path`` gained less."""
-        return len(self.loglik_path) > 1 and self.loglik_path[-1] - self.loglik_path[-2] < EM_TOL
+        return _em_stopped(self.loglik_path)
 
 
 def _gauss_norms(variances):
@@ -187,7 +200,6 @@ def em_fit(labels, seed: int) -> MixturePrior:
     weights = np.full(k1 + k2, 1.0 / (k1 + k2))
 
     path = []
-    prev = None
     for iteration in range(EM_MAX_ITERS):
         weighted = _component_log_pdfs(z, means, variances, _gauss_norms(variances), rates,
                                        _log_rates(rates))
@@ -198,9 +210,8 @@ def em_fit(labels, seed: int) -> MixturePrior:
         if not np.isfinite(ll):
             raise ValueError(f"EM log-likelihood became non-finite at iteration {iteration}")
         path.append(ll)
-        if prev is not None and ll - prev < EM_TOL:
+        if _em_stopped(path):
             break
-        prev = ll
         resp = np.exp(weighted - per_point[None, :])
         mass = resp.sum(axis=1)
         weights = mass / n
@@ -367,8 +378,7 @@ def prior_from_dict(d: dict):
 
 def fit_prior(labels, form: str, n_bins: int, seed: int):
     """The ``form`` prior of ``labels``, in their units: an EM mixture or an ``n_bins`` histogram."""
-    if form not in ("mixture", "histogram"):
-        raise ValueError(f"unknown prior_form {form!r}")
+    _check_prior_form(form)
     if np.size(labels) == 0:
         raise ValueError("no labels available to fit the prior")
     if form == "histogram":
