@@ -547,3 +547,31 @@ def test_array_holding_values_compare_and_hash_by_identity(make):
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b, a}) == 2
+
+
+def _csv(directory, text):
+    path = directory / "rows.csv"
+    path.write_text(text)
+    return path
+
+
+ROWS = np.arange(4.0)[:, None]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda tmp: Dataset(np.ones(3), np.ones(3), np.ones(3, dtype=bool)),
+     "^features must be a non-empty 2-d matrix$"),
+    (lambda tmp: Dataset(ROWS, np.ones(3), np.ones(4, dtype=bool)),
+     "^labels and labeled must be vectors matching the row count$"),
+    (lambda tmp: load_csv(_csv(tmp, "")), r"rows\.csv: empty file$"),
+    (lambda tmp: fit_scaler(Dataset(ROWS, np.zeros(4), np.zeros(4, dtype=bool))),
+     "^cannot fit a label scaler without labeled rows$"),
+    (lambda tmp: stratified_label_mask(Dataset(ROWS, np.arange(4.0), np.ones(4, dtype=bool)), 0.5, 0, 0),
+     "^n_strata must be at least 1$"),
+    (lambda tmp: inject_marginal_bias(Dataset(ROWS, np.arange(4.0), np.arange(4) < 3), 0.5, 0),
+     "^inject_marginal_bias expects a fully labeled dataset$"),
+], ids=["vector-features", "short-labels", "empty-csv", "no-labeled-row", "zero-strata",
+        "partly-labeled-bias"])
+def test_each_input_check_fails_with_its_message(call, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

@@ -746,3 +746,16 @@ class TestShiftDegradesTransfer:
         source_rmse = units_rmse(holdout)
         target_rmse = units_rmse(target_test)
         assert target_rmse > source_rmse
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: make_bin_grid(10, []), "^labels must be nonempty and finite$"),
+    (lambda: make_bin_grid(10, [0.0, np.nan]), "^labels must be nonempty and finite$"),
+    (lambda: make_bin_grid(10, [1.0, 1.0]),
+     "^label range is zero; build a BinGrid over an explicit range instead$"),
+    (lambda: joint_log_scores(np.zeros((2, 2)), UNIT_GRID, uniform_prior(-1.5, 1.5), 0.5),
+     "^predictions must be a nonempty vector$"),
+], ids=["no-labels", "nan-label", "zero-range", "matrix-predictions"])
+def test_each_input_check_fails_with_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -26,6 +26,7 @@ from craft.harness import (
     run_sweep,
     run_synth,
     run_train_source,
+    train_source_in_memory,
 )
 from craft.metrics import rmse
 from craft.network import backward, load_checkpoint
@@ -1047,3 +1048,22 @@ class TestCli:
             for action in parser._actions:
                 if action.dest not in ("help", "config"):
                     assert action.dest in fields, (command, action.option_strings)
+
+
+SOURCE = Dataset(np.arange(4.0)[:, None], np.arange(4.0), np.ones(4, dtype=bool))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: train_source_in_memory(Dataset(SOURCE.features, SOURCE.labels, np.arange(4) < 3),
+                                    ExperimentConfig()),
+     "^source training expects a fully labeled dataset$"),
+    (lambda: train_source_in_memory(SOURCE.subset(np.arange(2)), ExperimentConfig(val_fraction=0.9)),
+     "^val_fraction leaves no training rows$"),
+    (lambda: run_adapt(ExperimentConfig(source_checkpoint="source_checkpoint.json")),
+     "^adapt needs target_train and target_test paths$"),
+    (lambda: run_fit_prior(ExperimentConfig()), "^fit-prior needs a labels CSV via target_train$"),
+    (lambda: run_evaluate(ExperimentConfig()), "^evaluate needs source_checkpoint and target_test$"),
+], ids=["partly-labeled-source", "no-training-row", "adapt-paths", "fit-prior-path", "evaluate-paths"])
+def test_each_input_check_fails_with_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -152,3 +152,12 @@ class TestEvaluate:
         params = init_params(MlpSpec((1, 1)), 0)
         with pytest.raises(ValueError, match="fully labeled"):
             evaluate(params, test, scaler)
+
+
+@pytest.mark.parametrize("x,y", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0]),
+    ([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]]),
+], ids=["unequal-lengths", "matrices"])
+def test_each_input_check_fails_with_its_message(x, y):
+    with pytest.raises(ValueError, match="^x and y must be equal-length vectors$"):
+        percentage_bend_correlation(x, y)

@@ -412,3 +412,13 @@ class TestCheckpoint:
         path.write_text('{"version": 1}')
         with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} has no key 'spec'")):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: RegressorParams(MlpSpec((1, 1)), np.zeros(3)),
+     r"^expected a parameter vector of shape \(2,\), got \(3,\)$"),
+    (lambda: RegressorParams.from_blocks(MlpSpec((1, 1)), [], []), "^layer count does not match its spec$"),
+], ids=["vector-length", "layer-count"])
+def test_each_input_check_fails_with_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -514,3 +514,21 @@ class TestAffineTransform:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             affine_transform_prior(uniform_prior(0, 1), -1.0, 0.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: MixturePrior([0.5, 0.5], [0.0, 1.0], [1.0], [], 0.0), ValueError,
+     "^means and variances must pair up$"),
+    (lambda: fit_prior([0.0, np.nan, 1.0, 2.0], "mixture", 10, 0), ValueError,
+     "^labels contain non-finite values$"),
+    (lambda: em_fit(np.zeros((2, 2)), 0), ValueError, "^labels must be a nonempty vector$"),
+    (lambda: fit_histogram_prior([1.0, 2.0], 0), ValueError, "^n_bins must be at least 1$"),
+    (lambda: fit_histogram_prior([], 5), ValueError, "^labels must be nonempty$"),
+    (lambda: prior_log_density(object(), [0.0]), TypeError, "^unknown prior type object$"),
+    (lambda: affine_transform_prior(object(), 1.0, 0.0), TypeError, "^unknown prior type object$"),
+    (lambda: prior_to_dict(object()), TypeError, "^unknown prior type object$"),
+], ids=["unpaired-gaussians", "nan-label", "matrix-labels", "zero-bins", "no-labels",
+        "density-of-unknown", "transform-of-unknown", "dict-of-unknown"])
+def test_each_input_check_fails_with_its_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
