@@ -32,8 +32,8 @@ public function, called by the training loop itself: ``forward_batch``,
 :func:`craft_loss_and_grad` (both loss terms and the backward pass, into the
 fit's one gradient buffer) and ``adam_step`` (an in-place update of the
 fit's working parameters and moments), so a step builds no parameter-shaped
-object.  The engine owns the two fits,
-:func:`fit_craft` and :func:`fit_tl`; the naive baseline fits nothing.
+object.  The engine owns the two fits, :func:`fit_craft` and :func:`fit_tl`;
+the naive baseline fits nothing.
 """
 
 from __future__ import annotations
@@ -334,7 +334,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
     cut_l, cut_u = ([k * (m // n_batches) + min(k, m % n_batches) for k in range(n_batches + 1)]
                     for m in (labeled_idx.size, unlabeled_idx.size))  # where np.array_split cuts
     for _ in range(config.epochs):
-        sums = dict.fromkeys(("supervised", "unsup_quadratic", "unsup_contrastive"), 0.0)
+        sums = [0.0, 0.0, 0.0]
         perm_l, perm_u = rng.permutation(labeled_idx), rng.permutation(unlabeled_idx)
         for lo_l, hi_l, lo_u, hi_u in zip(cut_l, cut_l[1:], cut_u, cut_u[1:]):
             chunk_l, chunk_u = perm_l[lo_l:hi_l], perm_u[lo_u:hi_u]
@@ -352,9 +352,14 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
                 hist += np.bincount(chosen, minlength=bins)
             breakdown, _ = craft_loss_and_grad(params, y[chunk_l], selection, config.alpha, cache, grads)
             adam_step(params, grads, state)
-            for term in sums:
-                sums[term] += getattr(breakdown, term)
-        epoch_rows.append(sums)
+            sums[0] += breakdown.supervised
+            sums[1] += breakdown.unsup_quadratic
+            sums[2] += breakdown.unsup_contrastive
+        epoch_rows.append({
+            "supervised": sums[0],
+            "unsup_quadratic": sums[1],
+            "unsup_contrastive": sums[2],
+        })
         if val is not None:
             val_rmse = rmse(forward_batch(params, val.features), val.labels)
             if val_rmse < best_val_rmse:

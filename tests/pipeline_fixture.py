@@ -92,17 +92,13 @@ def run_pipeline(root) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run the fixture pipeline in a temporary "
-                                     "directory and print its record, or write it as the fixture.")
-    parser.add_argument("--write", action="store_true", help=f"overwrite {FIXTURE.name}")
-    args = parser.parse_args(argv)
+                                     "directory and write its record to tests/fixtures/pipeline.json.")
+    parser.add_argument("--write", action="store_true", required=True,
+                        help="overwrite the committed fixture")
+    parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         record = {"environment": environment(), **run_pipeline(tmp)}
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if args.write:
-        FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-        FIXTURE.write_text(text)
-    else:
-        sys.stdout.write(text)
+    FIXTURE.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
 
