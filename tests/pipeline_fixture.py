@@ -42,16 +42,13 @@ def environment() -> dict:
     return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"]}
 
 
-def _without_paths(report: dict) -> dict:
-    return {key: value for key, value in report.items() if key not in _PATH_KEYS}
-
-
 def _digest(path: Path) -> str:
     data = path.read_bytes()
     if path.suffix == ".json":
         report = json.loads(data)
         if isinstance(report, dict) and any(key in report for key in _PATH_KEYS):
-            data = json.dumps(_without_paths(report), sort_keys=True).encode()
+            kept = {key: value for key, value in report.items() if key not in _PATH_KEYS}
+            data = json.dumps(kept, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
 
 
