@@ -43,10 +43,19 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=np.float64):
-    arr = np.array(values, dtype=dtype)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a fresh array no one else holds, made read-only."""
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_array(values, dtype=np.float64):
+    """``values`` as a read-only ``dtype`` array: one that already is read-only
+    and owns its memory is kept as it is; anything else is copied."""
+    if (type(values) is np.ndarray and values.dtype == dtype and values.flags.owndata
+            and not values.flags.writeable):
+        return values
+    return _frozen(np.array(values, dtype=dtype))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +148,8 @@ class Dataset:
 
     def subset(self, rows) -> "Dataset":
         rows = np.asarray(rows)
-        return Dataset(self.features[rows], self.labels[rows], self.labeled[rows])
+        return Dataset(_frozen(self.features[rows]), _frozen(self.labels[rows]),
+                       _frozen(self.labeled[rows]))
 
 
 def _parse_cell(path, lineno, name, cell):
@@ -311,9 +321,9 @@ def fit_scaler(train: Dataset) -> ScalerParams:
 
 
 def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
-    feats = (ds.features - params.feature_mean) / params.feature_std
-    labels = params.scale_labels(ds.labels)
-    return Dataset(feats, labels, ds.labeled)
+    feats = ds.features - params.feature_mean
+    feats /= params.feature_std
+    return Dataset(_frozen(feats), _frozen(params.scale_labels(ds.labels)), ds.labeled)
 
 
 def _round_half_up(x: float) -> int:
@@ -342,7 +352,7 @@ def stratified_label_mask(ds: Dataset, keep_fraction: float, n_strata: int, seed
         if k > 0:
             chosen = rng.choice(stratum.size, size=k, replace=False)
             keep[stratum[chosen]] = True
-    return replace(ds, labeled=keep)
+    return replace(ds, labeled=_frozen(keep))
 
 
 def inject_marginal_bias(ds: Dataset, keep_fraction_above: float, seed: int) -> Dataset:

@@ -150,12 +150,11 @@ class CraftConfig:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Loss components; total == supervised + alpha * (unsup_quadratic + unsup_contrastive)."""
+    """Loss components; the loss is supervised + alpha * (unsup_quadratic + unsup_contrastive)."""
 
     supervised: float
     unsup_quadratic: float
     unsup_contrastive: float
-    total: float
 
 
 def joint_log_scores(predictions, grid: BinGrid, prior, c: float, kernel: list | None = None) -> np.ndarray:
@@ -256,7 +255,7 @@ def craft_loss_and_grad(params: RegressorParams, y_sup, selection, alpha: float,
     n x n kernel over the targets gives: midpoint targets, one ``c`` and one
     shift.  Both terms' upstream gradients are added per row and
     backpropagated once, into ``grads``, a gradient in the layout of
-    ``params`` that the caller owns; it is returned beside the loss.
+    ``params`` that the caller owns.
     """
     y_sup = np.asarray(y_sup, dtype=np.float64)
     n, n_sup = len(cache[0]), y_sup.size
@@ -280,7 +279,7 @@ def craft_loss_and_grad(params: RegressorParams, y_sup, selection, alpha: float,
     if not math.isfinite(total):
         raise ValueError("non-finite training loss")
     backward(params, upstream, cache, grads)
-    return LossBreakdown(supervised, unsup_quadratic, unsup_contrastive, total), grads
+    return LossBreakdown(supervised, unsup_quadratic, unsup_contrastive)
 
 
 @dataclass
@@ -316,6 +315,12 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
         raise ValueError("supervised fine-tuning needs at least one labeled row")
     if use_unsup and (config.grid is None or config.prior is None):
         raise ValueError("adaptation needs a bin grid and a label prior")
+    # a step sums at most batch_size squared residuals: past this bound on the
+    # targets that sum overflows, and numpy would warn in the step's matmul
+    top = float(np.abs(y[labeled_idx]).max()) if labeled_idx.size else 0.0
+    if not math.isfinite(top * top * config.batch_size):
+        raise ValueError(f"the labeled targets reach {top!r} in model units; "
+                         "their squared residuals overflow float64")
     if val is not None:
         if not val.labeled.any():
             raise ValueError("the validation set has no labeled row to select an epoch on")
@@ -350,7 +355,7 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
                 chosen = select_pseudo_labels(preds, config.grid, config.prior, config.c, kernel)
                 selection = (chosen, kernel)
                 hist += np.bincount(chosen, minlength=bins)
-            breakdown, _ = craft_loss_and_grad(params, y[chunk_l], selection, config.alpha, cache, grads)
+            breakdown = craft_loss_and_grad(params, y[chunk_l], selection, config.alpha, cache, grads)
             adam_step(params, grads, state)
             sums[0] += breakdown.supervised
             sums[1] += breakdown.unsup_quadratic

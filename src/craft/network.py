@@ -145,10 +145,9 @@ def forward_batch(params: RegressorParams, X, cache: list | None = None) -> np.n
     return acts[-1][:, 0]
 
 
-def backward(params: RegressorParams, upstream, cache: list,
-             grads: RegressorParams) -> RegressorParams:
+def backward(params: RegressorParams, upstream, cache: list, grads: RegressorParams) -> None:
     """Exact gradient of sum_i upstream_i * f(x_i) over all parameters,
-    written into ``grads`` and returned.
+    written into ``grads``.
 
     ``cache``, required, is the activation list a :func:`forward_batch` call
     at the same parameters filled; its first entry holds the rows x_i.
@@ -170,7 +169,6 @@ def backward(params: RegressorParams, upstream, cache: list,
             slope = np.square(cache[i])
             delta = delta @ params.weights[i].T
             delta *= np.subtract(1.0, slope, out=slope)
-    return grads
 
 
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard

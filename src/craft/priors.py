@@ -15,12 +15,10 @@ fitting ``a * y + b`` for any ``a > 0`` gives the fit of ``y`` moved by
 :func:`affine_transform_prior`.  The array-holding priors compare and hash by
 identity, as in :mod:`craft.data`.
 
-A mixture computes its density constants once, when it is built: the log
-weights, each Gaussian's normalizer ``-0.5 * log(2 pi var)`` with numpy's
-log, and each exponential's log rate with ``math.log``, whose result can
-differ from numpy's array log in the last bit.  Every density call still
-evaluates all components at every point it is given; the EM fit recomputes
-the same constants on each iteration with the same expressions.
+Each prior builds its density constants once, when it is built: a
+histogram its per-bin log density, a mixture the columns of
+:func:`_mixture_columns`, the one helper that also builds them for each EM
+iteration from that iteration's parameters.
 """
 
 from __future__ import annotations
@@ -100,10 +98,8 @@ class MixturePrior:
             raise ValueError("Gaussian variances must be positive")
         if np.any(self.rates <= 0):
             raise ValueError("exponential rates must be positive")
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_log_weights", np.log(self.weights))
-        object.__setattr__(self, "_gauss_norms", _gauss_norms(self.variances))
-        object.__setattr__(self, "_log_rates", _log_rates(self.rates))
+        object.__setattr__(self, "_columns",
+                           _mixture_columns(self.weights, self.means, self.variances, self.rates))
 
     @property
     def converged(self) -> bool:
@@ -111,31 +107,34 @@ class MixturePrior:
         return _em_stopped(self.loglik_path)
 
 
-def _gauss_norms(variances):
-    """Log normalizing constant of each Gaussian component."""
-    return -0.5 * np.log(2.0 * np.pi * variances)
+def _mixture_columns(weights, means, variances, rates):
+    """A mixture's density constants as (k, 1) columns: log weights, means,
+    doubled variances, Gaussian log normalizers ``-0.5 * log(2 pi var)``,
+    rates, and log rates.  Rates' logs are taken with ``math.log``, the rest
+    with numpy's log, which may round differently in the last bit."""
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(weights)
+    log_rates = np.array([math.log(lam) for lam in rates])
+    return tuple(col[:, None] for col in (log_weights, means, 2.0 * variances,
+                                          -0.5 * np.log(2.0 * np.pi * variances), rates, log_rates))
 
 
-def _log_rates(rates):
-    """Log of each exponential rate, taken with ``math.log``: numpy's array log
-    may round differently in the last bit."""
-    return np.array([math.log(lam) for lam in rates])
-
-
-def _component_log_pdfs(z, means, variances, norms, rates, log_rates):
-    """Per-component log densities at the shifted points ``z``, stacked (k, m);
-    ``norms`` and ``log_rates`` are :func:`_gauss_norms` and :func:`_log_rates`."""
-    out = np.empty((means.size + rates.size, z.size))
-    gauss = out[: means.size]
-    np.subtract(z, means[:, None], out=gauss)
+def _weighted_log_pdfs(columns, z):
+    """Each component's log density plus its log weight at the shifted points
+    ``z``, stacked (k, m), from the :func:`_mixture_columns` ``columns``."""
+    log_weights, means, doubled_variances, gauss_norms, rates, log_rates = columns
+    out = np.empty((log_weights.shape[0], z.size))
+    gauss = out[: means.shape[0]]
+    np.subtract(z, means, out=gauss)
     np.square(gauss, out=gauss)
-    gauss /= (2.0 * variances)[:, None]
-    np.subtract(norms[:, None], gauss, out=gauss)
-    expo = out[means.size:]
-    np.multiply(rates[:, None], z, out=expo)
-    np.subtract(log_rates[:, None], expo, out=expo)
+    gauss /= doubled_variances
+    np.subtract(gauss_norms, gauss, out=gauss)
+    expo = out[means.shape[0]:]
+    np.multiply(rates, z, out=expo)
+    np.subtract(log_rates, expo, out=expo)
     # exponential components carry no mass below the shifted origin
     np.copyto(expo, -np.inf, where=~(z >= 0.0))
+    out += log_weights
     return out
 
 
@@ -201,10 +200,7 @@ def em_fit(labels, seed: int) -> MixturePrior:
 
     path = []
     for iteration in range(EM_MAX_ITERS):
-        weighted = _component_log_pdfs(z, means, variances, _gauss_norms(variances), rates,
-                                       _log_rates(rates))
-        with np.errstate(divide="ignore"):
-            weighted += np.log(weights)[:, None]
+        weighted = _weighted_log_pdfs(_mixture_columns(weights, means, variances, rates), z)
         per_point = _logsumexp_rows(weighted)
         ll = float(per_point.sum())
         if not np.isfinite(ll):
@@ -259,6 +255,8 @@ class HistogramPrior:
         probs.setflags(write=False)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "probs", probs)
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_log_density", np.log(probs / np.diff(edges)))
 
 
 def prior_log_density(prior, y):
@@ -269,16 +267,9 @@ def prior_log_density(prior, y):
         idx = np.searchsorted(prior.edges, yv, side="right") - 1
         idx = np.where(yv == prior.edges[-1], nbins - 1, idx)
         inside = (idx >= 0) & (idx < nbins)
-        safe = np.clip(idx, 0, nbins - 1)
-        widths = np.diff(prior.edges)
-        with np.errstate(divide="ignore"):
-            dens = np.log(prior.probs[safe] / widths[safe])
-        out = np.where(inside, dens, -np.inf)
+        out = np.where(inside, prior._log_density[np.clip(idx, 0, nbins - 1)], -np.inf)
     elif isinstance(prior, MixturePrior):
-        comp = _component_log_pdfs(yv + prior.offset, prior.means, prior.variances,
-                                   prior._gauss_norms, prior.rates, prior._log_rates)
-        comp += prior._log_weights[:, None]
-        out = _logsumexp_rows(comp)
+        out = _logsumexp_rows(_weighted_log_pdfs(prior._columns, yv + prior.offset))
     else:
         raise TypeError(f"unknown prior type {type(prior).__name__}")
     return out

@@ -28,11 +28,14 @@ def gradient(params, x, upstream):
     a fresh :func:`nan_gradient` buffer."""
     cache: list = []
     forward_batch(params, x, cache)
-    return backward(params, upstream, cache, nan_gradient(params))
+    grads = nan_gradient(params)
+    backward(params, upstream, cache, grads)
+    return grads
 
 
 def loss_and_grad(params, x, y_sup, bins, config):
-    """``craft_loss_and_grad`` over the activations of a fresh forward pass over ``x``;
+    """``craft_loss_and_grad`` over the activations of a fresh forward pass over ``x``,
+    returned with the gradient it wrote into a fresh :func:`nan_gradient` buffer;
     given ``bins``, one per row, every row takes the midpoint of ``config.grid`` at
     its bin as target, with the batch kernel built over all the predictions."""
     cache: list = []
@@ -43,7 +46,8 @@ def loss_and_grad(params, x, y_sup, bins, config):
         grid = config.grid
         joint_log_scores(f, grid, uniform_prior(grid.lo, grid.hi), config.c, kernel)
         selection = (bins, kernel)
-    return craft_loss_and_grad(params, y_sup, selection, config.alpha, cache, nan_gradient(params))
+    grads = nan_gradient(params)
+    return craft_loss_and_grad(params, y_sup, selection, config.alpha, cache, grads), grads
 
 
 def uniform_prior(lo, hi):
@@ -148,6 +152,24 @@ def loop_mixture_log_density(prior: MixturePrior, y):
     with np.errstate(divide="ignore"):
         out = safe + np.log(np.exp(a - safe).sum(axis=0))
     return np.where(np.isfinite(m), out, -np.inf)
+
+
+def loop_histogram_log_density(prior: HistogramPrior, y):
+    """Histogram log density at each point of ``y``, bin by bin in plain Python:
+    bin b holds [edges[b], edges[b + 1]), the last bin its right edge too, at
+    density probs[b] / width, logged with numpy's log; minus infinity off the
+    edges, in an empty bin and at NaN."""
+    edges, probs = prior.edges.tolist(), prior.probs.tolist()
+    last = len(probs) - 1
+    out = []
+    for v in np.atleast_1d(np.asarray(y, dtype=np.float64)).tolist():
+        dens = 0.0
+        for b, p in enumerate(probs):
+            if edges[b] <= v < edges[b + 1] or (b == last and v == edges[-1]):
+                dens = p / (edges[b + 1] - edges[b])
+        with np.errstate(divide="ignore"):
+            out.append(np.log(dens))
+    return np.array(out)
 
 
 def loop_em_fit(labels, seed, max_iters, tol):

@@ -58,6 +58,24 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
 
+    def test_a_read_only_array_that_owns_its_memory_is_kept(self):
+        ds = make_dataset()
+        again = Dataset(ds.features, ds.labels, ds.labeled)
+        assert again.features is ds.features and again.labels is ds.labels
+
+    @pytest.mark.parametrize("source", ["writable", "view", "frombuffer"])
+    def test_a_caller_array_others_can_write_is_copied(self, source):
+        base = np.arange(6.0).reshape(3, 2)
+        buffer = bytearray(base.tobytes())
+        features = {"writable": base, "view": base[:, :],
+                    "frombuffer": np.frombuffer(buffer).reshape(3, 2)}[source]
+        if source != "writable":
+            features.setflags(write=False)  # read-only, yet its memory is written through another name
+        ds = Dataset(features, np.zeros(3), np.ones(3, dtype=bool))
+        base[0, 0] = 99.0
+        buffer[:8] = np.float64(99.0).tobytes()
+        assert ds.features[0, 0] == 0.0
+
 
 class TestCsv:
     def test_missing_labeled_column_defaults_to_all_labeled(self, tmp_path):
@@ -289,6 +307,21 @@ class TestCsvMemory:
         assert _traced_peak(load_csv, path) < 3.0 * ds.features.nbytes
 
 
+class TestTransformMemory:
+    """``apply_scaler`` and ``Dataset.subset`` hand the arrays they build to the
+    new dataset uncopied, so each holds one feature matrix at its peak (4000x16)."""
+
+    def test_apply_scaler_peak_stays_within_1_3_times_the_feature_bytes(self):
+        ds = make_dataset(n=4000, d=16)
+        params = fit_scaler(ds)
+        assert _traced_peak(apply_scaler, ds, params) <= 1.3 * ds.features.nbytes
+
+    def test_subset_peak_stays_within_1_3_times_the_feature_bytes(self):
+        ds = make_dataset(n=4000, d=16)
+        rows = np.arange(ds.n)
+        assert _traced_peak(ds.subset, rows) <= 1.3 * ds.features.nbytes
+
+
 class TestScaler:
     def test_label_endpoints_map_to_unit_interval(self):
         ds = Dataset(np.arange(6).reshape(3, 2) + 0.0, np.array([0.0, 5.0, 10.0]), np.ones(3, dtype=bool))
@@ -368,6 +401,8 @@ class TestStratifiedMask:
         masked = stratified_label_mask(ds, 0.5, n_strata=10, seed=3)
         np.testing.assert_array_equal(masked.features, ds.features)
         np.testing.assert_array_equal(masked.labels, ds.labels)
+        assert np.shares_memory(masked.features, ds.features)
+        assert np.shares_memory(masked.labels, ds.labels)
 
     def test_fraction_domain(self):
         ds = make_dataset()

@@ -696,10 +696,9 @@ class TestWholeFileWrites:
 class TestNonFiniteGradient:
     @pytest.fixture(autouse=True)
     def nan_gradients(self, monkeypatch):
-        def nan_backward(*args, **kwargs):
-            grads = backward(*args, **kwargs)
+        def nan_backward(params, upstream, cache, grads):
+            backward(params, upstream, cache, grads)
             grads.vector[:] = np.nan
-            return grads
 
         monkeypatch.setattr("craft.engine.backward", nan_backward)
 

@@ -6,7 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import loop_component_log_pdfs, loop_em_fit, loop_mixture_log_density, uniform_prior
+from oracles import (
+    loop_component_log_pdfs,
+    loop_em_fit,
+    loop_histogram_log_density,
+    loop_mixture_log_density,
+    uniform_prior,
+)
 
 from craft import priors
 from craft.priors import (
@@ -115,9 +121,13 @@ class TestEmFit:
         monkeypatch.setattr(priors, "EM_MAX_ITERS", 200)
         labels = np.random.default_rng(21).gamma(2.0, 1.0, 150) - 1.0
         fitted = em_fit(labels, seed=3)
-        monkeypatch.setattr(priors, "_component_log_pdfs",
-                            lambda z, means, variances, norms, rates, log_rates:
-                            loop_component_log_pdfs(means, variances, rates, z))
+        def loop_weighted_log_pdfs(columns, z):
+            # halving the doubled variances is exact; the loop recomputes every other constant
+            log_weights, means, doubled_variances, _, rates, _ = columns
+            return log_weights + loop_component_log_pdfs(means[:, 0], doubled_variances[:, 0] / 2.0,
+                                                         rates[:, 0], z)
+
+        monkeypatch.setattr(priors, "_weighted_log_pdfs", loop_weighted_log_pdfs)
         reference = em_fit(labels, seed=3)
         assert fitted.loglik_path == reference.loglik_path
         for name in ("weights", "means", "variances", "rates"):
@@ -252,17 +262,35 @@ EDGE_MIXTURES = {
 
 @pytest.mark.parametrize("name", list(EDGE_MIXTURES))
 class TestMixtureKernelsAreExact:
-    def test_component_log_pdfs_equal_the_loop_reference(self, name):
+    def test_weighted_log_pdfs_equal_the_loop_reference(self, name):
         prior, y = EDGE_MIXTURES[name]
         z = y + prior.offset
-        ours = priors._component_log_pdfs(z, prior.means, prior.variances, prior._gauss_norms,
-                                          prior.rates, prior._log_rates)
-        assert np.array_equal(ours, loop_component_log_pdfs(prior.means, prior.variances,
-                                                            prior.rates, z), equal_nan=True)
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(prior.weights)[:, None]
+        reference = log_weights + loop_component_log_pdfs(prior.means, prior.variances, prior.rates, z)
+        assert np.array_equal(priors._weighted_log_pdfs(prior._columns, z), reference, equal_nan=True)
 
     def test_log_density_equals_the_loop_reference(self, name):
         prior, y = EDGE_MIXTURES[name]
         assert np.array_equal(prior_log_density(prior, y), loop_mixture_log_density(prior, y))
+
+
+_EMPTY_BIN = HistogramPrior([0.0, 0.5, 1.5, 3.0], [0.3, 0.0, 0.7])
+EDGE_HISTOGRAMS = {
+    "fitted": fit_histogram_prior(np.random.default_rng(8).normal(size=200), 10),
+    "empty-bin": _EMPTY_BIN,
+    "affine": affine_transform_prior(_EMPTY_BIN, 0.3, -2.0),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_HISTOGRAMS))
+def test_histogram_log_density_equals_the_loop_reference(name):
+    prior = EDGE_HISTOGRAMS[name]
+    edges = prior.edges
+    y = np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0,
+                        [edges[0] - 1.0, edges[-1] + 1.0, np.nan]])
+    assert np.array_equal(prior_log_density(prior, y), loop_histogram_log_density(prior, y),
+                          equal_nan=True)
 
 
 class TestPriorLogDensity:
