@@ -740,6 +740,62 @@ class TestFusedStep:
             assert len(calls) == len(steps)
 
 
+class TestBatchSchedule:
+    """The rows of each training step, read off an id feature, against the
+    schedule rebuilt from the seed: each epoch draws a permutation of the
+    labeled rows, then one of the unlabeled rows, and ``np.array_split`` cuts
+    each into ceil(n / batch_size) chunks, zipped in order."""
+
+    N, BATCH = 100, 8  # 13 batches
+
+    def target(self, n_labeled):
+        rng = np.random.default_rng(n_labeled)
+        X = np.column_stack([np.arange(self.N, dtype=np.float64), rng.normal(size=self.N)])
+        labeled = np.zeros(self.N, dtype=bool)
+        labeled[rng.choice(self.N, size=n_labeled, replace=False)] = True
+        return Dataset(X, np.where(labeled, np.tanh(X[:, 1]), np.nan), labeled)
+
+    def expected(self, target, config, with_unlabeled):
+        rng = np.random.default_rng(config.seed)
+        n_batches = math.ceil(target.n / config.batch_size)
+        steps = []
+        for _ in range(config.epochs):
+            perm_l = rng.permutation(np.flatnonzero(target.labeled))
+            perm_u = rng.permutation(np.flatnonzero(~target.labeled))
+            for chunk_l, chunk_u in zip(np.array_split(perm_l, n_batches),
+                                        np.array_split(perm_u, n_batches)):
+                rows = np.concatenate([chunk_l, chunk_u]) if with_unlabeled else chunk_l
+                if rows.size:  # a batch with no row takes no step
+                    steps.append(rows.tolist())
+        return steps
+
+    def recorded(self, monkeypatch, fit, target, config):
+        import craft.engine
+
+        steps = []
+        real_forward = craft.engine.forward_batch
+
+        def recording_forward(params, x, *args):
+            steps.append(x[:, 0].astype(int).tolist())
+            return real_forward(params, x, *args)
+
+        monkeypatch.setattr(craft.engine, "forward_batch", recording_forward)
+        fit(init_params(MlpSpec((2, 4, 1)), seed=3), target, config)  # no val: training calls only
+        return steps
+
+    @pytest.mark.parametrize("n_labeled", [5, 40], ids=["fewer-labeled-than-batches", "more"])
+    @pytest.mark.parametrize("fit", [fit_craft, fit_tl])
+    def test_each_step_takes_the_rows_the_seed_schedules(self, monkeypatch, fit, n_labeled):
+        target = self.target(n_labeled)
+        config = replace(craft_config(target, alpha=0.1, epochs=2, seed=9), batch_size=self.BATCH)
+        steps = self.recorded(monkeypatch, fit, target, config)
+        # craft stacks each batch's labeled chunk before its unlabeled one; tl
+        # reads the labeled chunk alone and skips a batch that holds none
+        assert steps == self.expected(target, config, with_unlabeled=fit is fit_craft)
+        assert len(steps) == (2 * math.ceil(self.N / self.BATCH) if fit is fit_craft
+                              else 2 * min(n_labeled, math.ceil(self.N / self.BATCH)))
+
+
 class TestShiftDegradesTransfer:
     def test_source_model_worse_on_shifted_target(self):
         spec = default_scenario(seed=3, n_source=1200, n_target_train=10,
