@@ -1,9 +1,11 @@
 """The tiny end-to-end pipeline whose outputs ``tests/fixtures/pipeline.json`` pins.
 
-synth -> train-source -> fit-prior -> adapt (craft, tl, naive) -> sweep runs
-in one directory.  The fixture holds the sha256 of every file the pipeline
-writes and each report's ``rmse`` and ``pbcor`` as exact floats, beside the
-numpy and BLAS versions that produced them.  A report file is hashed as its
+synth -> train-source -> fit-prior (histogram) -> adapt (craft, tl, naive) ->
+fit-prior (mixture) -> adapt (craft) -> sweep runs in one directory, so each
+prior form's file is written, read back and adapted on.  The fixture holds
+the sha256 of every file the pipeline writes and each report's ``rmse`` and
+``pbcor`` as exact floats, beside the numpy and BLAS versions that produced
+them.  A report file is hashed as its
 ``json.dumps(sort_keys=True)`` without the keys that echo the run directory.
 A change that moves the numbers on purpose regenerates the fixture:
 
@@ -70,7 +72,8 @@ def run_pipeline(root) -> dict:
     target = dataclasses.replace(
         base, source_checkpoint=source["checkpoint"], target_train=data["target_train"],
         target_val=data["target_val"], target_test=data["target_test"])
-    # adapt's craft run reads a histogram prior file; the sweep's craft cells fit mixtures
+    # adapt's runs read a histogram prior file, one more craft run a mixture prior file;
+    # the sweep's craft cells fit mixtures
     prior = run_fit_prior(dataclasses.replace(target, out_dir=str(root / "prior"),
                                               prior_form="histogram"))
     reports = {"source": _metrics(json.loads(Path(source["report"]).read_text()))}
@@ -78,6 +81,11 @@ def run_pipeline(root) -> dict:
         report = run_adapt(dataclasses.replace(target, out_dir=str(root / "adapt"), method=method,
                                                prior_file=prior["prior"]))
         reports[f"adapt/{method}"] = _metrics(report)
+    mixture = run_fit_prior(dataclasses.replace(target, out_dir=str(root / "prior-mixture"),
+                                                prior_form="mixture"))
+    report = run_adapt(dataclasses.replace(target, out_dir=str(root / "adapt-mixture"), method="craft",
+                                           prior_file=mixture["prior"]))
+    reports["adapt-mixture/craft"] = _metrics(report)
     sweep = run_sweep(dataclasses.replace(target, out_dir=str(root / "sweep"), methods=list(METHODS),
                                           label_fractions=[0.1, 0.3], seeds=[0, 1]))
     for row in sweep["rows"]:
