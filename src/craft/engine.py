@@ -336,13 +336,10 @@ def _fit(source_params: RegressorParams, target: Dataset, config: CraftConfig, v
     best_val_rmse = math.inf
     best_params = None
 
-    cut_l, cut_u = ([k * (m // n_batches) + min(k, m % n_batches) for k in range(n_batches + 1)]
-                    for m in (labeled_idx.size, unlabeled_idx.size))  # where np.array_split cuts
     for _ in range(config.epochs):
         sums = [0.0, 0.0, 0.0]
         perm_l, perm_u = rng.permutation(labeled_idx), rng.permutation(unlabeled_idx)
-        for lo_l, hi_l, lo_u, hi_u in zip(cut_l, cut_l[1:], cut_u, cut_u[1:]):
-            chunk_l, chunk_u = perm_l[lo_l:hi_l], perm_u[lo_u:hi_u]
+        for chunk_l, chunk_u in zip(np.array_split(perm_l, n_batches), np.array_split(perm_u, n_batches)):
             # labeled rows first, so the supervised rows lead the stacked batch
             members = np.concatenate([chunk_l, chunk_u]) if use_unsup else chunk_l
             if members.size == 0:

@@ -109,7 +109,7 @@ class ExperimentConfig:
     entries, which must be real numbers (a bool is not one);
     ``hidden_layers``, a list of integers of at least 1; the path settings,
     each a nonempty string or None (``out_dir`` a string); and the prior's
-    form, strata and bins.  A fit-prior file is adapt's own prior
+    form and strata.  A fit-prior file is adapt's own prior
     at the same ``label_fraction``, ``bias_keep_above`` (which thresholds at
     the label mean), ``n_strata`` and seed.
     """
@@ -142,7 +142,6 @@ class ExperimentConfig:
     # prior
     prior_file: str | None = None  # CRAFT's prior when set, else fitted to the labeled rows
     prior_form: str = "mixture"  # the shape fitted to the labels: mixture | histogram
-    prior_bins: int = 10
     # sweep axes
     seeds: list | None = None
     label_fractions: list | None = None
@@ -190,7 +189,6 @@ class ExperimentConfig:
         for seed in self.seeds or []:
             _check_integer("seeds", seed, minimum=0)
         _check_integer("n_strata", self.n_strata, minimum=1)
-        _check_integer("prior_bins", self.prior_bins, minimum=1)
 
 
 def _craft_config(cfg: ExperimentConfig, **overrides) -> CraftConfig:
@@ -337,7 +335,7 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
             grid = make_bin_grid(cfg.bins, labeled_scaled if spans else
                                  scaler.scale_labels([scaler.label_lo, scaler.label_hi]))
             if prior is None:
-                prior = fitted = fit_prior(work.labels[work.labeled], cfg.prior_form, cfg.prior_bins, cfg.seed)
+                prior = fitted = fit_prior(work.labels[work.labeled], cfg.prior_form, cfg.seed)
             model_prior = affine_transform_prior(prior, *scaler.label_map())
         config = _craft_config(cfg, grid=grid, prior=model_prior)
         fit = fit_craft if cfg.method == "craft" else fit_tl
@@ -511,7 +509,7 @@ def run_fit_prior(cfg: ExperimentConfig) -> dict:
         raise ValueError("fit-prior needs a labels CSV via target_train")
     ds = _label_budget(load_csv(cfg.target_train), cfg, f"target_train {cfg.target_train}")
     labels = ds.labels[ds.labeled]
-    prior = fit_prior(labels, cfg.prior_form, cfg.prior_bins, cfg.seed)
+    prior = fit_prior(labels, cfg.prior_form, cfg.seed)
     out = Path(cfg.out_dir)
     prior_path = out / "prior.json"
     save_prior(prior_path, prior)

@@ -2,16 +2,19 @@
 
 Two prior shapes are supported: a histogram density, and a mixture of two
 Gaussians and one exponential fitted by EM; :func:`fit_prior` fits either
-(``_PRIOR_FORMS``, the forms a config may name), and a prior file
-(:func:`save_prior`, :func:`load_prior`) holds either as
-:func:`prior_to_dict` writes it, every number in it finite and real.  A flat
-prior over [lo, hi] is the one-bin histogram file on those edges, and EM's
-stop rule is kept here alone, as one predicate: :func:`em_fit` stops on it,
-and :attr:`MixturePrior.converged` says whether a fit stopped on
-``EM_TOL``.  The mixture acts on data shifted by a constant
-offset, part of the fitted parameters, that places the exponentials' origin
-just below the smallest label, so a fit does not depend on the label units:
-fitting ``a * y + b`` for any ``a > 0`` gives the fit of ``y`` moved by
+(``_PRIOR_FORMS``, the forms a config may name) with fixed settings, which
+no config varies: a mixture of shape ``_MIXTURE_SHAPE`` that EM fits to
+``EM_TOL`` within ``EM_MAX_ITERS`` iterations, or a histogram of
+``_HISTOGRAM_BINS`` equal bins.  A prior file (:func:`save_prior`,
+:func:`load_prior`) holds either as :func:`prior_to_dict` writes it, every
+number in it finite and real.  A flat prior over [lo, hi] is the one-bin
+histogram file on those edges, and EM's stop rule is kept here alone, as
+one predicate: :func:`em_fit` stops on it, and
+:attr:`MixturePrior.converged` says whether a fit stopped on ``EM_TOL``.
+The mixture acts on data shifted by a constant offset, part of the fitted
+parameters, that places the exponentials' origin just below the smallest
+label, so a fit does not depend on the label units: fitting ``a * y + b``
+for any ``a > 0`` gives the fit of ``y`` moved by
 :func:`affine_transform_prior`.  The array-holding priors compare and hash by
 identity, as in :mod:`craft.data`.
 
@@ -49,6 +52,7 @@ __all__ = [
 EM_TOL = 1e-6  # the tolerance em_fit stops on: a step that gains less log-likelihood ends it
 EM_MAX_ITERS = 500  # the most iterations em_fit runs
 _MIXTURE_SHAPE = (2, 1)  # the Gaussians and exponentials of a mixture fit_prior fits
+_HISTOGRAM_BINS = 10  # the bins of a histogram fit_prior fits
 _PRIOR_FORMS = ("mixture", "histogram")  # the shapes fit_prior fits
 
 
@@ -367,13 +371,13 @@ def prior_from_dict(d: dict):
     raise ValueError(f"unknown prior kind {kind!r}")
 
 
-def fit_prior(labels, form: str, n_bins: int, seed: int):
-    """The ``form`` prior of ``labels``, in their units: an EM mixture or an ``n_bins`` histogram."""
+def fit_prior(labels, form: str, seed: int):
+    """The ``form`` prior of ``labels``, in their units: an EM mixture or a ``_HISTOGRAM_BINS`` histogram."""
     _check_prior_form(form)
     if np.size(labels) == 0:
         raise ValueError("no labels available to fit the prior")
     if form == "histogram":
-        return fit_histogram_prior(labels, n_bins)
+        return fit_histogram_prior(labels, _HISTOGRAM_BINS)
     return em_fit(labels, seed)
 
 

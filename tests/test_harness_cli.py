@@ -94,7 +94,6 @@ FLAT_PRIOR = prior_from_dict({"kind": "histogram", "edges": [-50.0, 50.0], "prob
     ({"seeds": [0, 1.5]}, "seeds"),
     ({"epochs": True}, "epochs"),
     ({"n_strata": 0}, "n_strata"),
-    ({"prior_bins": 0}, "prior_bins"),
     ({"hidden_layers": [4.5]}, "hidden_layers"),
     ({"hidden_layers": 32}, "hidden_layers"),
     ({"hidden_layers": [32, 0]}, "hidden_layers"),
@@ -146,7 +145,7 @@ FLAT_PRIOR = prior_from_dict({"kind": "histogram", "edges": [-50.0, 50.0], "prob
 ], ids=["alpha", "c", "batch_size", "epochs", "model_selection", "naive-alpha",
         "alphas", "label_fractions", "methods", "learning_rate", "learning_rate-nan", "alpha-nan",
         "c-nan", "epochs-float", "batch_size-float", "bins-float", "bin_counts-float",
-        "seed-float", "seeds-float", "epochs-bool", "n_strata", "prior_bins", "hidden_layers-float",
+        "seed-float", "seeds-float", "epochs-bool", "n_strata", "hidden_layers-float",
         "hidden_layers-number", "hidden_layers-zero", "val_fraction-zero",
         "val_fraction-negative", "val_fraction-one", "bias_keep_above", "seeds-number",
         "alphas-number", "methods-string", "alpha-string", "c-string",
@@ -168,9 +167,10 @@ def test_config_rejects_a_bad_fit_setting_when_built(overrides, field):
 @pytest.mark.parametrize("key,value", [("pseudo_source", "true_labels_for_labeled"),
                                        ("activation", "tanh"), ("prior_source", "file"),
                                        ("bias_threshold_quantile", 0.5), ("prior_gaussians", 2),
-                                       ("prior_exponentials", 1)],
+                                       ("prior_exponentials", 1), ("prior_bins", 10)],
                          ids=["pseudo_source", "activation", "prior_source",
-                              "bias_threshold_quantile", "prior_gaussians", "prior_exponentials"])
+                              "bias_threshold_quantile", "prior_gaussians", "prior_exponentials",
+                              "prior_bins"])
 def test_config_rejects_a_removed_key(key, value):
     with pytest.raises(TypeError, match=rf"\b{key}\b"):
         ExperimentConfig(**{key: value})

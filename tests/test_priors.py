@@ -144,8 +144,8 @@ class TestEmFit:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^labels span {re.escape(span)}, a range too "
                                                  r"wide or too narrow for EM in float64$"):
-                fit_prior(labels, "mixture", 10, 0)
-            assert fit_prior(labels, "histogram", 10, 0).probs.size == 10
+                fit_prior(labels, "mixture", 0)
+            assert fit_prior(labels, "histogram", 0).probs.size == 10
 
     def test_labels_the_offset_cannot_shift_above_the_origin_fail_naming_the_span(self):
         # the float spacing at 1e17 is 16, so the offset's 1e-6 * range is rounded away and the
@@ -156,8 +156,8 @@ class TestEmFit:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^labels span {span}, a range too wide or too "
                                                  r"narrow for EM in float64$"):
-                fit_prior(labels, "mixture", 10, 0)
-            assert fit_prior(labels, "histogram", 2, 0).probs.size == 2
+                fit_prior(labels, "mixture", 0)
+            assert fit_histogram_prior(labels, 2).probs.size == 2
 
     def test_a_range_whose_summed_squares_overflow_fails(self):
         # the floor alone fits, but n squared deviations of the range would not
@@ -364,7 +364,7 @@ class TestHistogramFit:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^labels span {span}, a range float64 cannot "
                                                  r"cut into 10 bins$"):
-                fit_prior(labels, "histogram", 10, 0)
+                fit_prior(labels, "histogram", 0)
             assert fit_histogram_prior(labels, 1).probs.tolist() == [1.0]
 
     def test_edges_whose_span_overflows_fail(self):
@@ -427,26 +427,29 @@ class TestFitPrior:
     LABELS = np.random.default_rng(5).normal(1.0, 0.5, 150)
 
     def test_a_mixture_is_the_two_gaussian_one_exponential_em_fit(self):
-        fitted, expected = fit_prior(self.LABELS, "mixture", 10, 3), em_fit(self.LABELS, 3)
+        fitted, expected = fit_prior(self.LABELS, "mixture", 3), em_fit(self.LABELS, 3)
         for name in ("weights", "means", "variances", "rates"):
             np.testing.assert_array_equal(getattr(fitted, name), getattr(expected, name))
         assert fitted.offset == expected.offset
         assert fitted.loglik_path == expected.loglik_path
 
     def test_a_histogram_is_fit_histogram_prior(self):
-        fitted, expected = fit_prior(self.LABELS, "histogram", 7, 3), fit_histogram_prior(self.LABELS, 7)
+        fitted, expected = fit_prior(self.LABELS, "histogram", 3), fit_histogram_prior(self.LABELS, 10)
         np.testing.assert_array_equal(fitted.edges, expected.edges)
         np.testing.assert_array_equal(fitted.probs, expected.probs)
+
+    def test_takes_only_the_labels_the_form_and_the_seed(self):
+        assert list(inspect.signature(fit_prior).parameters) == ["labels", "form", "seed"]
 
     @pytest.mark.parametrize("form", ["uniform", "flat", None])
     def test_another_form_fails_naming_prior_form(self, form):
         with pytest.raises(ValueError, match=rf"^unknown prior_form {form!r}$"):
-            fit_prior(self.LABELS, form, 10, 0)
+            fit_prior(self.LABELS, form, 0)
 
     @pytest.mark.parametrize("form", ["mixture", "histogram"])
     def test_no_labels_fail(self, form):
         with pytest.raises(ValueError, match="^no labels available to fit the prior$"):
-            fit_prior(np.empty(0), form, 10, 0)
+            fit_prior(np.empty(0), form, 0)
 
     @pytest.mark.parametrize("form", ["mixture", "histogram"])
     def test_labels_whose_range_overflows_fail_naming_it(self, form):
@@ -454,19 +457,19 @@ class TestFitPrior:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^labels span \[-1e\+308, 1e\+308\], a range "
                                                  r"that overflows float64$"):
-                fit_prior([-1e308, 1e308, 0.0, 1.0], form, 10, 0)
+                fit_prior([-1e308, 1e308, 0.0, 1.0], form, 0)
 
     def test_calls_em_fit_through_the_module(self, monkeypatch):
         calls = []
         monkeypatch.setattr(priors, "em_fit", lambda *args: calls.append(args))
-        fit_prior(self.LABELS, "mixture", 10, 4)
+        fit_prior(self.LABELS, "mixture", 4)
         assert [args[1:] for args in calls] == [(4,)]
 
 
 class TestPriorFiles:
     @pytest.mark.parametrize("form", ["mixture", "histogram"])
     def test_save_then_load_round_trips_in_the_indented_dict_format(self, tmp_path, form):
-        prior = fit_prior(TestFitPrior.LABELS, form, 10, 0)
+        prior = fit_prior(TestFitPrior.LABELS, form, 0)
         save_prior(tmp_path / "a.json", prior)
         back = load_prior(tmp_path / "a.json")
         save_prior(tmp_path / "b.json", back)
@@ -547,7 +550,7 @@ class TestAffineTransform:
 @pytest.mark.parametrize("call,error,message", [
     (lambda: MixturePrior([0.5, 0.5], [0.0, 1.0], [1.0], [], 0.0), ValueError,
      "^means and variances must pair up$"),
-    (lambda: fit_prior([0.0, np.nan, 1.0, 2.0], "mixture", 10, 0), ValueError,
+    (lambda: fit_prior([0.0, np.nan, 1.0, 2.0], "mixture", 0), ValueError,
      "^labels contain non-finite values$"),
     (lambda: em_fit(np.zeros((2, 2)), 0), ValueError, "^labels must be a nonempty vector$"),
     (lambda: fit_histogram_prior([1.0, 2.0], 0), ValueError, "^n_bins must be at least 1$"),
