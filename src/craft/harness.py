@@ -267,6 +267,12 @@ def _label_budget(train_raw: Dataset, cfg: ExperimentConfig, where="target_train
     return train_raw
 
 
+def _no_labeled_row(cfg: ExperimentConfig, work: Dataset, where="") -> str:
+    """The words of a budget that leaves ``work`` no labeled row, before the command's reason."""
+    return (f"label_fraction {cfg.label_fraction} with n_strata {cfg.n_strata} leaves "
+            f"no labeled row of {work.n} target_train rows{where}")
+
+
 def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
     """Train a fresh regressor on a fully labeled source set, keeping the
     best-validation checkpoint; returns (params, scaler, report)."""
@@ -315,9 +321,8 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
     scaler = checkpoint.scaler
     work = _label_budget(train_raw, cfg)
     if not (work.labeled.any() or cfg.method == "craft" and cfg.alpha > 0.0 and prior is not None):
-        raise ValueError(f"label_fraction {cfg.label_fraction} with n_strata {cfg.n_strata} leaves "
-                         f"no labeled row of {work.n} target_train rows; only craft at alpha > 0 "
-                         "with a prior file runs without one")
+        raise ValueError(_no_labeled_row(cfg, work) + "; only craft at alpha > 0 with a prior file "
+                         "runs without one")
 
     report: RunReport
     if cfg.method == "naive":
@@ -504,10 +509,14 @@ def run_fit_prior(cfg: ExperimentConfig) -> dict:
     label budget leaves, in their units, and write the serialized prior plus
     a density curve CSV.  Passed back as ``prior_file``, it is the prior an
     adapt run on that CSV fits itself at the same ``label_fraction``,
-    ``bias_keep_above``, ``n_strata`` and seed."""
+    ``bias_keep_above``, ``n_strata`` and seed.  A budget that leaves no
+    labeled row fails, in adapt's words and naming the CSV, before any write."""
     if not cfg.target_train:
         raise ValueError("fit-prior needs a labels CSV via target_train")
     ds = _label_budget(load_csv(cfg.target_train), cfg, f"target_train {cfg.target_train}")
+    if not ds.labeled.any():
+        raise ValueError(_no_labeled_row(cfg, ds, f" in {cfg.target_train}") + "; the prior is fitted "
+                         "to labels")
     labels = ds.labels[ds.labeled]
     prior = fit_prior(labels, cfg.prior_form, cfg.seed)
     out = Path(cfg.out_dir)

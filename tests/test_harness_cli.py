@@ -755,6 +755,24 @@ class TestFitPrior:
                                     "fully labeled: label_fraction 0.3 drops its labels")
         assert not (tmp_path / "out" / "prior.json").exists()
 
+    @pytest.mark.parametrize("prior_form", ["mixture", "histogram"])
+    def test_a_budget_with_no_labeled_row_fails_naming_it_before_any_file(
+            self, tiny_workspace, tmp_path, capsys, prior_form):
+        # 1% of 30-row label strata rounds to no labeled row, as adapt reports it
+        path = tiny_workspace["paths"]["target_train"]
+        message = (f"label_fraction 0.01 with n_strata 10 leaves no labeled row of 300 target_train "
+                   f"rows in {path}; the prior is fitted to labels")
+        with pytest.raises(ValueError) as error:
+            run_fit_prior(ExperimentConfig(target_train=path, out_dir=str(tmp_path / "out"),
+                                           label_fraction=0.01, prior_form=prior_form))
+        assert str(error.value) == message
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"label_fraction": 0.01, "prior_form": prior_form}))
+        assert main(["fit-prior", "--config", str(cfg_path), "--data", path,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not (tmp_path / "out").exists()
+
     def test_failed_write_leaves_no_partial_file(self, tiny_workspace, tmp_path, monkeypatch):
         def failing_dump(obj, fh, **kwargs):
             fh.write('{"kind": ')
