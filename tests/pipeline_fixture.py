@@ -5,8 +5,8 @@ fit-prior (mixture) -> adapt (craft) -> sweep runs in one directory, so each
 prior form's file is written, read back and adapted on.  The fixture holds
 the sha256 of every file the pipeline writes and each report's ``rmse`` and
 ``pbcor`` as exact floats, beside the numpy and BLAS versions that produced
-them.  A report file is hashed as its
-``json.dumps(sort_keys=True)`` without the keys that echo the run directory.
+them.  A report file is hashed as its ``json.dumps(sort_keys=True)`` without
+the keys that echo the run directory.
 A change that moves the numbers on purpose regenerates the fixture:
 
     PYTHONPATH=src python -m tests.pipeline_fixture --write
