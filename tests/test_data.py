@@ -121,7 +121,8 @@ class TestCsv:
         ("f0,y\n0.1,1.0\nnan,2.0\n", 3, "f0"),
         ("f0,y,labeled\n0.1,inf,1\n", 2, "y"),
         ("f0,y\n0.1,1.0\n\n   \r\nnan,2.0\n", 5, "f0"),
-    ], ids=["feature", "label", "after-blank-lines"])
+        ("f0,y\n0.1,1.0\n0.2,nan\n", 3, "y"),
+    ], ids=["feature", "label", "after-blank-lines", "nan-label-without-mask"])
     def test_non_finite_cell_errors_naming_file_line_and_column(self, tmp_path, text, line, column):
         path = tmp_path / "d.csv"
         path.write_text(text)
