@@ -13,12 +13,12 @@ the flag overrides it reads, and rejects any other flag:
 Each flag sets the config field named by its ``dest``, and flags beat the
 file: the two are merged before the config is built and checked, so a flag
 can replace a bad file value, and a bad method, label fraction or fit
-setting fails before any work starts.  ``--prior file:PATH`` sets
-``prior_file``, and ``--prior fit`` clears one the file names, so the prior
-is fitted to the labels of the run's budget.  Priors are in label units: the
-file ``fit-prior`` writes, passed back with ``--prior file:``, is adapt's
-own prior at the same ``label_fraction``, ``bias_keep_above`` (which
-thresholds at the label mean), ``n_strata`` and seed.  A flag for a swept
+setting fails before any work starts.  ``--prior PATH`` sets
+``prior_file``; a config's ``"prior_file": null`` fits the prior to the
+labels of the run's budget.  Priors are in label units: the file
+``fit-prior`` writes, passed back with ``--prior``, is adapt's own prior at
+the same ``label_fraction``, ``bias_keep_above`` (which thresholds at the
+label mean), ``n_strata`` and seed.  A flag for a swept
 field also drops the file's axis for it (``harness.SWEEP_AXES``):
 ``--method`` drops ``methods``, ``--label-fraction`` ``label_fractions``,
 ``--alpha`` ``alphas``, ``--bins`` ``bin_counts`` and ``--seed`` ``seeds``.
@@ -54,7 +54,7 @@ _FLAGS = {
     "--alpha": {"dest": "alpha", "type": float},
     "--bins": {"dest": "bins", "type": int},
     "--label-fraction": {"dest": "label_fraction", "type": float},
-    "--prior": {"dest": "prior_file", "help": "fit | file:PATH (fit drops a prior_file)"},
+    "--prior": {"dest": "prior_file", "help": "label prior file"},
     "--checkpoint": {"dest": "source_checkpoint", "help": "source checkpoint path"},
 }
 _RUN_FLAGS = tuple(_FLAGS)
@@ -84,23 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_prior_flag(value: str) -> str | None:
-    """The ``prior_file`` a ``--prior`` value sets: None for ``fit``."""
-    if value == "fit":
-        return None
-    if value.startswith("file:") and value != "file:":
-        return value[len("file:"):]
-    raise ValueError(f"--prior must be fit or file:PATH (got {value!r})")
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     raw = read_json(args.config, "config") if args.config else {}
     if not isinstance(raw, dict):
         raise ValueError(f"config {args.config} holds a {type(raw).__name__}, not a JSON object")
     updates = {field: value for field, value in vars(args).items()
                if field not in ("command", "config") and value is not None}
-    if "prior_file" in updates:
-        updates["prior_file"] = _parse_prior_flag(updates["prior_file"])
     for field in updates.keys() & SWEEP_AXES.keys():
         raw.pop(SWEEP_AXES[field], None)
     return ExperimentConfig(**{**raw, **updates})

@@ -1,15 +1,14 @@
 """Dataset container, file I/O, scaling, label masking, and synthetic generation.
 
-A dataset bundles a feature matrix, a label vector, and a per-row labeled
-mask.  Labels are only meaningful where the mask is set; unlabeled slots hold
-NaN after loading (an empty CSV cell is the only file encoding of a missing
-label).  Every randomized operation here is a pure function of its inputs and
-a seed, so splits and masks are reproducible byte for byte.  Every file the
-package reads or writes is opened here: CSVs by :func:`load_csv`, JSON by
-:func:`read_json`, and every write by :func:`write_file`.  The CSV writer
-holds one row of Python objects at a time.  The frozen value types that
-hold arrays compare and hash by identity (``eq=False``): field-by-field
-``==`` is ambiguous on arrays.
+A dataset bundles a feature matrix and a label vector in which a NaN label is
+an unlabeled row, whether loaded or masked (an empty CSV cell is the only
+file encoding of a missing label).  Every randomized operation here is a
+pure function of its inputs and a seed, so splits and masks are reproducible
+byte for byte.  Every file the package reads or writes is opened here: CSVs
+by :func:`load_csv`, JSON by :func:`read_json`, and every write by
+:func:`write_file`.  The CSV writer holds one row of Python objects at a
+time.  The frozen value types that hold arrays compare and hash by identity
+(``eq=False``): field-by-field ``==`` is ambiguous on arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numbers
 import os
 import warnings
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,13 +48,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _frozen_array(values, dtype=np.float64):
-    """``values`` as a read-only ``dtype`` array: one that already is read-only
+def _frozen_array(values):
+    """``values`` as a read-only float64 array: one that already is read-only
     and owns its memory is kept as it is; anything else is copied."""
-    if (type(values) is np.ndarray and values.dtype == dtype and values.flags.owndata
+    if (type(values) is np.ndarray and values.dtype == np.float64 and values.flags.owndata
             and not values.flags.writeable):
         return values
-    return _frozen(np.array(values, dtype=dtype))
+    return _frozen(np.array(values, dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,28 +110,32 @@ class ScalerParams:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable feature matrix with a (possibly partial) label vector."""
+    """Immutable feature matrix with a (possibly partial) label vector.
+
+    A NaN label is an unlabeled row and any other label must be finite;
+    ``labeled``, the read-only mask of the rows whose label is not NaN, is
+    worked out from the labels and is not an argument.
+    """
 
     features: np.ndarray
     labels: np.ndarray
-    labeled: np.ndarray
 
     def __post_init__(self):
         feats = _frozen_array(self.features)
         labels = _frozen_array(self.labels)
-        mask = _frozen_array(self.labeled, dtype=bool)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "labeled", mask)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValueError("features must be a non-empty 2-d matrix")
-        n = feats.shape[0]
-        if labels.shape != (n,) or mask.shape != (n,):
-            raise ValueError("labels and labeled must be vectors matching the row count")
+        if labels.shape != (feats.shape[0],):
+            raise ValueError("labels must be a vector matching the row count")
         if not np.isfinite(feats).all():
             raise ValueError("features contain non-finite entries")
-        if not np.isfinite(labels[mask]).all():
-            raise ValueError("every labeled row must carry a finite label")
+        infinite = np.flatnonzero(np.isinf(labels))
+        if infinite.size:
+            raise ValueError(f"row {infinite[0]} has label {float(labels[infinite[0]])!r}: a label is "
+                             "finite, or NaN on an unlabeled row")
+        object.__setattr__(self, "labeled", _frozen(~np.isnan(labels)))
 
     @property
     def n(self) -> int:
@@ -148,8 +151,7 @@ class Dataset:
 
     def subset(self, rows) -> "Dataset":
         rows = np.asarray(rows)
-        return Dataset(_frozen(self.features[rows]), _frozen(self.labels[rows]),
-                       _frozen(self.labeled[rows]))
+        return Dataset(_frozen(self.features[rows]), _frozen(self.labels[rows]))
 
 
 def _parse_cell(path, lineno, name, cell):
@@ -185,7 +187,7 @@ def load_csv(path) -> Dataset:
 
     A file without a ``labeled`` column has its body parsed in numpy's C
     reader (``np.loadtxt``); the table must have one column per header name
-    and make a valid :class:`Dataset`.  A masked file, or one that the C
+    and every label, and make a valid :class:`Dataset`.  A masked file, or one that the C
     reader refuses or that breaks a rule, is read by :func:`_load_csv_rows`,
     which defines the format: its result is the file's dataset, and its error
     names the line and column of the bad cell.  The C reader accepts fewer
@@ -203,9 +205,9 @@ def load_csv(path) -> Dataset:
                     table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
             except (ValueError, Warning):
                 table = None
-    if table is not None and table.shape[1] == len(header):
+    if table is not None and table.shape[1] == len(header) and not np.isnan(table[:, d]).any():
         try:
-            return Dataset(table[:, :d], table[:, d], np.ones(len(table), dtype=bool))
+            return Dataset(table[:, :d], table[:, d])
         except ValueError:
             pass
     return _load_csv_rows(path)
@@ -218,7 +220,7 @@ def _load_csv_rows(path) -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header, d, has_mask = _read_header(path, reader)
-        feats, labels, mask = array("d"), array("d"), bytearray()
+        feats, labels = array("d"), array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(c.strip() == "" for c in row):
                 continue
@@ -242,11 +244,9 @@ def _load_csv_rows(path) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: unlabeled row carries a label in column y")
             feats.extend(_parse_cell(path, lineno, f"f{j}", c) for j, c in enumerate(row[:d]))
             labels.append(y_val)
-            mask.append(is_labeled)
     if not labels:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.frombuffer(feats).reshape(-1, d), np.frombuffer(labels),
-                   np.frombuffer(mask, dtype=bool))
+    return Dataset(np.frombuffer(feats).reshape(-1, d), np.frombuffer(labels))
 
 
 def read_json(path, what: str):
@@ -261,9 +261,8 @@ def read_json(path, what: str):
 def write_csv(ds: Dataset, path) -> None:
     """Write a dataset in the same CSV format that :func:`load_csv` reads.
 
-    Unlabeled rows get an empty ``y`` cell (their in-memory label, if any, is
-    treated as hidden).  The ``labeled`` column is omitted when every row is
-    labeled.
+    Unlabeled rows get an empty ``y`` cell.  The ``labeled`` column is
+    omitted when every row is labeled.
     """
     include_mask = not bool(ds.labeled.all())
 
@@ -323,7 +322,7 @@ def fit_scaler(train: Dataset) -> ScalerParams:
 def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
     feats = ds.features - params.feature_mean
     feats /= params.feature_std
-    return Dataset(_frozen(feats), _frozen(params.scale_labels(ds.labels)), ds.labeled)
+    return Dataset(_frozen(feats), _frozen(params.scale_labels(ds.labels)))
 
 
 def _round_half_up(x: float) -> int:
@@ -331,12 +330,12 @@ def _round_half_up(x: float) -> int:
 
 
 def stratified_label_mask(ds: Dataset, keep_fraction: float, n_strata: int, seed: int) -> Dataset:
-    """Drop labels uniformly within label-quantile strata, keeping values intact.
+    """Drop labels uniformly within label-quantile strata.
 
     Rows are ranked by label and split into ``n_strata`` equal-probability
     strata; within each stratum of size ``n_s`` exactly ``round(keep_fraction
-    * n_s)`` rows stay labeled, chosen uniformly by ``seed``.  Only the mask
-    changes; features and label values pass through untouched.
+    * n_s)`` rows stay labeled, chosen uniformly by ``seed``.  A dropped label
+    becomes NaN; the kept labels and the features pass through untouched.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must lie in (0, 1]")
@@ -352,7 +351,7 @@ def stratified_label_mask(ds: Dataset, keep_fraction: float, n_strata: int, seed
         if k > 0:
             chosen = rng.choice(stratum.size, size=k, replace=False)
             keep[stratum[chosen]] = True
-    return replace(ds, labeled=_frozen(keep))
+    return Dataset(ds.features, _frozen(np.where(keep, ds.labels, np.nan)))
 
 
 def inject_marginal_bias(ds: Dataset, keep_fraction_above: float, seed: int) -> Dataset:
@@ -480,7 +479,7 @@ def generate_synthetic(spec: GeneratorSpec):
         if shifted:
             X = spec.shift_mean + spec.shift_scale * X
         y = ground_truth(X) + rng.normal(0.0, spec.noise_std, n)
-        return Dataset(X, y, np.ones(n, dtype=bool))
+        return Dataset(X, y)
 
     source = draw(spec.n_source, shifted=False)
     target_train = draw(spec.n_target_train, shifted=True)

@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, _check_integer, _check_number
+from .data import Dataset, _check_integer, _check_number, _frozen
 from .metrics import rmse
 from .network import AdamState, RegressorParams, adam_step, backward, forward_batch
 from .priors import prior_log_density
@@ -83,8 +83,7 @@ class BinGrid:
         if self.count < 2:
             raise ValueError("grid needs at least 2 bins")
         mids = self.lo + (np.arange(self.count) + 0.5) * self.width
-        mids.setflags(write=False)
-        object.__setattr__(self, "_midpoints", mids)
+        object.__setattr__(self, "_midpoints", _frozen(mids))
 
     @property
     def width(self) -> float:

@@ -233,9 +233,9 @@ def _check_splits(checkpoint: Checkpoint, cfg: ExperimentConfig, fractions, path
     for name, ds in splits.items():
         if ds is None:
             continue
-        if ds.d != expected:
-            raise ValueError(f"checkpoint expects {expected} features, {name} has {ds.d}")
         where = f"{name} {paths[name]}" if name in paths else name
+        if ds.d != expected:
+            raise ValueError(f"checkpoint expects {expected} features, {where} has {ds.d}")
         if name == "target_val" and cfg.model_selection == "best_val" and not ds.labeled.any():
             raise ValueError(f"{where} has no labeled row to select an epoch on")
         if name == "target_test":
@@ -267,10 +267,21 @@ def _label_budget(train_raw: Dataset, cfg: ExperimentConfig, where="target_train
     return train_raw
 
 
-def _no_labeled_row(cfg: ExperimentConfig, work: Dataset, where="") -> str:
-    """The words of a budget that leaves ``work`` no labeled row, before the command's reason."""
+def _budget_leaves(cfg: ExperimentConfig, work: Dataset, where="") -> str:
+    """The words of the budget that leaves ``work``'s labeled rows, before the command's reason."""
+    kept = work.n_labeled
+    rows = "no labeled row" if kept == 0 else f"{kept} labeled row{'s' if kept > 1 else ''}"
     return (f"label_fraction {cfg.label_fraction} with n_strata {cfg.n_strata} leaves "
-            f"no labeled row of {work.n} target_train rows{where}")
+            f"{rows} of {work.n} target_train rows{where}")
+
+
+def _fit_budget_prior(cfg: ExperimentConfig, work: Dataset, where=""):
+    """``cfg``'s prior form fitted to the labels the budget leaves ``work``; a
+    fit that fails names the budget first."""
+    try:
+        return fit_prior(work.labels[work.labeled], cfg.prior_form, cfg.seed)
+    except ValueError as exc:
+        raise ValueError(f"{_budget_leaves(cfg, work, where)}; {cfg.prior_form} prior: {exc}") from None
 
 
 def train_source_in_memory(source: Dataset, cfg: ExperimentConfig):
@@ -321,7 +332,7 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
     scaler = checkpoint.scaler
     work = _label_budget(train_raw, cfg)
     if not (work.labeled.any() or cfg.method == "craft" and cfg.alpha > 0.0 and prior is not None):
-        raise ValueError(_no_labeled_row(cfg, work) + "; only craft at alpha > 0 with a prior file "
+        raise ValueError(_budget_leaves(cfg, work) + "; only craft at alpha > 0 with a prior file "
                          "runs without one")
 
     report: RunReport
@@ -340,7 +351,7 @@ def adapt_in_memory(checkpoint: Checkpoint, train_raw: Dataset, val_raw: Dataset
             grid = make_bin_grid(cfg.bins, labeled_scaled if spans else
                                  scaler.scale_labels([scaler.label_lo, scaler.label_hi]))
             if prior is None:
-                prior = fitted = fit_prior(work.labels[work.labeled], cfg.prior_form, cfg.seed)
+                prior = fitted = _fit_budget_prior(cfg, work)
             model_prior = affine_transform_prior(prior, *scaler.label_map())
         config = _craft_config(cfg, grid=grid, prior=model_prior)
         fit = fit_craft if cfg.method == "craft" else fit_tl
@@ -510,15 +521,16 @@ def run_fit_prior(cfg: ExperimentConfig) -> dict:
     a density curve CSV.  Passed back as ``prior_file``, it is the prior an
     adapt run on that CSV fits itself at the same ``label_fraction``,
     ``bias_keep_above``, ``n_strata`` and seed.  A budget that leaves no
-    labeled row fails, in adapt's words and naming the CSV, before any write."""
+    labeled row, or too few for the prior form, fails in adapt's words and
+    naming the CSV, before any write."""
     if not cfg.target_train:
         raise ValueError("fit-prior needs a labels CSV via target_train")
     ds = _label_budget(load_csv(cfg.target_train), cfg, f"target_train {cfg.target_train}")
+    where = f" in {cfg.target_train}"
     if not ds.labeled.any():
-        raise ValueError(_no_labeled_row(cfg, ds, f" in {cfg.target_train}") + "; the prior is fitted "
-                         "to labels")
+        raise ValueError(_budget_leaves(cfg, ds, where) + "; the prior is fitted to labels")
+    prior = _fit_budget_prior(cfg, ds, where)
     labels = ds.labels[ds.labeled]
-    prior = fit_prior(labels, cfg.prior_form, cfg.seed)
     out = Path(cfg.out_dir)
     prior_path = out / "prior.json"
     save_prior(prior_path, prior)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_finite, _frozen_array, read_json, write_json
+from .data import _check_finite, _frozen, _frozen_array, read_json, write_json
 
 __all__ = [
     "HistogramPrior",
@@ -255,8 +255,7 @@ class HistogramPrior:
         total = float(probs.sum())
         if total <= 0:
             raise ValueError("bin weights must not all be zero")
-        probs = probs / total
-        probs.setflags(write=False)
+        probs = _frozen(probs / total)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "probs", probs)
         with np.errstate(divide="ignore"):

@@ -59,7 +59,7 @@ def invert_scaler(ds, params):
     """Map a scaled dataset back to original feature and label units."""
     feats = ds.features * params.feature_std + params.feature_mean
     labels = params.unscale_labels(ds.labels)
-    return Dataset(feats, labels, ds.labeled)
+    return Dataset(feats, labels)
 
 
 def batch_joint_log_density(params, x, targets, prior, c):

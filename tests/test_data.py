@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -36,22 +37,38 @@ def make_dataset(n=10, d=3, seed=0, labeled=None):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     y = rng.normal(size=n)
-    mask = np.ones(n, dtype=bool) if labeled is None else np.asarray(labeled, dtype=bool)
-    return Dataset(X, y, mask)
+    if labeled is not None:
+        y[~np.asarray(labeled, dtype=bool)] = np.nan
+    return Dataset(X, y)
 
 
 class TestDatasetInvariants:
     def test_rejects_nonfinite_features(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Dataset(np.array([[1.0], [np.inf]]), np.zeros(2), np.ones(2, dtype=bool))
+            Dataset(np.array([[1.0], [np.inf]]), np.zeros(2))
 
-    def test_rejects_nan_label_on_labeled_row(self):
-        with pytest.raises(ValueError, match="finite label"):
-            Dataset(np.ones((2, 1)), np.array([1.0, np.nan]), np.ones(2, dtype=bool))
-
-    def test_nan_label_allowed_when_unlabeled(self):
-        ds = Dataset(np.ones((2, 1)), np.array([1.0, np.nan]), np.array([True, False]))
+    def test_a_nan_label_is_an_unlabeled_row(self):
+        ds = Dataset(np.ones((2, 1)), np.array([1.0, np.nan]))
+        assert ds.labeled.tolist() == [True, False]
         assert ds.n_labeled == 1
+
+    @pytest.mark.parametrize("label", [np.inf, -np.inf])
+    def test_an_infinite_label_fails_naming_it(self, label):
+        message = rf"^row 1 has label {re.escape(repr(float(label)))}: a label is finite, or NaN"
+        with pytest.raises(ValueError, match=message):
+            Dataset(np.ones((3, 1)), np.array([1.0, label, np.nan]))
+
+    def test_labeled_is_read_only(self):
+        ds = make_dataset(labeled=[1, 0] * 5)
+        with pytest.raises(ValueError):
+            ds.labeled[1] = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.labeled = np.ones(ds.n, dtype=bool)
+
+    def test_the_mask_is_not_an_argument(self):
+        assert [f.name for f in dataclasses.fields(Dataset)] == ["features", "labels"]
+        with pytest.raises(TypeError):
+            Dataset(np.ones((2, 1)), np.ones(2), np.ones(2, dtype=bool))
 
     def test_arrays_are_readonly(self):
         ds = make_dataset()
@@ -60,7 +77,7 @@ class TestDatasetInvariants:
 
     def test_a_read_only_array_that_owns_its_memory_is_kept(self):
         ds = make_dataset()
-        again = Dataset(ds.features, ds.labels, ds.labeled)
+        again = Dataset(ds.features, ds.labels)
         assert again.features is ds.features and again.labels is ds.labels
 
     @pytest.mark.parametrize("source", ["writable", "view", "frombuffer"])
@@ -71,7 +88,7 @@ class TestDatasetInvariants:
                     "frombuffer": np.frombuffer(buffer).reshape(3, 2)}[source]
         if source != "writable":
             features.setflags(write=False)  # read-only, yet its memory is written through another name
-        ds = Dataset(features, np.zeros(3), np.ones(3, dtype=bool))
+        ds = Dataset(features, np.zeros(3))
         base[0, 0] = 99.0
         buffer[:8] = np.float64(99.0).tobytes()
         assert ds.features[0, 0] == 0.0
@@ -158,7 +175,7 @@ class TestCsv:
     ], ids=["with-mask-column", "fully-labeled"])
     def test_written_text_is_pinned(self, tmp_path, labeled, text):
         features = np.array([[-0.0, 1e-07], [1e+16, 0.1 + 0.2], [2.5, -3.0]])
-        ds = Dataset(features, np.array([0.1 + 0.2, -0.0, 1e-07]), np.array(labeled))
+        ds = Dataset(features, np.where(labeled, [0.1 + 0.2, -0.0, 1e-07], np.nan))
         path = tmp_path / "d.csv"
         write_csv(ds, path)
         assert path.read_bytes() == text.encode("utf-8")
@@ -325,7 +342,7 @@ class TestTransformMemory:
 
 class TestScaler:
     def test_label_endpoints_map_to_unit_interval(self):
-        ds = Dataset(np.arange(6).reshape(3, 2) + 0.0, np.array([0.0, 5.0, 10.0]), np.ones(3, dtype=bool))
+        ds = Dataset(np.arange(6).reshape(3, 2) + 0.0, np.array([0.0, 5.0, 10.0]))
         params = fit_scaler(ds)
         scaled = apply_scaler(ds, params)
         np.testing.assert_allclose(scaled.labels, [-1.0, 0.0, 1.0])
@@ -354,31 +371,30 @@ class TestScaler:
 
     def test_zero_variance_feature_errors(self):
         X = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
-        ds = Dataset(X, np.arange(5.0), np.ones(5, dtype=bool))
+        ds = Dataset(X, np.arange(5.0))
         with pytest.raises(ValueError, match="zero-variance"):
             fit_scaler(ds)
 
     def test_labels_whose_range_overflows_error(self):
-        ds = Dataset(np.random.default_rng(0).normal(size=(3, 2)), np.array([-1e308, 0.0, 1e308]),
-                     np.ones(3, dtype=bool))
+        ds = Dataset(np.random.default_rng(0).normal(size=(3, 2)), np.array([-1e308, 0.0, 1e308]))
         with pytest.raises(ValueError, match="^label_lo -1e\\+308 to label_hi 1e\\+308 "):
             fit_scaler(ds)
 
     def test_constant_labels_error(self):
-        ds = Dataset(np.random.default_rng(0).normal(size=(5, 2)), np.full(5, 2.0), np.ones(5, dtype=bool))
+        ds = Dataset(np.random.default_rng(0).normal(size=(5, 2)), np.full(5, 2.0))
         with pytest.raises(ValueError, match="label_lo equals label_hi"):
             fit_scaler(ds)
 
     def test_label_range_uses_labeled_rows_only(self):
         X = np.random.default_rng(0).normal(size=(4, 2))
-        ds = Dataset(X, np.array([0.0, 10.0, 100.0, -100.0]), np.array([True, True, False, False]))
+        ds = Dataset(X, np.array([0.0, 10.0, np.nan, np.nan]))
         params = fit_scaler(ds)
         assert params.label_lo == 0.0 and params.label_hi == 10.0
 
 
 class TestStratifiedMask:
     def test_exact_counts_per_stratum(self):
-        ds = Dataset(np.ones((10, 1)), np.arange(10.0), np.ones(10, dtype=bool))
+        ds = Dataset(np.ones((10, 1)), np.arange(10.0))
         masked = stratified_label_mask(ds, keep_fraction=0.4, n_strata=2, seed=0)
         order = np.argsort(ds.labels)
         assert masked.labeled[order[:5]].sum() == 2
@@ -397,13 +413,14 @@ class TestStratifiedMask:
         np.testing.assert_array_equal(a.labeled, b.labeled)
         assert not np.array_equal(a.labeled, c.labeled)
 
-    def test_only_mask_changes(self):
+    def test_only_the_dropped_labels_change(self):
         ds = make_dataset(n=15)
         masked = stratified_label_mask(ds, 0.5, n_strata=10, seed=3)
-        np.testing.assert_array_equal(masked.features, ds.features)
-        np.testing.assert_array_equal(masked.labels, ds.labels)
-        assert np.shares_memory(masked.features, ds.features)
-        assert np.shares_memory(masked.labels, ds.labels)
+        kept = masked.labeled
+        assert masked.features is ds.features
+        assert 0 < kept.sum() < ds.n
+        np.testing.assert_array_equal(masked.labels[kept], ds.labels[kept])
+        assert np.isnan(masked.labels[~kept]).all()
 
     def test_fraction_domain(self):
         ds = make_dataset()
@@ -420,7 +437,7 @@ class TestStratifiedMask:
 class TestMarginalBias:
     def test_counts_with_median_threshold(self):
         # the threshold is the label mean, which on arange(100) is also its median, 49.5
-        ds = Dataset(np.ones((100, 1)), np.arange(100.0), np.ones(100, dtype=bool))
+        ds = Dataset(np.ones((100, 1)), np.arange(100.0))
         biased = inject_marginal_bias(ds, keep_fraction_above=0.2, seed=0)
         assert biased.n == 60
         assert (biased.labels <= 49.5).sum() == 50
@@ -443,7 +460,7 @@ class TestMarginalBias:
         # the sampling-bias regime: 80% above the mean removed, then keep 40% of labels
         rng = np.random.default_rng(0)
         y = rng.normal(60.0, 10.0, 400)
-        ds = Dataset(rng.normal(size=(400, 2)), y, np.ones(400, dtype=bool))
+        ds = Dataset(rng.normal(size=(400, 2)), y)
         biased = inject_marginal_bias(ds, keep_fraction_above=0.2, seed=1)
         n_above_before = int((y > y.mean()).sum())
         n_above_after = int((biased.labels > y.mean()).sum())
@@ -573,7 +590,7 @@ class TestWriteFile:
 
 @pytest.mark.parametrize("make", [
     lambda: ScalerParams(np.zeros(2), np.ones(2), -1.0, 1.0),
-    lambda: Dataset(np.ones((2, 2)), np.ones(2), np.ones(2, dtype=bool)),
+    lambda: Dataset(np.ones((2, 2)), np.ones(2)),
     lambda: default_scenario(seed=1),
     lambda: MixturePrior([0.5, 0.5], [0.0], [1.0], [1.0], 0.0),
     lambda: HistogramPrior([0, 1, 2], [1, 1]),
@@ -595,16 +612,16 @@ ROWS = np.arange(4.0)[:, None]
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda tmp: Dataset(np.ones(3), np.ones(3), np.ones(3, dtype=bool)),
+    (lambda tmp: Dataset(np.ones(3), np.ones(3)),
      "^features must be a non-empty 2-d matrix$"),
-    (lambda tmp: Dataset(ROWS, np.ones(3), np.ones(4, dtype=bool)),
-     "^labels and labeled must be vectors matching the row count$"),
+    (lambda tmp: Dataset(ROWS, np.ones(3)),
+     "^labels must be a vector matching the row count$"),
     (lambda tmp: load_csv(_csv(tmp, "")), r"rows\.csv: empty file$"),
-    (lambda tmp: fit_scaler(Dataset(ROWS, np.zeros(4), np.zeros(4, dtype=bool))),
+    (lambda tmp: fit_scaler(Dataset(ROWS, np.full(4, np.nan))),
      "^cannot fit a label scaler without labeled rows$"),
-    (lambda tmp: stratified_label_mask(Dataset(ROWS, np.arange(4.0), np.ones(4, dtype=bool)), 0.5, 0, 0),
+    (lambda tmp: stratified_label_mask(Dataset(ROWS, np.arange(4.0)), 0.5, 0, 0),
      "^n_strata must be at least 1$"),
-    (lambda tmp: inject_marginal_bias(Dataset(ROWS, np.arange(4.0), np.arange(4) < 3), 0.5, 0),
+    (lambda tmp: inject_marginal_bias(Dataset(ROWS, np.array([0.0, 1.0, 2.0, np.nan])), 0.5, 0),
      "^inject_marginal_bias expects a fully labeled dataset$"),
 ], ids=["vector-features", "short-labels", "empty-csv", "no-labeled-row", "zero-strata",
         "partly-labeled-bias"])

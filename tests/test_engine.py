@@ -447,7 +447,7 @@ def small_target(n=120, d=3, frac=0.3, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     y = np.tanh(X).sum(axis=1) + 0.05 * rng.normal(size=n)
-    ds = Dataset(X, y, np.ones(n, dtype=bool))
+    ds = Dataset(X, y)
     return stratified_label_mask(ds, frac, n_strata=10, seed=seed)
 
 
@@ -493,7 +493,7 @@ class TestFitLoops:
         target = small_target()
         rng = np.random.default_rng(4)
         X = rng.normal(size=(40, 3))
-        val = Dataset(X, np.tanh(X).sum(axis=1), np.ones(40, dtype=bool))
+        val = Dataset(X, np.tanh(X).sum(axis=1))
         params = init_params(MlpSpec((3, 8, 1)), seed=1)
         config = craft_config(target, epochs=8, lr=3e-2)
         traj = trajectory(fit, params, target, config)
@@ -508,7 +508,7 @@ class TestFitLoops:
     def test_a_validation_set_without_a_labeled_row_is_rejected(self):
         target = small_target()
         X = np.random.default_rng(4).normal(size=(40, 3))
-        val = Dataset(X, np.full(40, np.nan), np.zeros(40, dtype=bool))
+        val = Dataset(X, np.full(40, np.nan))
         with pytest.raises(ValueError, match="validation set has no labeled row"):
             fit_craft(init_params(MlpSpec((3, 8, 1)), seed=1), target, craft_config(target), val=val)
 
@@ -552,7 +552,7 @@ class TestFitLoops:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(200, 2))
         y = X @ np.array([0.7, -0.4]) + 0.2
-        target = Dataset(X, y, np.ones(200, dtype=bool))
+        target = Dataset(X, y)
         params = init_params(MlpSpec((2, 1)), seed=0)
         _, report = fit_tl(params, target, craft_config(target, epochs=25, lr=0.02))
         losses = [row["supervised"] for row in report.epochs]
@@ -574,13 +574,13 @@ class TestFitLoops:
             CraftConfig(alpha=0.1, c=0.5, batch_size=64, epochs=1, seed=0)
 
     def test_tl_requires_labeled_rows(self):
-        ds = Dataset(np.ones((4, 1)), np.full(4, np.nan), np.zeros(4, dtype=bool))
+        ds = Dataset(np.ones((4, 1)), np.full(4, np.nan))
         params = init_params(MlpSpec((1, 1)), 0)
         with pytest.raises(ValueError, match="labeled"):
             fit_tl(params, ds, fit_config(alpha=0.0, epochs=1))
 
     def test_craft_at_alpha_zero_requires_labeled_rows_like_tl(self):
-        ds = Dataset(np.ones((4, 1)), np.full(4, np.nan), np.zeros(4, dtype=bool))
+        ds = Dataset(np.ones((4, 1)), np.full(4, np.nan))
         params = init_params(MlpSpec((1, 1)), 0)
         config = fit_config(alpha=0.0, epochs=1)
         with pytest.raises(ValueError) as tl_error:
@@ -599,8 +599,8 @@ class TestFitLoops:
     def test_targets_whose_squared_residuals_overflow_fail_naming_them(self, fit):
         # checked once before the first step, so numpy never warns under the suite's filter
         target = small_target(seed=23)
-        huge = Dataset(target.features, np.where(np.arange(target.n) % 2, 1e200, -1e200),
-                       target.labeled)
+        signs = np.where(np.arange(target.n) % 2, 1.0, -1.0)
+        huge = Dataset(target.features, np.where(target.labeled, 1e200 * signs, np.nan))
         message = (r"^the labeled targets reach 1e\+200 in model units; "
                    r"their squared residuals overflow float64$")
         with pytest.raises(ValueError, match=message):
@@ -621,7 +621,7 @@ class TestFitLoops:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(60, 2))
         y = X.sum(axis=1)
-        target = Dataset(X, y, np.ones(60, dtype=bool))
+        target = Dataset(X, y)
         params = init_params(MlpSpec((2, 6, 1)), seed=3)
         config = craft_config(target, alpha=0.1, epochs=2)
         _, report = fit_craft(params, target, config)
@@ -753,7 +753,7 @@ class TestBatchSchedule:
         X = np.column_stack([np.arange(self.N, dtype=np.float64), rng.normal(size=self.N)])
         labeled = np.zeros(self.N, dtype=bool)
         labeled[rng.choice(self.N, size=n_labeled, replace=False)] = True
-        return Dataset(X, np.where(labeled, np.tanh(X[:, 1]), np.nan), labeled)
+        return Dataset(X, np.where(labeled, np.tanh(X[:, 1]), np.nan))
 
     def expected(self, target, config, with_unlabeled):
         rng = np.random.default_rng(config.seed)

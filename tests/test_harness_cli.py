@@ -12,7 +12,7 @@ import pytest
 from craft import priors
 from craft.cli import build_parser, config_from_args, main
 from craft.data import Dataset, GeneratorSpec, apply_scaler, load_csv, write_csv
-from craft.engine import RunReport, fit_craft, make_bin_grid
+from craft.engine import RunReport, fit_craft, fit_tl, make_bin_grid
 from craft.harness import (
     ExperimentConfig,
     RUN_REPORT_SCHEMA,
@@ -45,7 +45,7 @@ def partly_labeled(ws, split, tmp_path, unlabeled=False) -> str:
     labeled = np.full(full.n, not unlabeled)
     labeled[0] = False
     path = tmp_path / f"partial_{split}.csv"
-    write_csv(Dataset(full.features, full.labels, labeled), path)
+    write_csv(Dataset(full.features, np.where(labeled, full.labels, np.nan)), path)
     return str(path)
 
 
@@ -65,6 +65,15 @@ def adapt_config(ws, tmp_path, **overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# 0.5% of one 300-row stratum rounds to 2 labels, too few for a 3-component mixture
+TWO_LABELS = {"label_fraction": 0.005, "n_strata": 1}
+
+
+def two_labels_message(where=""):
+    return (f"label_fraction 0.005 with n_strata 1 leaves 2 labeled rows of 300 target_train "
+            f"rows{where}; mixture prior: need at least 3 distinct values to fit 3 components")
 
 
 SCENARIO = default_scenario(seed=1, d=2).to_dict()
@@ -273,7 +282,7 @@ class TestAdapt:
         labeled = np.zeros(val.n, dtype=bool)
         labeled[::3] = True  # 20 of the 60 rows
         partial, only_labeled = tmp_path / "partial.csv", tmp_path / "labeled.csv"
-        write_csv(Dataset(val.features, np.where(labeled, val.labels, np.nan), labeled), partial)
+        write_csv(Dataset(val.features, np.where(labeled, val.labels, np.nan)), partial)
         write_csv(val.subset(np.flatnonzero(labeled)), only_labeled)
         reports = []
         # at this seed and rate the best epoch is not the last, which a run without
@@ -291,8 +300,7 @@ class TestAdapt:
     def test_validation_set_without_a_label_is_rejected(self, tiny_workspace, tmp_path):
         val = load_csv(tiny_workspace["paths"]["target_val"])
         unlabeled = tmp_path / "unlabeled.csv"
-        write_csv(Dataset(val.features, np.full(val.n, np.nan), np.zeros(val.n, dtype=bool)),
-                  unlabeled)
+        write_csv(Dataset(val.features, np.full(val.n, np.nan)), unlabeled)
         with pytest.raises(ValueError, match="target_val"):
             run_adapt(adapt_config(tiny_workspace, tmp_path, target_val=str(unlabeled)))
         assert not (tmp_path / "out").exists()
@@ -344,7 +352,7 @@ class TestAdapt:
         for split in ("target_train", "target_val", "target_test"):
             ds = load_csv(tiny_workspace["paths"][split])
             shifted[split] = str(tmp_path / f"{split}.csv")
-            write_csv(Dataset(ds.features, ds.labels + 10.0, ds.labeled), shifted[split])
+            write_csv(Dataset(ds.features, ds.labels + 10.0), shifted[split])
         budget = {"label_fraction": label_fraction, "bias_keep_above": bias_keep_above}
         produced = run_fit_prior(ExperimentConfig(target_train=shifted["target_train"],
                                                   out_dir=str(tmp_path / "prior"), seed=3,
@@ -457,7 +465,7 @@ class TestAdapt:
         labels[labeled_rows] = labels[labeled_rows[0]]
         labeled = np.zeros(train.n, dtype=bool)
         labeled[labeled_rows] = True
-        partial = Dataset(train.features, labels, labeled)
+        partial = Dataset(train.features, np.where(labeled, labels, np.nan))
         cfg = adapt_config(tiny_workspace, tmp_path, method=method, label_fraction=1.0)
         report = adapt_in_memory(load_checkpoint(tiny_workspace["checkpoint"]), partial,
                                  load_csv(tiny_workspace["paths"]["target_val"]),
@@ -476,6 +484,38 @@ class TestAdapt:
         with pytest.raises(ValueError, match=r"^label_fraction 0\.01 with n_strata 10 leaves no "
                                              r"labeled row of 300 target_train rows;"):
             adapt_in_memory(*inputs(tiny_workspace), cfg, prior=prior)
+
+    @pytest.mark.parametrize("method", ["craft", "tl"])
+    def test_the_fit_sees_every_dropped_label_as_nan(self, tiny_workspace, tmp_path, monkeypatch,
+                                                     method):
+        targets = []
+
+        def capturing(fit):
+            def capture(params, target, config, val=None):
+                targets.append(target)
+                return fit(params, target, config, val=val)
+            return capture
+
+        monkeypatch.setattr("craft.harness.fit_craft", capturing(fit_craft))
+        monkeypatch.setattr("craft.harness.fit_tl", capturing(fit_tl))
+        checkpoint, train, val, test = inputs(tiny_workspace)
+        cfg = adapt_config(tiny_workspace, tmp_path, method=method, label_fraction=0.1, epochs=1)
+        adapt_in_memory(checkpoint, train, val, test, cfg)
+        [target] = targets
+        kept = target.labeled
+        assert kept.sum() == 30
+        assert np.isnan(target.labels[~kept]).all()
+        np.testing.assert_array_equal(target.labels[kept],
+                                      checkpoint.scaler.scale_labels(train.labels[kept]))
+
+    def test_a_mixture_budget_with_two_labels_fails_naming_it(self, tiny_workspace, tmp_path):
+        cfg = adapt_config(tiny_workspace, tmp_path, epochs=1, **TWO_LABELS)
+        with pytest.raises(ValueError) as error:
+            adapt_in_memory(*inputs(tiny_workspace), cfg)
+        assert str(error.value) == two_labels_message()
+        report = adapt_in_memory(*inputs(tiny_workspace),
+                                 dataclasses.replace(cfg, prior_form="histogram"))
+        assert math.isfinite(report["rmse"])
 
     def test_craft_with_a_prior_runs_without_a_labeled_row(self, tiny_workspace, tmp_path):
         cfg = adapt_config(tiny_workspace, tmp_path, label_fraction=0.01, epochs=1)
@@ -496,7 +536,7 @@ class TestAdapt:
         monkeypatch.setattr("craft.harness.fit_craft", capture)
         cfg = adapt_config(tiny_workspace, tmp_path, label_fraction=1.0, bins=12, epochs=1)
         adapt_in_memory(load_checkpoint(tiny_workspace["checkpoint"]),
-                        Dataset(train.features, train.labels, labeled), None,
+                        Dataset(train.features, np.where(labeled, train.labels, np.nan)), None,
                         load_csv(tiny_workspace["paths"]["target_test"]), cfg, prior=FLAT_PRIOR)
         # the scaler's label range [-1, 1] with one 0.2-wide bin on each side
         [grid] = grids
@@ -517,10 +557,11 @@ class TestAdapt:
             self, tiny_workspace, tmp_path, monkeypatch, split):
         full = load_csv(tiny_workspace["paths"][split])
         narrow = tmp_path / "narrow.csv"
-        write_csv(Dataset(full.features[:, :-1], full.labels, full.labeled), narrow)
+        write_csv(Dataset(full.features[:, :-1], full.labels), narrow)
         fits = []
         monkeypatch.setattr("craft.harness.fit_craft", lambda *args, **kwargs: fits.append(1))
-        with pytest.raises(ValueError, match=rf"expects 3 features, {split} has 2"):
+        with pytest.raises(ValueError, match=rf"^checkpoint expects 3 features, {split} "
+                                             rf"{re.escape(str(narrow))} has 2$"):
             run_adapt(adapt_config(tiny_workspace, tmp_path, **{split: str(narrow)}))
         assert fits == []
 
@@ -597,6 +638,12 @@ class TestSweep:
         assert errors[0]["error"] == (
             "ValueError: label_fraction 0.01 with n_strata 10 leaves no labeled row of 300 "
             "target_train rows; only craft at alpha > 0 with a prior file runs without one")
+
+    def test_a_mixture_budget_with_two_labels_is_an_error_row(self, tiny_workspace, tmp_path):
+        cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=1,
+                           methods=["craft"], seeds=[0], **TWO_LABELS)
+        [row] = run_sweep(cfg)["rows"]
+        assert row["error"] == "ValueError: " + two_labels_message()
 
     def test_tl_ignores_a_bin_count_it_never_reads(self, tiny_workspace, tmp_path):
         cfg = adapt_config(tiny_workspace, tmp_path, out_dir=str(tmp_path / "s"), epochs=2)
@@ -773,6 +820,24 @@ class TestFitPrior:
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
         assert not (tmp_path / "out").exists()
 
+    def test_a_mixture_budget_with_two_labels_fails_naming_it_before_any_file(
+            self, tiny_workspace, tmp_path, capsys):
+        path = tiny_workspace["paths"]["target_train"]
+        cfg = adapt_config(tiny_workspace, tmp_path, **TWO_LABELS)
+        with pytest.raises(ValueError) as error:
+            run_fit_prior(cfg)
+        assert str(error.value) == two_labels_message(f" in {path}")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({k: v for k, v in dataclasses.asdict(cfg).items()
+                                        if v is not None}))
+        for command, where in [("fit-prior", f" in {path}"), ("adapt", "")]:
+            assert main([command, "--config", str(cfg_path)]) == 1
+            assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                           "message": two_labels_message(where)}
+        assert not (tmp_path / "out").exists()
+        produced = run_fit_prior(dataclasses.replace(cfg, prior_form="histogram"))
+        assert set(produced) == {"prior", "density_curve"}
+
     def test_failed_write_leaves_no_partial_file(self, tiny_workspace, tmp_path, monkeypatch):
         def failing_dump(obj, fh, **kwargs):
             fh.write('{"kind": ')
@@ -797,9 +862,10 @@ class TestEvaluateCommand:
     def test_a_test_split_missing_a_feature_fails_naming_it(self, tiny_workspace, tmp_path):
         full = load_csv(tiny_workspace["paths"]["target_test"])
         narrow = tmp_path / "narrow.csv"
-        write_csv(Dataset(full.features[:, :-1], full.labels, full.labeled), narrow)
+        write_csv(Dataset(full.features[:, :-1], full.labels), narrow)
         cfg = ExperimentConfig(source_checkpoint=tiny_workspace["checkpoint"], target_test=str(narrow))
-        with pytest.raises(ValueError, match="expects 3 features, target_test has 2"):
+        with pytest.raises(ValueError, match=rf"^checkpoint expects 3 features, target_test "
+                                             rf"{re.escape(str(narrow))} has 2$"):
             run_evaluate(cfg)
 
     def test_a_partly_labeled_test_split_fails_naming_it(self, tiny_workspace, tmp_path):
@@ -842,7 +908,7 @@ class TestCli:
         }))
         code = main(["adapt", "--config", str(cfg_path), "--method", "craft",
                      "--label-fraction", "0.2", "--alpha", "0.1", "--seed", "2",
-                     "--out", str(tmp_path / "run"), "--prior", "fit"])
+                     "--out", str(tmp_path / "run")])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["method"] == "craft" and report["seed"] == 2
@@ -862,10 +928,10 @@ class TestCli:
         prior_out = tmp_path / "prior"
         assert main(["fit-prior", "--config", str(cfg_path), "--out", str(prior_out)]) == 0
         reports = []
-        for prior in (f"file:{prior_out / 'prior.json'}", "fit"):
+        for name, flags in [("file", ["--prior", str(prior_out / "prior.json")]), ("fit", [])]:
             capsys.readouterr()
-            assert main(["adapt", "--config", str(cfg_path), "--prior", prior,
-                         "--out", str(tmp_path / prior[:3])]) == 0
+            assert main(["adapt", "--config", str(cfg_path), *flags,
+                         "--out", str(tmp_path / name)]) == 0
             report = json.loads(capsys.readouterr().out)
             del report["files_opened"], report["report_path"]
             reports.append(report)
@@ -965,18 +1031,31 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert "method" in err["message"]
 
-    def test_bad_prior_value_exits_1_with_error_json(self, capsys):
-        for value in ("bogus", "true", "file:"):
-            assert main(["adapt", "--prior", value]) == 1
-            err = json.loads(capsys.readouterr().err)
-            assert err["error"] == "ValueError"
-            assert "--prior" in err["message"]
+    def test_an_empty_prior_path_exits_1_naming_the_field(self, capsys):
+        assert main(["adapt", "--prior", ""]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "prior_file" in err["message"]
 
-    def test_prior_flag_sets_or_clears_the_files_prior_file(self, tmp_path):
+    def test_a_missing_prior_file_exits_1_naming_it(self, tiny_workspace, tmp_path, capsys,
+                                                    monkeypatch):
+        # "fit" is a path like any other, so a run in a directory without that file fails
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"source_checkpoint": tiny_workspace["checkpoint"],
+                                        "target_train": tiny_workspace["paths"]["target_train"],
+                                        "target_test": tiny_workspace["paths"]["target_test"]}))
+        assert main(["adapt", "--config", str(cfg_path), "--prior", "fit", "--out", "out"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError"
+        assert "'fit'" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_prior_flag_sets_the_prior_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"prior_file": "p.json"}))
-        for flags, prior_file in [([], "p.json"), (["--prior", "fit"], None),
-                                  (["--prior", "file:q.json"], "q.json")]:
+        for flags, prior_file in [([], "p.json"), (["--prior", "q.json"], "q.json"),
+                                  (["--prior", "fit"], "fit")]:
             args = build_parser().parse_args(["adapt", "--config", str(cfg_path), *flags])
             assert config_from_args(args).prior_file == prior_file
 
@@ -1067,11 +1146,11 @@ class TestCli:
                     assert action.dest in fields, (command, action.option_strings)
 
 
-SOURCE = Dataset(np.arange(4.0)[:, None], np.arange(4.0), np.ones(4, dtype=bool))
+SOURCE = Dataset(np.arange(4.0)[:, None], np.arange(4.0))
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: train_source_in_memory(Dataset(SOURCE.features, SOURCE.labels, np.arange(4) < 3),
+    (lambda: train_source_in_memory(Dataset(SOURCE.features, np.array([0.0, 1.0, 2.0, np.nan])),
                                     ExperimentConfig()),
      "^source training expects a fully labeled dataset$"),
     (lambda: train_source_in_memory(SOURCE.subset(np.arange(2)), ExperimentConfig(val_fraction=0.9)),

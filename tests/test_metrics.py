@@ -108,7 +108,7 @@ class TestEvaluate:
         # scalar identity model in scaled space predicts labels exactly
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 1))
-        train = Dataset(X, X[:, 0], np.ones(40, dtype=bool))
+        train = Dataset(X, X[:, 0])
         scaler = fit_scaler(train)
         scaled = apply_scaler(train, scaler)
         # fit y_scaled = w * x_scaled + b exactly (both are affine in x)
@@ -125,7 +125,7 @@ class TestEvaluate:
     def test_constant_predictor_reports_nan_pbcor(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(20, 2))
-        test = Dataset(X, rng.normal(size=20), np.ones(20, dtype=bool))
+        test = Dataset(X, rng.normal(size=20))
         scaler = ScalerParams(np.zeros(2), np.ones(2), -1.0, 1.0)
         spec = MlpSpec((2, 1))
         params = RegressorParams.from_blocks(spec, [np.zeros((2, 1))], [np.array([0.25])])
@@ -136,7 +136,7 @@ class TestEvaluate:
     def test_batched_equals_whole_set(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(30, 3))
-        test = Dataset(X, rng.normal(size=30), np.ones(30, dtype=bool))
+        test = Dataset(X, rng.normal(size=30))
         scaler = ScalerParams(np.zeros(3), np.ones(3), -1.0, 1.0)
         params = init_params(MlpSpec((3, 8, 1)), seed=5)
         whole = evaluate(params, test, scaler)
@@ -147,7 +147,7 @@ class TestEvaluate:
 
     def test_requires_fully_labeled(self):
         X = np.ones((3, 1))
-        test = Dataset(X, np.array([1.0, 2.0, np.nan]), np.array([True, True, False]))
+        test = Dataset(X, np.array([1.0, 2.0, np.nan]))
         scaler = ScalerParams(np.zeros(1), np.ones(1), 0.0, 1.0)
         params = init_params(MlpSpec((1, 1)), 0)
         with pytest.raises(ValueError, match="fully labeled"):
